@@ -27,11 +27,6 @@ import numpy as np
 
 RationalLike = Union[int, Fraction, "QuadScalar"]
 
-# binary64 values of the basis radicals, used only at the float boundary
-SQRT2_F = 1.4142135623730951
-SQRT5_F = 2.23606797749979
-SQRT10_F = 3.1622776601683795
-
 # 40-digit rational approximations of the radicals, so that to_float can
 # evaluate the full sum exactly and round once (a single rounding matches
 # high-precision evaluation; summing pre-rounded binary64 products can be

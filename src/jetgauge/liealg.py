@@ -2,8 +2,9 @@
 
 Generators are indexed by pairs 1 <= i < j <= n with
 (X_ij)_{kl} = delta_ik delta_jl - delta_il delta_jk, realized as exact
-antisymmetric matrices.  LieElement carries both the coefficient view
-(map over index pairs) and the realized-matrix view, kept consistent.
+antisymmetric matrices.  LieElement is primarily its coefficients over
+index pairs: brackets and trace forms work on them, and the realized
+matrix is built only on demand, as the test suite's independent oracle.
 
 Two Killing-form flavours are exposed.  killing_adjoint is the plain
 brute-force trace of ad_X ad_Y over the generator basis of so(n); for
@@ -24,6 +25,7 @@ from .exactnum import (
     QuadScalar,
     QS_ONE,
     QS_ZERO,
+    RationalLike,
     commutator,
     qs,
     solve_exact,
@@ -61,19 +63,6 @@ class LieElement:
                 self.coeffs[(i, j)] = v
 
     @staticmethod
-    def from_matrix(m: ExactMatrix) -> "LieElement":
-        if not m.is_antisymmetric():
-            raise ValueError("matrix is not antisymmetric")
-        el = LieElement(m.n)
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                v = m.rows[i][j]
-                if v:
-                    el.coeffs[(i + 1, j + 1)] = v
-        el._matrix = m
-        return el
-
-    @staticmethod
     def generator(n: int, i: int, j: int) -> "LieElement":
         return LieElement(n, {(i, j): 1})
 
@@ -109,8 +98,31 @@ class LieElement:
         return LieElement(self.n, {k: c * v for k, v in self.coeffs.items()})
 
     def bracket(self, other: "LieElement") -> "LieElement":
+        """sum x_ab y_cd [X_ab, X_cd], each term from so_bracket_closed_form."""
         self._check(other)
-        return LieElement.from_matrix(commutator(self.matrix, other.matrix))
+        acc: dict[tuple[int, int], QuadScalar] = {}
+        for ab, x in self.coeffs.items():
+            for cd, y in other.coeffs.items():
+                xy = x * y
+                for key, s in so_bracket_closed_form(self.n, ab, cd).coeffs.items():
+                    acc[key] = acc.get(key, QS_ZERO) + s * xy
+        return LieElement(self.n, acc)
+
+    def trace_form(self, h: Sequence[RationalLike], other: "LieElement") -> QuadScalar:
+        """tr(diag(h) X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij, over the sparser map."""
+        self._check(other)
+        if len(h) != self.n:
+            raise ValueError(f"metric length {len(h)} does not match so({self.n})")
+        small, large = sorted((self.coeffs, other.coeffs), key=len)
+        total = QS_ZERO
+        for (i, j), x in small.items():
+            y = large.get((i, j))
+            if y is None:
+                continue
+            hij = QuadScalar.coerce(h[i - 1]) + QuadScalar.coerce(h[j - 1])
+            if hij:
+                total = total + hij * x * y
+        return -total
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -211,15 +223,7 @@ def _ad_matrix_son(x: LieElement) -> list[list[QuadScalar]]:
 def killing_adjoint(x: LieElement, y: LieElement) -> QuadScalar:
     """K(x, y) = tr(ad_x ad_y), brute force over the so(n) generator basis."""
     x._check(y)
-    ax = _ad_matrix_son(x)
-    ay = _ad_matrix_son(y)
-    m = len(ax)
-    total = QS_ZERO
-    for i in range(m):
-        for k in range(m):
-            if ax[i][k] and ay[k][i]:
-                total = total + ax[i][k] * ay[k][i]
-    return total
+    return _ad_trace(_ad_matrix_son(x), _ad_matrix_son(y))
 
 
 def _expander(basis: Sequence[ExactMatrix]):

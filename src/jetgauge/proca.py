@@ -8,14 +8,15 @@ Canonical global index order (1-based) of the reduced jet space:
   9-15   3-jet timelike monomials (d^ttt, d^txx, ..., d^tzz), h = -1
   16-28  3-jet spacelike monomials (d^ttx, ..., d^zzz), h = +1
 
-For generators X_ij the quadratic form evaluates to
-tr(h X_ij X_ij) = -(h_ii + h_jj); that shortcut serves as the independent
-test oracle while proca_trace computes the trace on realized matrices.
+Every value of the form is computed on LieElement coefficients by the
+coefficient formula tr(h X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij, so for
+generators tr(h X_ij X_ij) = -(h_ii + h_jj).  Realized 28x28 matrices
+contracted with trace_metric are the independent test oracle.
 
 The (2,3) block census computed from h is (21 positive, 13 negative, 46
-zero).  The quoted signature "(7,39)" for the same block, and the index
-ranges of the quoted quadratic form it accompanies, disagree with that
-census; the discrepancy is surfaced as a flag and not reconciled.
+zero).  The quoted signature "(7,39)" for the same block disagrees with
+that census; the discrepancy is surfaced as a flag and not reconciled
+(DECISIONS.md, entry 4).
 
 Everything here is the dimensionless quadratic form: the dimensional
 prefactors (which the reference displays quote inconsistently, 1/4 versus
@@ -30,8 +31,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .exactnum import ExactMatrix, QuadScalar, QS_INV_SQRT2, QS_ZERO, qs, trace_metric
-from .liealg import LieElement, so_generator
+from .exactnum import QuadScalar, QS_INV_SQRT2, QS_ZERO, qs
+from .liealg import LieElement
 
 DIM = 28
 
@@ -64,39 +65,31 @@ def h_metric() -> HMetric:
     return HMetric(tuple(qs(v) for v in _H_INTS))
 
 
-def _gen(i: int, j: int) -> ExactMatrix:
-    a, b = min(i, j), max(i, j)
-    return so_generator(DIM, a, b)
+def _self_trace(h, i: int, j: int) -> QuadScalar:
+    g = LieElement.generator(DIM, min(i, j), max(i, j))
+    return g.trace_form(h, g)
 
 
 def proca_trace(i: int, j: int) -> QuadScalar:
-    """tr(h X_ij X_ij) on realized 28x28 generators.
+    """tr(h X_ij X_ij) from the generator's coefficients.
 
-    Equals -(h_ii + h_jj); tests assert that shortcut independently over
-    all 378 unordered pairs.
+    Tests compare it over all 378 unordered pairs with -(h_ii + h_jj) and
+    with trace_metric on the realized 28x28 generators.
     """
     if i == j:
         raise ValueError("generator needs two distinct indices")
     if not (1 <= i <= DIM and 1 <= j <= DIM):
         raise ValueError(f"indices out of range 1..{DIM}: ({i},{j})")
-    g = _gen(i, j)
-    return trace_metric(h_metric().diag, g, g)
+    return _self_trace(h_metric().diag, i, j)
 
 
 def proca_table() -> list[list[QuadScalar]]:
     """28x28 table with entry (i,j) = proca_trace(i,j), zero diagonal."""
     h = h_metric().diag
-    table = []
-    for i in range(1, DIM + 1):
-        row = []
-        for j in range(1, DIM + 1):
-            if i == j:
-                row.append(QS_ZERO)
-            else:
-                g = _gen(i, j)
-                row.append(trace_metric(h, g, g))
-        table.append(row)
-    return table
+    return [
+        [QS_ZERO if i == j else _self_trace(h, i, j) for j in range(1, DIM + 1)]
+        for i in range(1, DIM + 1)
+    ]
 
 
 def proca_table_ints() -> list[list[int]]:
@@ -148,8 +141,8 @@ class IsotropicBasis:
 
 def gram_matrix(basis: IsotropicBasis) -> list[list[QuadScalar]]:
     h = h_metric().diag
-    mats = [v.matrix for v in basis.vectors]
-    return [[trace_metric(h, a, b) for b in mats] for a in mats]
+    vecs = basis.vectors
+    return [[a.trace_form(h, b) for b in vecs] for a in vecs]
 
 
 def is_totally_isotropic(basis: IsotropicBasis) -> bool:
@@ -222,16 +215,24 @@ def u1y_first_order_variation(basis: IsotropicBasis) -> list[list[QuadScalar]]:
     """d/dtheta of the Gram matrix at theta = 0 under the (6,7) rotation."""
     h = h_metric().diag
     g = LieElement.generator(DIM, *U1Y_GENERATOR_PAIR)
-    vecs = [v.matrix for v in basis.vectors]
-    brs = [g.bracket(v).matrix for v in basis.vectors]
+    vecs = basis.vectors
+    brs = [g.bracket(v) for v in vecs]
     n = len(vecs)
     return [
-        [
-            trace_metric(h, brs[i], vecs[j]) + trace_metric(h, vecs[i], brs[j])
-            for j in range(n)
-        ]
+        [brs[i].trace_form(h, vecs[j]) + vecs[i].trace_form(h, brs[j]) for j in range(n)]
         for i in range(n)
     ]
+
+
+def _antisymmetric(n: int, coeffs: Mapping[tuple[int, int], float]) -> np.ndarray:
+    """Float matrix sum c_ij X_ij from coefficients over pairs 1 <= i < j <= n."""
+    a = np.zeros((n, n))
+    for (i, j), v in coeffs.items():
+        if not (1 <= i < j <= n):
+            raise ValueError(f"bad pair ({i},{j}) for so({n})")
+        a[i - 1, j - 1] = v
+        a[j - 1, i - 1] = -v
+    return a
 
 
 def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -249,7 +250,10 @@ def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
     """Max |Gram(conjugated) - Gram| over all pairs, float arithmetic."""
     hvec = np.array([float(x.as_fraction()) for x in h_metric().diag])
     r = _givens(DIM, *U1Y_GENERATOR_PAIR, theta)
-    vecs = [v.matrix.to_float() for v in basis.vectors]
+    vecs = [
+        _antisymmetric(DIM, {k: c.to_float() for k, c in v.coeffs.items()})
+        for v in basis.vectors
+    ]
     rot = [r @ v @ r.T for v in vecs]
     worst = 0.0
     for i in range(len(vecs)):
@@ -288,12 +292,7 @@ def rotated_proca_value(coeffs: Mapping[tuple[int, int], float], theta: float) -
     7 + 13).  Computed by direct conjugation of the realized matrix; the
     test suite checks it against rotated_proca_closed_form to 1e-10.
     """
-    a = np.zeros((_LOCAL_DIM, _LOCAL_DIM))
-    for (i, j), v in coeffs.items():
-        if not (1 <= i < j <= _LOCAL_DIM):
-            raise ValueError(f"bad local pair ({i},{j})")
-        a[i - 1, j - 1] = v
-        a[j - 1, i - 1] = -v
+    a = _antisymmetric(_LOCAL_DIM, coeffs)
     r = _givens(_LOCAL_DIM, 7, 8, -theta)
     ap = r @ a @ r.T
     return 0.5 * float(np.sum(_LOCAL_H * np.diag(ap @ ap)))

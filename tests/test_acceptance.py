@@ -28,7 +28,7 @@ from jetgauge.dynamics import (
     uniform_electric_f,
     uniform_magnetic_f,
 )
-from jetgauge.exactnum import ExactMatrix, commutator, qs
+from jetgauge.exactnum import ExactMatrix, commutator, qs, trace_metric
 from jetgauge.liealg import (
     killing_metric_twisted,
     killing_table_in_basis,
@@ -105,11 +105,13 @@ def test_criterion_3_killing_identity():
 def test_criterion_4_proca_table():
     assert proca.proca_table_ints() == PROCA_TABLE_REFERENCE  # 784 entries
     h = proca.h_metric()
-    for i, j in so_pairs(28):  # 378 pairs against the independent oracle
+    for i, j in so_pairs(28):  # 378 pairs against two independent oracles
         assert proca.proca_trace(i, j).as_fraction() == -(
             h[i].as_fraction() + h[j].as_fraction()
         )
-    ok("4 Proca table", "784 entries + 378-pair oracle, exact")
+        g = so_generator(28, i, j)  # realized matrix
+        assert proca.proca_trace(i, j) == trace_metric(h.diag, g, g)
+    ok("4 Proca table", "784 entries + 378-pair shortcut and dense oracles, exact")
 
 
 def test_criterion_5_mode_censuses():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -129,6 +130,17 @@ def test_verify_all_passes_and_is_deterministic(tmp_path):
     data = json.loads(b1)
     assert data["counts"]["fail"] == 0
     assert data["counts"]["flagged"] >= 1
+
+
+# the same digest perfbench/workloads.py pins for the verify_all workload
+VERIFY_ALL_SHA256 = "121a65f762c21d2e7b1910c4c84713f7fbc7265b638895930a8ac8c6a1246abf"
+
+
+def test_verify_all_report_bytes_pinned(capsys):
+    assert main(["verify-all", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert json.loads(out)["counts"] == {"pass": 68, "fail": 0, "flagged": 11}
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_exit_code_contract_on_failure():

@@ -2,7 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgauge.exactnum import ExactMatrix, commutator, qs
+from jetgauge.exactnum import (
+    QS_INV_SQRT2,
+    QS_INV_SQRT5,
+    QS_SQRT10,
+    QS_SQRT5,
+    ExactMatrix,
+    commutator,
+    qs,
+    trace_metric,
+)
 from jetgauge.liealg import (
     LieElement,
     killing_adjoint,
@@ -26,6 +35,22 @@ def lie_elements(n):
         lambda cs: LieElement(n, dict(zip(pairs, cs))),
         st.lists(fractions, min_size=len(pairs), max_size=len(pairs)),
     )
+
+
+# Q(sqrt2, sqrt5): the named radicals plus general a + b sqrt2 + c sqrt5 + d sqrt10
+quads = st.one_of(
+    st.sampled_from([QS_INV_SQRT2, -QS_INV_SQRT2, QS_SQRT5, QS_INV_SQRT5, QS_SQRT10]),
+    st.builds(qs, fractions, fractions, fractions, fractions),
+)
+
+
+def sparse_pair(n, data, max_size):
+    """Two elements of so(n) drawn over one small support, so they overlap."""
+    support = data.draw(
+        st.lists(st.sampled_from(so_pairs(n)), min_size=1, max_size=max_size, unique=True)
+    )
+    coeffs = st.dictionaries(st.sampled_from(support), quads, max_size=len(support))
+    return LieElement(n, data.draw(coeffs)), LieElement(n, data.draw(coeffs))
 
 
 def test_generator_shape():
@@ -120,6 +145,30 @@ def test_bracket_antisymmetric_and_closed(x, y):
     br = x.bracket(y)
     assert br.matrix.is_antisymmetric()
     assert br == LieElement(4, {k: -v for k, v in y.bracket(x).coeffs.items()})
+
+
+@given(st.integers(min_value=2, max_value=8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_bracket_matches_realized_commutator(n, data):
+    x, y = sparse_pair(n, data, max_size=10)
+    assert x.bracket(y).matrix == commutator(x.matrix, y.matrix)
+
+
+@given(st.integers(min_value=2, max_value=28), st.data())
+@settings(max_examples=40, deadline=None)
+def test_trace_form_matches_trace_metric(n, data):
+    x, y = sparse_pair(n, data, max_size=12)
+    h = data.draw(st.lists(quads, min_size=n, max_size=n))
+    assert x.trace_form(h, y) == trace_metric(h, x.matrix, y.matrix)
+    assert y.trace_form(h, x) == x.trace_form(h, y)
+
+
+def test_trace_form_rejects_mismatched_metric():
+    x = LieElement.generator(4, 1, 2)
+    with pytest.raises(ValueError):
+        x.trace_form([qs(1)] * 3, x)
+    with pytest.raises(ValueError):
+        x.trace_form([qs(1)] * 4, LieElement.generator(5, 1, 2))
 
 
 @given(lie_elements(5), lie_elements(5), lie_elements(5))

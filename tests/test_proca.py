@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from jetgauge.exactnum import qs, trace_metric
-from jetgauge.liealg import so_pairs
+from jetgauge.exactnum import QS_INV_SQRT2, commutator, qs, trace_metric
+from jetgauge.liealg import LieElement, so_generator, so_pairs
 from jetgauge.proca import (
+    U1Y_GENERATOR_PAIR,
+    IsotropicBasis,
     SECTOR_23_QUOTED_SIGNATURE,
     flagged_inconsistencies,
     gram_matrix,
@@ -55,11 +57,14 @@ def test_proca_trace_errors():
 
 
 def test_proca_trace_shortcut_oracle_all_pairs():
-    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs."""
+    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, and the
+    same value from trace_metric on the realized 28x28 generator."""
     h = h_metric()
     for i, j in so_pairs(28):
         want = -(h[i].as_fraction() + h[j].as_fraction())
         assert proca_trace(i, j).as_fraction() == want, (i, j)
+        g = so_generator(28, i, j)
+        assert proca_trace(i, j) == trace_metric(h.diag, g, g), (i, j)
 
 
 def test_proca_table_matches_reference_display():
@@ -151,6 +156,32 @@ def test_13_basis_greedy():
         assert {j1, a}.isdisjoint({j2, bb})
 
 
+def _dense_gram(mats_a, mats_b):
+    h = h_metric().diag
+    return [[trace_metric(h, a, b) for b in mats_b] for a in mats_a]
+
+
+@pytest.mark.parametrize(
+    "make", [isotropic_33_basis, isotropic_23_basis, isotropic_13_basis]
+)
+def test_gram_matrix_matches_dense_oracle(make):
+    basis = make()
+    mats = [v.matrix for v in basis.vectors]
+    assert gram_matrix(basis) == _dense_gram(mats, mats)
+
+
+def test_gram_matrix_matches_dense_oracle_off_isotropy():
+    # a non-isotropic set, so the comparison covers nonzero entries
+    vecs = (
+        LieElement(28, {(6, 9): 1, (5, 16): QS_INV_SQRT2}),
+        LieElement(28, {(6, 9): qs(0, 0, 1), (7, 9): 1, (9, 10): F(1, 3)}),
+    )
+    mats = [v.matrix for v in vecs]
+    got = gram_matrix(IsotropicBasis((2, 3), vecs))
+    assert got == _dense_gram(mats, mats)
+    assert any(x for row in got for x in row)
+
+
 def test_gram_matrix_shape():
     g = gram_matrix(isotropic_23_basis())
     assert len(g) == 7 and all(len(row) == 7 for row in g)
@@ -162,6 +193,25 @@ def test_gram_matrix_shape():
 def test_u1y_first_order_exact():
     var = u1y_first_order_variation(isotropic_23_basis())
     assert not any(x for row in var for x in row)
+
+
+def test_u1y_first_order_variation_matches_dense_oracle():
+    b = isotropic_23_basis()
+    g = so_generator(28, *U1Y_GENERATOR_PAIR)
+    mats = [v.matrix for v in b.vectors]
+    brs = [commutator(g, m) for m in mats]
+    left = _dense_gram(brs, mats)
+    right = _dense_gram(mats, brs)
+    n = len(mats)
+    want = [[left[i][j] + right[i][j] for j in range(n)] for i in range(n)]
+    assert u1y_first_order_variation(b) == want
+    # the two one-sided terms cancel structurally; on X_69, X_79 each is
+    # nonzero, so the coefficient bracket and trace form are compared there
+    gen = LieElement.generator(28, *U1Y_GENERATOR_PAIR)
+    v, w = LieElement.generator(28, 6, 9), LieElement.generator(28, 7, 9)
+    one_sided = gen.bracket(v).trace_form(h_metric().diag, w)
+    assert one_sided == _dense_gram([commutator(g, v.matrix)], [w.matrix])[0][0]
+    assert one_sided
 
 
 def test_u1y_finite_rotation():
