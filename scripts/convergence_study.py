@@ -95,7 +95,7 @@ def field_strength_study(levels: int) -> None:
     prev = None
     for k in range(levels):
         h = 4e-2 / 2**k
-        err = np.max(np.abs(field_strength_em(MetricField.closed_form(gfun, step=h), x) - exact))
+        err = np.max(np.abs(field_strength_em(MetricField(gfun, step=h), x) - exact))
         note = f"  order {math.log2(prev / err):5.2f}" if prev else ""
         print(f"  h={h:.4f}  err={err:.3e}{note}")
         prev = err

@@ -2,7 +2,7 @@
 
 Modules
 -------
-exactnum     rationals, the field Q(sqrt2, sqrt5), dense exact matrices
+exactnum     rationals, the field Q(sqrt2, sqrt5), dense exact matrices, elimination
 jetspace     jet-basis enumeration and generalized Minkowskian signatures
 liealg       so(N) generators, brackets, Killing forms
 proca        the 28-dim quadratic form, censuses, isotropic subspaces
@@ -13,7 +13,7 @@ pheno        constants, conversion factor, mass-scale table, consistency
 verify       the exact suites behind `jetgauge verify-all`
 """
 
-from .exactnum import ExactMatrix, QuadScalar, commutator, mat_mul, qs, trace_metric
+from .exactnum import ExactMatrix, QuadScalar, commutator, qs, trace_metric
 from .jetspace import JetBasis, MultiIndex, enumerate_basis, is_timelike, signature
 from .liealg import (
     LieElement,
@@ -37,7 +37,6 @@ __all__ = [
     "is_timelike",
     "killing_adjoint",
     "killing_metric_twisted",
-    "mat_mul",
     "qs",
     "signature",
     "so4_bases",

@@ -42,14 +42,6 @@ class MetricField:
         self._jac = jacobian
         self.step = step
 
-    @staticmethod
-    def closed_form(func, jacobian=None, step: float = 1e-3) -> "MetricField":
-        return MetricField(func, jacobian, step)
-
-    @staticmethod
-    def from_grid(values: np.ndarray, origin, spacing: float) -> "GridMetricField":
-        return GridMetricField(values, origin, spacing)
-
     def values(self, x) -> np.ndarray:
         return np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
 

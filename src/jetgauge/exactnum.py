@@ -14,7 +14,14 @@ square-free part is 1, 2, 5 or 10.
 
 ExactMatrix is a dense square matrix over QuadScalar with the handful of
 operations the generator algebra needs (products, commutators, traces
-against a diagonal metric, determinants, exact linear solves).
+against a diagonal metric, determinants).
+
+All exact linear algebra runs through one Gauss-Jordan kernel, rref,
+which works over whatever field its entries belong to.  ExactMatrix.det,
+solve_exact, nullspace_exact and rank_exact are thin wrappers on it, and
+Solver eliminates a fixed set of columns once for many right-hand sides.
+The wrappers keep the scalar type of their inputs: QuadScalar if any entry
+is one, Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -343,25 +350,8 @@ class ExactMatrix:
         return out
 
     def det(self) -> QuadScalar:
-        # Gaussian elimination over the field
-        n = self.n
-        m = [row[:] for row in self.rows]
-        det = QS_ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col]), None)
-            if piv is None:
-                return QS_ZERO
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            pv = m[col][col]
-            det = det * pv
-            inv = pv.inverse()
-            for r in range(col + 1, n):
-                f = m[r][col] * inv
-                if f:
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return det
+        _, pivots, signed = rref(self.rows, self.n)
+        return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
 
     def to_float(self) -> np.ndarray:
         return np.array([[x.to_float() for x in row] for row in self.rows], dtype=float)
@@ -369,10 +359,6 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -402,9 +388,65 @@ def trace_metric(h: Sequence[RationalLike], a: ExactMatrix, b: ExactMatrix) -> Q
     return total
 
 
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination over the field the entries belong to.
+
+    Pivots are sought in the first ncols columns only; later columns (a
+    right-hand side, or an identity block that records the transform) are
+    carried along.  Returns the reduced rows (a copy), the pivot column of
+    each leading row, and the signed product of the pivots, which is the
+    determinant when the rows form a nonsingular square matrix.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    signed = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            signed = -signed
+        signed = signed * m[r][c]
+        inv = 1 / m[r][c]
+        prow = m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
+        pivots.append(c)
+    return m, pivots, signed
+
+
+def _over_field(rows: Iterable[Iterable[RationalLike]]):
+    """rows as lists over one field, with that field's zero and one.
+
+    The field is QuadScalar if any entry is one, else Fraction, so rational
+    callers never pay for QuadScalar arithmetic.
+    """
+    rows = [list(row) for row in rows]
+    if any(isinstance(x, QuadScalar) for row in rows for x in row):
+        return [[QuadScalar.coerce(x) for x in row] for row in rows], QS_ZERO, QS_ONE
+    return [[_frac(x) for x in row] for row in rows], _frac(0), _frac(1)
+
+
+def _solution(y: list, pivots: list[int], ncols: int) -> list | None:
+    """Read x off a reduced right-hand side y; see solve_exact for the cases."""
+    if any(y[len(pivots):]):
+        return None
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined system: columns are linearly dependent")
+    # full column rank: the pivots are exactly 0..ncols-1
+    return y[:ncols]
+
+
 def solve_exact(
-    columns: Sequence[Sequence[QuadScalar]], target: Sequence[QuadScalar]
-) -> list[QuadScalar] | None:
+    columns: Sequence[Sequence[RationalLike]], target: Sequence[RationalLike]
+) -> list | None:
     """Solve sum_j x_j * columns[j] = target exactly.
 
     Returns the coefficient list, or None when the system is inconsistent.
@@ -412,92 +454,57 @@ def solve_exact(
     is not unique.
     """
     ncols = len(columns)
-    nrows = len(target)
-    aug = [
-        [QuadScalar.coerce(columns[j][i]) for j in range(ncols)]
-        + [QuadScalar.coerce(target[i])]
-        for i in range(nrows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # inconsistency: zero row with nonzero rhs
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system: columns are linearly dependent")
-    x = [_ZERO] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    return x
+    aug, _, _ = _over_field(
+        [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    )
+    reduced, pivots, _ = rref(aug, ncols)
+    return _solution([row[ncols] for row in reduced], pivots, ncols)
 
 
-def nullspace_exact(rows: Sequence[Sequence[QuadScalar]]) -> list[list[QuadScalar]]:
+class Solver:
+    """Repeated exact solves sum_j x_j * columns[j] = b against fixed columns.
+
+    The columns are eliminated once, as [A | I]; solve(b) applies the stored
+    transform E (E A is reduced) to b and answers exactly as solve_exact
+    would.  b must lie over the same field as the columns.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[RationalLike]]):
+        a, self.zero, one = _over_field(zip(*columns))
+        nrows, self.ncols = len(a), len(columns)
+        aug = [row + [one if k == i else self.zero for k in range(nrows)]
+               for i, row in enumerate(a)]
+        reduced, self.pivots, _ = rref(aug, self.ncols)
+        self.transform = [row[self.ncols:] for row in reduced]
+
+    def solve(self, b: Sequence) -> list | None:
+        if len(b) != len(self.transform):
+            raise ValueError("right-hand side length does not match the columns")
+        nonzero = [(k, v) for k, v in enumerate(b) if v]
+        y = [sum((row[k] * v for k, v in nonzero if row[k]), self.zero)
+             for row in self.transform]
+        return _solution(y, self.pivots, self.ncols)
+
+
+def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:
     """Exact null space basis of the linear map given by `rows` (m x n)."""
     if not rows:
         return []
-    m, n = len(rows), len(rows[0])
-    mat = [[QuadScalar.coerce(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
+    mat, zero, one = _over_field(rows)
+    n = len(mat[0])
+    reduced, pivots, _ = rref(mat, n)
     basis = []
-    for fc in free:
-        v = [_ZERO] * n
-        v[fc] = QS_ONE
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -mat[row_idx][fc]
+    for free in (c for c in range(n) if c not in pivots):
+        v = [zero] * n
+        v[free] = one
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free]
         basis.append(v)
     return basis
 
 
-def rank_exact(rows: Sequence[Sequence[QuadScalar]]) -> int:
+def rank_exact(rows: Sequence[Sequence[RationalLike]]) -> int:
     if not rows:
         return 0
-    mat = [[QuadScalar.coerce(x) for x in row] for row in rows]
-    m = len(mat)
-    n = len(mat[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    mat, _, _ = _over_field(rows)
+    return len(rref(mat, len(mat[0]))[1])

@@ -26,9 +26,9 @@ from .exactnum import (
     QS_ONE,
     QS_ZERO,
     RationalLike,
+    Solver,
     commutator,
     qs,
-    solve_exact,
 )
 
 
@@ -227,11 +227,11 @@ def killing_adjoint(x: LieElement, y: LieElement) -> QuadScalar:
 
 
 def _expander(basis: Sequence[ExactMatrix]):
-    cols = [[b.rows[i][j] for i in range(b.n) for j in range(b.n)] for b in basis]
+    """Coordinates over basis, which is eliminated once for all expansions."""
+    solver = Solver([[x for row in b.rows for x in row] for b in basis])
 
     def expand(m: ExactMatrix) -> list[QuadScalar]:
-        flat = [m.rows[i][j] for i in range(m.n) for j in range(m.n)]
-        sol = solve_exact(cols, flat)
+        sol = solver.solve([x for row in m.rows for x in row])
         if sol is None:
             raise ValueError("element does not lie in the span of the basis")
         return sol

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .exactnum import (
     ExactMatrix,
-    QuadScalar,
+    Solver,
     nullspace_exact,
     qs,
     rank_exact,
@@ -303,10 +303,6 @@ class G2Element:
         return m
 
 
-def _flatten(m: ExactMatrix) -> list[QuadScalar]:
-    return [m.rows[i][j] for i in range(m.n) for j in range(m.n)]
-
-
 _UT_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
 
 
@@ -314,55 +310,14 @@ def _upper_tri(m: ExactMatrix) -> list[Fraction]:
     return [m.rows[i][j].as_fraction() for i, j in _UT_PAIRS]
 
 
-class _FractionSolver:
-    """Precomputed Gauss-Jordan data for repeated exact solves A x = b."""
-
-    def __init__(self, columns: list[list[Fraction]]):
-        m = len(columns[0])
-        n = len(columns)
-        aug = [[columns[j][i] for j in range(n)] + [
-            Fraction(1 if k == i else 0) for k in range(m)
-        ] for i in range(m)]
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, m) if aug[i][c]), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = 1 / aug[r][c]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(m):
-                if i != r and aug[i][c]:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        if len(pivots) != n:
-            raise ValueError("columns are linearly dependent")
-        self.m, self.n = m, n
-        self.pivots = pivots
-        self.elim = [row[n:] for row in aug]  # E with E A in rref
-
-    def solve(self, b: list[Fraction]) -> list[Fraction] | None:
-        y = [sum((e * v for e, v in zip(row, b) if v), Fraction(0)) for row in self.elim]
-        for i in range(self.n, self.m):
-            if y[i]:
-                return None
-        x = [Fraction(0)] * self.n
-        for row_idx, c in enumerate(self.pivots):
-            x[c] = y[row_idx]
-        return x
+_SO7_SOLVER: Solver | None = None
 
 
-_SO7_SOLVER: _FractionSolver | None = None
-
-
-def _so7_solver() -> _FractionSolver:
+def _so7_solver() -> Solver:
     global _SO7_SOLVER
     if _SO7_SOLVER is None:
         basis = g2_basis() + ad_basis()
-        _SO7_SOLVER = _FractionSolver([_upper_tri(b) for b in basis])
+        _SO7_SOLVER = Solver([_upper_tri(b) for b in basis])
     return _SO7_SOLVER
 
 
@@ -388,13 +343,9 @@ def stabilizer_su3(z: ImOctonion) -> list[G2Element]:
     """
     if z.is_zero():
         raise ValueError("the stabilized element must be nonzero")
-    basis = g2_basis()
-    rows = [
-        [qs(apply_im(b, z).coeffs[i]) for b in basis]  # 7 x 14 system X z = 0
-        for i in range(7)
-    ]
-    null = nullspace_exact(rows)
-    return [G2Element(tuple(x.as_fraction() for x in v)) for v in null]
+    images = [apply_im(b, z).coeffs for b in g2_basis()]
+    null = nullspace_exact(list(zip(*images)))  # 7 x 14 system X z = 0
+    return [G2Element(tuple(v)) for v in null]
 
 
 def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fraction]]]:
@@ -403,7 +354,7 @@ def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fracti
     Raises if a bracket leaves the span (i.e. the set is not closed).
     """
     mats = [e.matrix() for e in elements]
-    solver = _FractionSolver([_upper_tri(m) for m in mats])
+    solver = Solver([_upper_tri(m) for m in mats])
     table = []
     for a in mats:
         row = []
@@ -455,10 +406,9 @@ def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> 
     x = ExactMatrix.zeros(7)
     for c, m in zip(probe, mats):
         x = x + m.scale(qs(c))
-    rows_ = [[qs(v) for v in _upper_tri(x @ m - m @ x)] for m in mats]
+    images = [_upper_tri(x @ m - m @ x) for m in mats]
     # centralizer = nullspace of v -> [x, sum v_a X_a]
-    cols = [list(col) for col in zip(*rows_)]
-    return len(nullspace_exact(cols))
+    return len(nullspace_exact(list(zip(*images))))
 
 
 @dataclass(frozen=True)
@@ -490,4 +440,4 @@ def jacobi_consistency(x: ExactMatrix, y: ImOctonion, z: ImOctonion) -> Consiste
 def so7_span_rank() -> int:
     """Rank of the 21 stacked matrices (g2 basis plus the 7 ad generators)."""
     mats = g2_basis() + ad_basis()
-    return rank_exact([[qs(v) for v in _upper_tri(m)] for m in mats])
+    return rank_exact([_upper_tri(m) for m in mats])

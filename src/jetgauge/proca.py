@@ -58,11 +58,12 @@ class HMetric:
 
 
 _H_INTS = (0, 0, 0, 0, 1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
+_H_DIAG = tuple(qs(v) for v in _H_INTS)
 
 
 def h_metric() -> HMetric:
     """The fixed diagonal (0^4, 1, -1^3, -1^7, 1^13)."""
-    return HMetric(tuple(qs(v) for v in _H_INTS))
+    return HMetric(_H_DIAG)
 
 
 def _self_trace(h, i: int, j: int) -> QuadScalar:
@@ -80,14 +81,13 @@ def proca_trace(i: int, j: int) -> QuadScalar:
         raise ValueError("generator needs two distinct indices")
     if not (1 <= i <= DIM and 1 <= j <= DIM):
         raise ValueError(f"indices out of range 1..{DIM}: ({i},{j})")
-    return _self_trace(h_metric().diag, i, j)
+    return _self_trace(_H_DIAG, i, j)
 
 
 def proca_table() -> list[list[QuadScalar]]:
     """28x28 table with entry (i,j) = proca_trace(i,j), zero diagonal."""
-    h = h_metric().diag
     return [
-        [QS_ZERO if i == j else _self_trace(h, i, j) for j in range(1, DIM + 1)]
+        [QS_ZERO if i == j else _self_trace(_H_DIAG, i, j) for j in range(1, DIM + 1)]
         for i in range(1, DIM + 1)
     ]
 
@@ -117,10 +117,9 @@ def sector_generator_pairs(sector: SectorLabel) -> list[tuple[int, int]]:
 
 def mode_census(sector: SectorLabel) -> tuple[int, int, int]:
     """(n_positive, n_negative, n_zero) of tr(h X X) over a sector's generators."""
-    h = h_metric()
     pos = neg = zero = 0
     for i, j in sector_generator_pairs(sector):
-        t = -(h[i].as_fraction() + h[j].as_fraction())
+        t = -(_H_INTS[i - 1] + _H_INTS[j - 1])
         if t > 0:
             pos += 1
         elif t < 0:
@@ -140,9 +139,8 @@ class IsotropicBasis:
 
 
 def gram_matrix(basis: IsotropicBasis) -> list[list[QuadScalar]]:
-    h = h_metric().diag
     vecs = basis.vectors
-    return [[a.trace_form(h, b) for b in vecs] for a in vecs]
+    return [[a.trace_form(_H_DIAG, b) for b in vecs] for a in vecs]
 
 
 def is_totally_isotropic(basis: IsotropicBasis) -> bool:
@@ -213,13 +211,13 @@ U1Y_GENERATOR_PAIR = (6, 7)  # the residual electromagnetic rotation plane
 
 def u1y_first_order_variation(basis: IsotropicBasis) -> list[list[QuadScalar]]:
     """d/dtheta of the Gram matrix at theta = 0 under the (6,7) rotation."""
-    h = h_metric().diag
     g = LieElement.generator(DIM, *U1Y_GENERATOR_PAIR)
     vecs = basis.vectors
     brs = [g.bracket(v) for v in vecs]
     n = len(vecs)
     return [
-        [brs[i].trace_form(h, vecs[j]) + vecs[i].trace_form(h, brs[j]) for j in range(n)]
+        [brs[i].trace_form(_H_DIAG, vecs[j]) + vecs[i].trace_form(_H_DIAG, brs[j])
+         for j in range(n)]
         for i in range(n)
     ]
 
@@ -248,7 +246,7 @@ def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
 
 def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
     """Max |Gram(conjugated) - Gram| over all pairs, float arithmetic."""
-    hvec = np.array([float(x.as_fraction()) for x in h_metric().diag])
+    hvec = np.array(_H_INTS, dtype=float)
     r = _givens(DIM, *U1Y_GENERATOR_PAIR, theta)
     vecs = [
         _antisymmetric(DIM, {k: c.to_float() for k, c in v.coeffs.items()})

@@ -37,14 +37,14 @@ def so3_generators():
 
 
 def test_constant_metric_gives_zero_field():
-    g = MetricField.closed_form(lambda x: np.array([0.3, -1.0, 2.0, 0.5]))
+    g = MetricField(lambda x: np.array([0.3, -1.0, 2.0, 0.5]))
     assert np.max(np.abs(field_strength_em(g, np.zeros(4)))) < 1e-12
 
 
 def test_linear_potential_gives_uniform_electric_field():
     e_vec = np.array([0.4, -1.2, 0.7])
     # g_0 = E . x gives F^i_0 = E_i
-    g = MetricField.closed_form(
+    g = MetricField(
         lambda x: np.array([e_vec @ x[1:], 0.0, 0.0, 0.0])
     )
     f = field_strength_em(g, np.array([0.3, -0.1, 0.2, 0.9]))
@@ -59,13 +59,13 @@ def test_curl_pattern_gives_uniform_magnetic_field():
         return np.concatenate([[0.0], 0.5 * np.cross(b_vec, r)])
         # g_i = eps_{ijk} B_j x_k / 2 = (B x r)_i / 2
 
-    field = MetricField.closed_form(g)
+    field = MetricField(g)
     f = field_strength_em(field, np.array([0.0, 0.4, -0.2, 0.1]))
     assert np.allclose(f, uniform_magnetic_f(b_vec), atol=1e-9)
 
 
 def test_field_strength_antisymmetric_after_lowering():
-    g = MetricField.closed_form(lambda x: np.sin(x + np.array([0.1, 0.5, 0.9, 1.3])))
+    g = MetricField(lambda x: np.sin(x + np.array([0.1, 0.5, 0.9, 1.3])))
     f = field_strength_em(g, np.array([0.2, 0.3, -0.4, 0.6]))
     lowered = ETA @ f
     assert np.max(np.abs(lowered + lowered.T)) < 1e-12
@@ -90,8 +90,8 @@ def test_field_strength_high_order_convergence():
     jac[3, 2] = math.cos(x[3] - x[0])
     jac[0, 3] = -2 * math.sin(2 * x[0])
     f_exact = np.array([-1.0, 1, 1, 1])[:, None] * (jac - jac.T)
-    e1 = np.max(np.abs(field_strength_em(MetricField.closed_form(gfun, step=2e-2), x) - f_exact))
-    e2 = np.max(np.abs(field_strength_em(MetricField.closed_form(gfun, step=1e-2), x) - f_exact))
+    e1 = np.max(np.abs(field_strength_em(MetricField(gfun, step=2e-2), x) - f_exact))
+    e2 = np.max(np.abs(field_strength_em(MetricField(gfun, step=1e-2), x) - f_exact))
     # 4th-order differences: halving the step cuts the error by ~16
     assert e2 < e1 / 8.0
 
@@ -108,7 +108,7 @@ def test_grid_metric_field_matches_closed_form():
     x0 = np.zeros(4)
     f = field_strength_em(grid, x0)
     # analytic: d_1 g_0 = 0.6 x1 = 0 at origin; d_0 g_2 = 0.1
-    closed = MetricField.closed_form(
+    closed = MetricField(
         lambda x: np.array([0.3 * x[1] ** 2, 0.0, 0.1 * x[0], 0.0])
     )
     assert np.allclose(f, field_strength_em(closed, x0), atol=1e-9)

@@ -1,14 +1,18 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetgauge.exactnum import (
+    QS_INV_SQRT2,
+    QS_SQRT2,
+    QS_SQRT5,
     ExactMatrix,
     QuadScalar,
+    Solver,
     commutator,
-    mat_mul,
     nullspace_exact,
     qs,
     rank_exact,
@@ -105,18 +109,18 @@ def so2_x12():
 
 def test_identity_product():
     a = ExactMatrix([[1, 2], [3, F(4, 7)]])
-    assert mat_mul(ExactMatrix.identity(2), a) == a
-    assert mat_mul(ExactMatrix.zeros(2), a) == ExactMatrix.zeros(2)
+    assert ExactMatrix.identity(2) @ a == a
+    assert ExactMatrix.zeros(2) @ a == ExactMatrix.zeros(2)
 
 
 def test_x12_squared_is_minus_identity():
     x = so2_x12()
-    assert mat_mul(x, x) == ExactMatrix.identity(2).scale(qs(-1))
+    assert x @ x == ExactMatrix.identity(2).scale(qs(-1))
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(ExactMatrix.identity(2), ExactMatrix.identity(3))
+        ExactMatrix.identity(2) @ ExactMatrix.identity(3)
     with pytest.raises(ValueError):
         trace_metric([qs(1)] * 3, ExactMatrix.identity(2), ExactMatrix.identity(2))
 
@@ -188,3 +192,157 @@ def test_nullspace_and_rank():
     for v in ns:
         for row in rows:
             assert sum((a * b for a, b in zip(row, v)), qs(0)) == qs(0)
+
+
+# -- the elimination kernel against oracles that do not use it --------------
+
+# sparse and irrational entries are both common, so pivots get skipped and
+# the QuadScalar field is exercised beyond its rational fast path
+quad_entries = st.one_of(
+    st.sampled_from([0, 0, 1, -1, QS_SQRT2, QS_INV_SQRT2, QS_SQRT5, qs(1, 1, 1, 1)]).map(
+        QuadScalar.coerce
+    ),
+    quads,
+)
+frac_entries = st.one_of(st.just(F(0)), fractions)
+FIELDS = {"quad": (quad_entries, qs(0)), "fraction": (frac_entries, F(0))}
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None):
+    """(rows, field zero, entries) with some rows combinations of earlier ones."""
+    entries, zero = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nrows = nrows or draw(st.integers(1, 4))
+    ncols = ncols or draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in range(1, nrows):
+        if draw(st.integers(0, 2)) == 0:
+            c = draw(st.lists(entries, min_size=i, max_size=i))
+            rows[i] = [sum((c[k] * rows[k][j] for k in range(i)), zero) for j in range(ncols)]
+    return draw(st.permutations(rows)), zero, entries
+
+
+def leibniz(rows, zero):
+    n = len(rows)
+    total = zero
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * rows[i][p[i]]
+        total = total + term
+    return total
+
+
+def minor_rank(rows, zero):
+    """Largest k with a nonzero k x k minor."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                if leibniz([[rows[i][j] for j in ci] for i in ri], zero):
+                    return k
+    return 0
+
+
+def apply_columns(columns, x, zero):
+    return [sum((col[i] * xj for col, xj in zip(columns, x)), zero)
+            for i in range(len(columns[0]))]
+
+
+def outcome(solve):
+    try:
+        return solve()
+    except ValueError:
+        return "dependent"
+
+
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+@example(([[F(0), F(1)], [F(1), F(0)]], F(0), None))  # a row swap flips the sign
+@settings(max_examples=60, deadline=None)
+def test_det_matches_leibniz(mat):
+    rows, zero, _ = mat
+    assert ExactMatrix(rows).det() == leibniz(rows, zero)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_rank_and_nullspace_match_minors(mat):
+    rows, zero, _ = mat
+    rank = rank_exact(rows)
+    null = nullspace_exact(rows)
+    assert rank == minor_rank(rows, zero)
+    assert rank + len(null) == len(rows[0])
+    for v in null:
+        assert all(type(x) is type(zero) for x in v)
+        assert all(not sum((a * b for a, b in zip(row, v)), zero) for row in rows)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_reproduces_consistent_targets(mat, data):
+    rows, zero, entries = mat
+    columns = [list(c) for c in zip(*rows)]
+    x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+    target = apply_columns(columns, x, zero)
+    sol = outcome(lambda: solve_exact(columns, target))
+    if minor_rank(rows, zero) < len(columns):
+        assert sol == "dependent"
+    else:
+        assert sol == x
+        assert all(type(v) is type(zero) for v in sol)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_returns_none_on_inconsistent_targets(mat, data):
+    # the appended row is a known combination of the others; a target that
+    # breaks the same combination has no solution, whatever the columns' rank
+    rows, zero, entries = mat
+    c = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    rows = rows + [[sum((ck * r[j] for ck, r in zip(c, rows)), zero)
+                    for j in range(len(rows[0]))]]
+    t = data.draw(st.lists(entries, min_size=len(rows) - 1, max_size=len(rows) - 1))
+    off = data.draw(entries.filter(bool))
+    target = t + [sum((ck * tk for ck, tk in zip(c, t)), zero) + off]
+    columns = [list(col) for col in zip(*rows)]
+    assert solve_exact(columns, target) is None
+    assert Solver(columns).solve(target) is None
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_raises_on_consistent_dependent_columns(mat, data):
+    rows, zero, entries = mat
+    columns = [list(c) for c in zip(*rows)]
+    c = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+    columns.append(apply_columns(columns, c, zero))
+    x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+    target = apply_columns(columns, x, zero)
+    with pytest.raises(ValueError):
+        solve_exact(columns, target)
+    with pytest.raises(ValueError):
+        Solver(columns).solve(target)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reused_solver_matches_one_shot_solves(mat, data):
+    rows, zero, entries = mat
+    columns = [list(c) for c in zip(*rows)]
+    solver = Solver(columns)
+    for _ in range(3):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
+            target = apply_columns(columns, x, zero)
+        else:
+            target = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        assert outcome(lambda: solver.solve(target)) == outcome(
+            lambda: solve_exact(columns, target)
+        )
+
+
+def test_solver_rejects_wrong_length_targets():
+    with pytest.raises(ValueError):
+        Solver([[F(1), F(0)]]).solve([F(1)])

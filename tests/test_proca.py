@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from jetgauge import verify
 from jetgauge.exactnum import QS_INV_SQRT2, commutator, qs, trace_metric
 from jetgauge.liealg import LieElement, so_generator, so_pairs
 from jetgauge.proca import (
@@ -29,6 +30,7 @@ from jetgauge.proca import (
     u1y_invariance_check,
 )
 from jetgauge.refdata import MODE_CENSUS_REFERENCE, PROCA_TABLE_REFERENCE
+from jetgauge.report import FAIL, PASS, Suite
 
 
 def test_h_metric_entries():
@@ -65,6 +67,29 @@ def test_proca_trace_shortcut_oracle_all_pairs():
         assert proca_trace(i, j).as_fraction() == want, (i, j)
         g = so_generator(28, i, j)
         assert proca_trace(i, j) == trace_metric(h.diag, g, g), (i, j)
+
+
+PROCA_ROW = "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"
+
+
+def _proca_row_status():
+    s = Suite("proca table")
+    verify.suite_proca_table(s)
+    return {c.name: c.status for c in s.checks}[PROCA_ROW]
+
+
+def test_verify_proca_row_passes():
+    assert _proca_row_status() == PASS
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(LieElement, "trace_form"), (verify, "trace_metric")]
+)
+def test_verify_proca_row_fails_when_a_side_is_broken(monkeypatch, owner, name):
+    # the coefficient formula behind proca_trace, then the dense oracle
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: -original(*args))
+    assert _proca_row_status() == FAIL
 
 
 def test_proca_table_matches_reference_display():
