@@ -27,9 +27,7 @@ def _emit(text: str, args) -> None:
 
 def _constants(args) -> pheno.Constants:
     if getattr(args, "constants", None):
-        base = pheno.Constants.defaults()
-        with open(args.constants, "r", encoding="utf-8") as fh:
-            return base.with_overrides(**json.load(fh))
+        return pheno.Constants.from_json(args.constants)
     return pheno.Constants.defaults()
 
 
@@ -186,8 +184,8 @@ def _parse_im(text: str) -> ImOctonion:
 
     parts = [Fraction(t) for t in text.split(",")]
     if len(parts) != 7:
-        raise argparse.ArgumentTypeError(
-            "expected a unit like e4 or 7 comma-separated rationals"
+        raise ValueError(
+            f"--fix {text!r}: expected a unit like e4 or 7 comma-separated rationals"
         )
     return ImOctonion(tuple(parts))
 
@@ -239,52 +237,93 @@ def cmd_pheno(args) -> int:
     return 1 if rep.failures else 0
 
 
+def _require(cfg: dict, path: str, where: str = ""):
+    """The value at dotted `path` in cfg; a ValueError names the key if absent."""
+    node = cfg
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise ValueError(f"missing key {where}{path}")
+        node = node[key]
+    return node
+
+
 def _field_from_config(cfg: dict):
-    kind = cfg.get("kind")
-    params = cfg.get("params", {})
+    kind = _require(cfg, "kind", "field.")
     if kind == "uniform_E":
-        f = dynamics.uniform_electric_f(params["E"])
+        f = dynamics.uniform_electric_f(_require(cfg, "params.E", "field."))
         return lambda x: f
     if kind == "uniform_B":
-        f = dynamics.uniform_magnetic_f(params["B"])
+        f = dynamics.uniform_magnetic_f(_require(cfg, "params.B", "field."))
         return lambda x: f
     if kind == "grid":
-        data = np.load(params["npz"])
+        data = np.load(_require(cfg, "params.npz", "field."))
         grid = dynamics.GridMetricField(data["g"], data["origin"], float(data["spacing"]))
         return dynamics.grid_field_strength_evaluator(grid)
     raise ValueError(f"unknown field kind {kind!r}")
+
+
+def _number(value, path: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{path} must be a number, got {value!r}")
+    return value
+
+
+def _charge_generator(cfg: dict) -> tuple[np.ndarray, float]:
+    """(X_ij in so(dim), charge value) from particle.I = {dim, pair, value}."""
+    dim = _require(cfg, "particle.I.dim")
+    pair = _require(cfg, "particle.I.pair")
+    value = _number(_require(cfg, "particle.I.value"), "particle.I.value")
+    if type(dim) is not int or dim < 2:
+        raise ValueError("particle.I.dim must be an integer >= 2")
+    if not (
+        isinstance(pair, list) and len(pair) == 2 and all(type(k) is int for k in pair)
+        and 1 <= pair[0] <= dim and 1 <= pair[1] <= dim and pair[0] != pair[1]
+    ):
+        raise ValueError(f"particle.I.pair must be two distinct indices in 1..{dim}")
+    i, j = pair
+    gen = np.zeros((dim, dim))
+    gen[i - 1, j - 1] = 1.0
+    gen[j - 1, i - 1] = -1.0
+    return gen, float(value)
 
 
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        f_eval = _field_from_config(cfg["field"])
-        pc = cfg["particle"]
-        integ = cfg["integrator"]
-        out_cfg = cfg["output"]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        f_eval = _field_from_config(_require(cfg, "field"))
+        x0, u0 = _require(cfg, "particle.x0"), _require(cfg, "particle.u0")
+        m, q = (_number(_require(cfg, f"particle.{k}"), f"particle.{k}") for k in "mq")
+        gen = charge = None
+        if cfg["particle"].get("I"):
+            gen, value = _charge_generator(cfg)
+            charge = value * gen
+        state = dynamics.ParticleState(x0, u0, m, q, charge)
+        dlam = _number(_require(cfg, "integrator.dlambda"), "integrator.dlambda")
+        steps = _require(cfg, "integrator.steps")
+        if type(steps) is not int or steps < 0:
+            raise ValueError("integrator.steps must be a non-negative integer")
+        out_cfg = _require(cfg, "output")
+        path = _require(cfg, "output.path")
+        if not isinstance(path, str):
+            raise ValueError("output.path must be a string")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad simulate config: {exc}", file=sys.stderr)
         return 2
-    charge_spec = pc.get("I")
-    if charge_spec:
-        dim = int(charge_spec["dim"])
-        i, j = charge_spec["pair"]
-        gen = np.zeros((dim, dim))
-        gen[i - 1, j - 1] = 1.0
-        gen[j - 1, i - 1] = -1.0
-        charge = float(charge_spec["value"]) * gen
-        scalar_f = f_eval
+    try:
+        # a blow-up is reported once, by the integrator's finite-state check
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gen is not None:
 
-        def algebra_f(x, _g=gen, _f=scalar_f):
-            return np.asarray(_f(x))[:, :, None, None] * _g[None, None, :, :]
+                def algebra_f(x, _g=gen, _f=f_eval):
+                    return np.asarray(_f(x))[:, :, None, None] * _g[None, None, :, :]
 
-        state = dynamics.ParticleState(pc["x0"], pc["u0"], pc["m"], pc["q"], charge)
-        traj = dynamics.integrate_wong(state, algebra_f, integ["dlambda"], integ["steps"])
-    else:
-        state = dynamics.ParticleState(pc["x0"], pc["u0"], pc["m"], pc["q"])
-        traj = dynamics.integrate_lorentz(state, f_eval, integ["dlambda"], integ["steps"])
-    path = out_cfg["path"]
+                traj = dynamics.integrate_wong(state, algebra_f, dlam, steps)
+            else:
+                traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps)
+    except FloatingPointError as exc:
+        print(f"simulation diverged: {exc}", file=sys.stderr)
+        return 1
     if out_cfg.get("format", "csv") == "json":
         payload = {
             "meta": {k: v for k, v in traj.meta.items()},

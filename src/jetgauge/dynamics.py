@@ -14,6 +14,20 @@ The non-abelian field strength is F_{mu nu} = d_mu A_nu - d_nu A_mu +
 [A_mu, A_nu]; the commutator term vanishes identically for commuting
 potentials.
 
+A grid-sampled metric gives F at the nodes by the 4th-order stencil and
+between them by multilinear interpolation over the 16 corners of the
+enclosing cell.  grid_field_strength_evaluator fills two lazy caches: F per
+node, computed through the module-level field_strength_em when a node is
+first needed, and per cell the (16, 4, 4) stack of its corner values, so a
+query inside a known cell is one dict lookup and one numpy reduction.  Only
+cells and nodes a trajectory visits are computed; a whole-grid precompute
+would cost more memory than the grid itself.  The reduction order is
+pinned: weights are the products ((w0 w1) w2) w3, and np.add.reduce adds the
+weighted corners one by one in np.ndindex order from 0.0, skipping zero
+weights, which is what a plain corner loop does.  So samples are
+bit-identical to that loop (tests/test_dynamics.py keeps it as the oracle);
+einsum, tensordot and @ leave their summation order to the library.
+
 Trajectories integrate with fixed-step classical RK4, which keeps runs
 deterministic and makes golden-file comparisons meaningful.
 """
@@ -21,6 +35,7 @@ deterministic and makes golden-file comparisons meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,34 +128,54 @@ def field_strength_em(g: MetricField, x) -> np.ndarray:
     return ETA_DIAG[:, None] * f_lower
 
 
+_CORNERS = np.array(list(np.ndindex((2,) * 4)))  # (16, 4), ndindex order
+
+
+def _weighted_sum(wt: np.ndarray, blk: np.ndarray) -> np.ndarray:
+    """sum_k wt[k] blk[k], added in k order starting from 0.0."""
+    return np.add.reduce(wt[:, None, None] * blk, axis=0, initial=0.0)
+
+
 def grid_field_strength_evaluator(grid: GridMetricField):
     """Continuous F evaluator from a grid metric: node values by stencil,
-    multilinear interpolation between nodes (trajectories move off-node)."""
-    cache: dict[tuple[int, ...], np.ndarray] = {}
+    multilinear interpolation between nodes (trajectories move off-node).
+    Caches and summation order are described in the module docstring."""
+    nodes: dict[tuple[int, ...], np.ndarray] = {}
+    cells: dict[tuple[int, ...], np.ndarray] = {}
     shape = grid.grid.shape[1:]
 
     def f_at_node(idx: tuple[int, ...]) -> np.ndarray:
-        if idx not in cache:
+        if idx not in nodes:
             if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
                 raise GridBoundaryError(
                     f"stencil at node {idx} leaves grid of shape {shape}"
                 )
             x_node = grid.origin + grid.spacing * np.array(idx, dtype=float)
-            cache[idx] = field_strength_em(grid, x_node)
-        return cache[idx]
+            nodes[idx] = field_strength_em(grid, x_node)
+        return nodes[idx]
+
+    def stack(base: list[int], corners: np.ndarray) -> np.ndarray:
+        return np.stack([f_at_node(tuple(idx)) for idx in (base + corners).tolist()])
 
     def evaluate(x) -> np.ndarray:
-        rel = (np.asarray(x, dtype=float) - grid.origin) / grid.spacing
-        base = np.floor(rel).astype(int)
-        frac = rel - base
-        out = np.zeros((4, 4))
-        for corner in np.ndindex((2,) * 4):
-            w = 1.0
-            for axis in range(4):
-                w *= frac[axis] if corner[axis] else 1.0 - frac[axis]
-            if w:
-                out += w * f_at_node(tuple(base + np.array(corner)))
-        return out
+        rel = ((np.asarray(x, dtype=float) - grid.origin) / grid.spacing).tolist()
+        if not all(map(math.isfinite, rel)):
+            raise GridBoundaryError(f"query {rel} is not a finite grid position")
+        base = [math.floor(r) for r in rel]
+        wt = [1.0]
+        for r, b in zip(rel, base):
+            frac = r - b
+            wt = [w * v for w in wt for v in (1.0 - frac, frac)]
+        if 0.0 in wt:
+            # on a node layer: corners of zero weight may lie past the
+            # stencil-safe range, so only the others are evaluated
+            live = np.flatnonzero(wt)
+            return _weighted_sum(np.array(wt)[live], stack(base, _CORNERS[live]))
+        key = tuple(base)
+        blk = cells.get(key)
+        if blk is None:
+            blk = cells[key] = stack(base, _CORNERS)
+        return _weighted_sum(np.array(wt), blk)
 
     return evaluate
 

@@ -74,10 +74,6 @@ class WeinbergAngle:
     sin: QuadScalar | None  # exact value when expressible in the field
     cos: QuadScalar | None
 
-    @property
-    def tan2(self) -> Fraction:
-        return self.sin2 / (1 - self.sin2)
-
 
 def weinberg_angle(g_prime, g) -> WeinbergAngle:
     """sin^2(theta) = g'^2 / (g^2 + g'^2), with exact sin/cos when available."""

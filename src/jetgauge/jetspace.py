@@ -71,9 +71,6 @@ class JetBasis:
     def labels(self) -> list[str]:
         return [m.label(self.n_axes) for m in self.entries]
 
-    def timelike_flags(self) -> list[bool]:
-        return [is_timelike(m) for m in self.entries]
-
     def order_block(self, k: int) -> list[MultiIndex]:
         return [m for m in self.entries if m.degree == k]
 

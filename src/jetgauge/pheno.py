@@ -86,10 +86,15 @@ class Constants:
         if not isinstance(data, dict):
             with open(path_or_dict, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("constant overrides must be a JSON object")
         known = {f.name for f in fields(Constants)}
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown constant overrides: {sorted(bad)}")
+        for name, value in data.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"constant {name} must be a number, got {value!r}")
         return Constants(**data)
 
 

@@ -208,3 +208,55 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(4, 10)"
+
+
+def _simulate_config(tmp_path, field, particle, dlambda, steps):
+    cfg = {
+        "field": field,
+        "particle": particle,
+        "integrator": {"dlambda": dlambda, "steps": steps},
+        "output": {"path": str(tmp_path / "traj.csv"), "format": "csv"},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(cfg_path)
+
+
+def one_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    return lines[0]
+
+
+def test_simulate_charge_without_dim_names_key(tmp_path, capsys):
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0,
+                "I": {"pair": [1, 2], "value": 0.5}}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "particle.I.dim" in one_line(capsys.readouterr().err)
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 1e5, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1e308]}},
+                           particle, 1, 10)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "step 1" in one_line(capsys.readouterr().err)
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_pheno_unknown_constant_exits_2(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"M_W": 80.4, "not_a_constant": 1.0}), encoding="utf-8")
+    assert main(["pheno", "table1", "--constants", str(path)]) == 2
+    assert "not_a_constant" in one_line(capsys.readouterr().err)
+    path.write_text(json.dumps({"M_W": "heavy"}), encoding="utf-8")
+    assert main(["pheno", "table1", "--constants", str(path)]) == 2
+    assert "M_W" in one_line(capsys.readouterr().err)
+
+
+def test_su3_malformed_fix_exits_2(capsys):
+    assert main(["su3", "--fix", "1,2,3"]) == 2
+    assert "--fix" in one_line(capsys.readouterr().err)

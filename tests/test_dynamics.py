@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from jetgauge import dynamics
 from jetgauge.dynamics import (
     GaugePotentialField,
     GridBoundaryError,
@@ -15,6 +18,7 @@ from jetgauge.dynamics import (
     eta_norm,
     field_strength_em,
     gauge_covariance_check,
+    grid_field_strength_evaluator,
     integrate_lorentz,
     integrate_wong,
     recalibrate_charge,
@@ -115,8 +119,6 @@ def test_grid_metric_field_matches_closed_form():
 
 
 def test_grid_field_strength_evaluator_interpolates():
-    from jetgauge.dynamics import grid_field_strength_evaluator
-
     spacing = 0.5
     n = 11
     axes = np.arange(n) * spacing - 2.5
@@ -132,6 +134,123 @@ def test_grid_field_strength_evaluator_interpolates():
         assert np.allclose(f_eval(x), want, atol=1e-10)
     with pytest.raises(GridBoundaryError):
         f_eval(np.array([0.0, 2.4, 0.0, 0.0]))
+
+
+def loop_field_strength_evaluator(grid):
+    """Slow oracle for grid_field_strength_evaluator: one Python pass over
+    the 16 corners per query, computing only corners of nonzero weight."""
+    cache = {}
+    shape = grid.grid.shape[1:]
+
+    def f_at_node(idx):
+        if idx not in cache:
+            if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
+                raise GridBoundaryError(f"stencil at node {idx} leaves grid")
+            x_node = grid.origin + grid.spacing * np.array(idx, dtype=float)
+            cache[idx] = field_strength_em(grid, x_node)
+        return cache[idx]
+
+    def evaluate(x):
+        rel = (np.asarray(x, dtype=float) - grid.origin) / grid.spacing
+        base = np.floor(rel).astype(int)
+        frac = rel - base
+        out = np.zeros((4, 4))
+        for corner in np.ndindex((2,) * 4):
+            w = 1.0
+            for axis in range(4):
+                w *= frac[axis] if corner[axis] else 1.0 - frac[axis]
+            if w:
+                out += w * f_at_node(tuple(base + np.array(corner)))
+        return out
+
+    return evaluate
+
+
+def random_grid(seed, dyadic, n=7):
+    """A grid of non-polynomial values, so every corner weight matters.
+
+    With `dyadic`, origin and spacing are exact binary fractions, so a
+    query built on a node resolves to that node exactly."""
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((4, n, n, n, n)) + np.sin(7.0 * rng.random((4, n, n, n, n)))
+    if dyadic:
+        return GridMetricField(vals, rng.integers(-24, 24, 4) / 8.0, 2.0 ** rng.integers(-3, 2))
+    return GridMetricField(vals, rng.uniform(-3, 3, 4), rng.uniform(0.05, 2.0))
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+# index-space coordinates from just outside to just inside the stencil-safe
+# range [2, n - 3] of a 7-node axis, about half of them on a node
+_coord = st.one_of(
+    st.floats(1.5, 4.5, allow_nan=False),
+    st.integers(1, 5).map(float),
+)
+
+
+_point = st.lists(_coord, min_size=4, max_size=4)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.lists(_point, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+@example(0, True, [[4.0, 3.25, 2.5, 3.75]])  # on the last safe layer of axis 0
+@example(0, True, [[4.0, 4.0, 4.0, 4.0], [2.0, 2.0, 2.0, 2.0], [4.5, 3.0, 3.0, 3.0]])
+@example(0, False, [[2.5, 2.5, 2.5, 2.5], [2.5, 2.5, 2.5, 3.5], [3.5, 2.5, 2.5, 2.5]])
+def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
+    """One evaluator answers every point, so its caches carry across cells."""
+    grid = random_grid(seed, dyadic)
+    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    for coords in points + points[::-1]:
+        x = grid.origin + grid.spacing * np.array(coords)
+        try:
+            want = slow(x)
+        except GridBoundaryError:
+            with pytest.raises(GridBoundaryError):
+                fast(x)
+            continue
+        assert same_bits(fast(x), want)
+
+
+def test_grid_evaluator_on_last_safe_layer():
+    n = 7
+    grid = random_grid(11, True, n)
+    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    # x0 exactly on node n - 3: the corners on node n - 2 have zero weight
+    # and lie outside the stencil-safe range, so they must not be computed
+    for rel in ([n - 3, 2.5, 3.25, 2.75], [n - 3, n - 3, n - 3, n - 3], [2, 2, 2, 2]):
+        x = grid.origin + grid.spacing * np.array(rel, dtype=float)
+        assert same_bits(fast(x), slow(x))
+    # a corner of nonzero weight on node n - 2 is outside it
+    for rel in ([n - 3 + 0.5, 2.5, 3.25, 2.75], [n - 3, 2.5, n - 3 + 0.25, 2.75],
+                [1.75, 2.5, 3.25, 2.75]):
+        x = grid.origin + grid.spacing * np.array(rel, dtype=float)
+        for evaluate in (slow, fast):
+            with pytest.raises(GridBoundaryError):
+                evaluate(x)
+    with pytest.raises(GridBoundaryError):
+        fast(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+def test_grid_evaluator_computes_each_node_once(monkeypatch):
+    calls = []
+
+    def counted(g, x):
+        calls.append(tuple(x))
+        return field_strength_em(g, x)
+
+    # the evaluator reaches node values through the module global, which
+    # is what run tracing wraps to count node computations
+    monkeypatch.setattr(dynamics, "field_strength_em", counted)
+    grid = random_grid(5, False)
+    f_eval = grid_field_strength_evaluator(grid)
+    rng = np.random.default_rng(1)
+    for _ in range(50):  # all inside the cell based at node (2, 3, 2, 3)
+        f_eval(grid.origin + grid.spacing * (np.array([2, 3, 2, 3]) + rng.uniform(0.1, 0.9, 4)))
+    assert len(calls) == 16 and len(set(calls)) == 16
+    f_eval(grid.origin + grid.spacing * np.array([3.5, 3.5, 2.5, 3.5]))  # next cell along x0
+    assert len(calls) == 24
 
 
 def test_grid_boundary_error():
