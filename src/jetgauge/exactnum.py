@@ -336,19 +336,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(any(x for x in row) for row in self.rows)
 
-    def apply(self, vec: Sequence[RationalLike]) -> list[QuadScalar]:
-        v = [QuadScalar.coerce(x) for x in vec]
-        if len(v) != self.n:
-            raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = _ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
     def det(self) -> QuadScalar:
         _, pivots, signed = rref(self.rows, self.n)
         return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO

@@ -14,6 +14,7 @@ verbatim (the test suite pins all 34 entries for four axes); beyond order
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 _NAMES4 = ("t", "x", "y", "z")
@@ -75,10 +76,25 @@ class JetBasis:
         return [m for m in self.entries if m.degree == k]
 
 
+MAX_LISTED = 100_000  # largest basis enumerate_basis builds
+MAX_ORDER = 100  # largest order signature counts; its work grows as order**2
+
+
+def basis_size(n_axes: int, max_order: int) -> int:
+    """Number of monomials of degree 1..max_order: C(n_axes + max_order, max_order) - 1."""
+    return math.comb(n_axes + max_order, max_order) - 1
+
+
 def enumerate_basis(n_axes: int, max_order: int) -> JetBasis:
     """All monomials of degree 1..max_order in graded-lex order."""
     if n_axes < 1 or max_order < 1:
         raise ValueError("n_axes and max_order must be positive")
+    size = basis_size(n_axes, max_order)
+    if size > MAX_LISTED:
+        raise ValueError(
+            f"the basis for {n_axes} axes to order {max_order} has {size} monomials; "
+            f"listing is capped at {MAX_LISTED}"
+        )
     entries = []
     for k in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(range(n_axes), k):
@@ -88,21 +104,26 @@ def enumerate_basis(n_axes: int, max_order: int) -> JetBasis:
 
 def signature(n_axes: int, max_order: int) -> tuple[int, int]:
     """(p, q) = (timelike count, spacelike count) of the jet basis."""
-    if n_axes < 2:
-        raise ValueError("signature needs at least one spacelike axis (n_axes >= 2)")
-    basis = enumerate_basis(n_axes, max_order)
-    p = sum(1 for m in basis.entries if is_timelike(m))
-    return p, len(basis) - p
+    per_order = signature_per_order(n_axes, max_order)
+    p = sum(pk for pk, _ in per_order)
+    return p, basis_size(n_axes, max_order) - p
 
 
 def signature_per_order(n_axes: int, max_order: int) -> list[tuple[int, int]]:
-    """Per-degree (timelike, spacelike) counts, degrees 1..max_order."""
+    """Per-degree (timelike, spacelike) counts, degrees 1..max_order.
+
+    Counted, not enumerated: a degree-k monomial with c timelike factors
+    puts its other k - c factors on the n_axes - 1 spacelike axes, in
+    C(n_axes - 2 + k - c, k - c) ways, and it is timelike for odd c.
+    """
     if n_axes < 2:
         raise ValueError("signature needs at least one spacelike axis (n_axes >= 2)")
-    basis = enumerate_basis(n_axes, max_order)
+    if max_order < 1:
+        raise ValueError("n_axes and max_order must be positive")
+    if max_order > MAX_ORDER:
+        raise ValueError(f"signature order is capped at {MAX_ORDER}, got {max_order}")
     out = []
     for k in range(1, max_order + 1):
-        block = basis.order_block(k)
-        p = sum(1 for m in block if is_timelike(m))
-        out.append((p, len(block) - p))
+        p = sum(math.comb(n_axes - 2 + k - c, k - c) for c in range(1, k + 1, 2))
+        out.append((p, math.comb(n_axes - 1 + k, k) - p))
     return out

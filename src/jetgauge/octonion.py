@@ -1,37 +1,39 @@
 """Exact octonion algebra, the 7d cross product, and the g2 / su(3) reduction.
 
-The unit multiplication table is transcribed from the reference display
-with one forced correction: the e3*e7 entry reads "-e_e" there, which
-antisymmetry against e7*e3 = +e4 fixes to -e4.
+The product is transcribed twice, independently, and the tests and
+`verify-all` check one against the other on all 49 basis pairs plus
+random pairs:
 
-cross(a, b) implements the quoted component formula, whose second
-component's last term is corrected from -a5*b7 to +a5*b7: the identity
-a x b = ab + <a, b> (scalar part restored) forces the sign, and the test
-suite checks the identity on all 49 basis pairs plus random pairs.
+* `_TABLE`, the unit multiplication table behind `oct_mul`, with one
+  forced correction: the reference's e3*e7 entry "-e_e" is -e4, by
+  antisymmetry against e7*e3 = +e4.
+* `cross(a, b)`, the quoted component formula, with the second
+  component's last term corrected from -a5*b7 to +a5*b7, which the
+  identity a x b = ab + <a, b> (scalar part restored) forces.
 
-ad_matrix(a) is the matrix of v -> cross(a, v) in columns.  (The quoted
-matrix display lists the transpose, i.e. acts on row vectors; for
-antisymmetric matrices that is a global sign.)
+Everything else runs on integer structure constants: `_CROSS`, the 7x7
+table of (sign, k) with e_i x e_j = sign * e_k, is read once from
+`_TABLE`.  Matrices are 7x7 rows of ints or Fractions; the g2 and ad
+bases are integer rows.  A function that takes a matrix also accepts an
+ExactMatrix and converts it once.  ad_matrix(a) is the matrix of
+v -> a x v in columns (the quoted display lists its transpose, a global
+sign for antisymmetric matrices).
 
 The fourteen g2 basis elements A_1..A_7, G_1..G_7 are read off the two
 quoted parameterized displays, with the b-coefficient signs of the G
 display at entries (5,7)/(7,5) flipped: the derivation property, which
-defines g2, forces that correction and certifies all fourteen elements.
+defines g2, forces that correction.  The tests certify that these
+fourteen span all derivations of the table: Der(O) = g2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import (
-    ExactMatrix,
-    Solver,
-    nullspace_exact,
-    qs,
-    rank_exact,
-)
+from .exactnum import ExactMatrix, Solver, nullspace_exact, rank_exact, rref
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
 _TABLE = {
@@ -181,31 +183,50 @@ def cross(a: ImOctonion, b: ImOctonion) -> ImOctonion:
     )
 
 
-_UNITS = None
-_UNIT_CROSS: dict[tuple[int, int], ImOctonion] = {}
+# e_i x e_j = sign * e_k over 0-based i, j, k, read off _TABLE; sign 0 when i == j.
+_CROSS = [[(0, 0) if i == j else (_TABLE[i + 1][j][0], _TABLE[i + 1][j][1] - 1)
+           for j in range(7)] for i in range(7)]
+
+Rows = Sequence[Sequence]
 
 
-def _units() -> list[ImOctonion]:
-    global _UNITS
-    if _UNITS is None:
-        _UNITS = [ImOctonion.unit(k) for k in range(1, 8)]
-        for i in range(7):
-            for j in range(7):
-                _UNIT_CROSS[(i, j)] = cross(_UNITS[i], _UNITS[j])
-    return _UNITS
-
-
-def ad_matrix(a: ImOctonion) -> ExactMatrix:
-    """Matrix of v -> cross(a, v); antisymmetric, annihilates a."""
-    cols = [cross(a, ImOctonion.unit(j)).coeffs for j in range(1, 8)]
-    return ExactMatrix([[cols[j][i] for j in range(7)] for i in range(7)])
-
-
-def apply_im(m: ExactMatrix, v: ImOctonion) -> ImOctonion:
-    if m.n != 7:
+def _rows(m) -> Rows:
+    """m as 7x7 rows; an ExactMatrix is converted to Fractions once."""
+    if isinstance(m, ExactMatrix):
+        m = [[x.as_fraction() for x in row] for row in m.rows]
+    if len(m) != 7 or any(len(row) != 7 for row in m):
         raise ValueError("need a 7x7 matrix")
-    out = m.apply([qs(c) for c in v.coeffs])
-    return ImOctonion(tuple(x.as_fraction() for x in out))
+    return m
+
+
+def _is_antisymmetric(m: Rows) -> bool:
+    return all(m[i][j] == -m[j][i] for i in range(7) for j in range(i, 7))
+
+
+def _combination(coeffs: Sequence, mats: Sequence[Rows]) -> tuple[tuple, ...]:
+    """sum_k coeffs[k] * mats[k]."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c]
+    return tuple(
+        tuple(sum((c * m[i][j] for c, m in terms if m[i][j]), Fraction(0)) for j in range(7))
+        for i in range(7)
+    )
+
+
+def apply_im(m, v: ImOctonion) -> ImOctonion:
+    """m v, for a 7x7 matrix m."""
+    return ImOctonion(tuple(sum((x * c for x, c in zip(row, v.coeffs) if x), Fraction(0))
+                            for row in _rows(m)))
+
+
+def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
+    """ab - ba of two 7x7 rows."""
+    acols, bcols = list(zip(*a)), list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(ra, cb) if x and y)
+              - sum(x * y for x, y in zip(rb, ca) if x and y)
+              for ca, cb in zip(acols, bcols))
+        for ra, rb in zip(a, b)
+    )
 
 
 # the two parameterized displays, encoded per cell as (coefficient k, factor);
@@ -231,54 +252,52 @@ _G_DISPLAY = [
 ]
 
 
-def _extract(display, k: int) -> ExactMatrix:
-    rows = []
-    for r in range(7):
-        row = []
-        for c in range(7):
-            v = 0
-            for idx, fac in display[r][c]:
-                if idx == k:
-                    v += fac
-            row.append(v)
-        rows.append(row)
-    return ExactMatrix(rows)
+def _extract(display, k: int) -> tuple[tuple, ...]:
+    return tuple(tuple(sum(fac for idx, fac in cell if idx == k) for cell in row)
+                 for row in display)
 
 
-_G2_CACHE: list[ExactMatrix] | None = None
-_AD_CACHE: list[ExactMatrix] | None = None
+def _ad_unit(a: int) -> tuple[tuple, ...]:
+    """ad(e_{a+1}) from the table: its column m is e_{a+1} x e_{m+1}."""
+    cols = [[sign if k == r else 0 for r in range(7)] for sign, k in _CROSS[a]]
+    return tuple(zip(*cols))
 
 
-def g2_basis() -> list[ExactMatrix]:
+_G2 = [_extract(d, k) for d in (_A_DISPLAY, _G_DISPLAY) for k in range(1, 8)]
+_AD = [_ad_unit(a) for a in range(7)]
+
+
+def g2_basis() -> list[tuple[tuple, ...]]:
     """The 14 basis elements [A_1..A_7, G_1..G_7] of the derivation algebra."""
-    global _G2_CACHE
-    if _G2_CACHE is None:
-        _G2_CACHE = [_extract(_A_DISPLAY, k) for k in range(1, 8)] + [
-            _extract(_G_DISPLAY, k) for k in range(1, 8)
-        ]
-    return list(_G2_CACHE)
+    return list(_G2)
 
 
-def ad_basis() -> list[ExactMatrix]:
+def ad_basis() -> list[tuple[tuple, ...]]:
     """The 7 matrices of v -> e_k x v."""
-    global _AD_CACHE
-    if _AD_CACHE is None:
-        _AD_CACHE = [ad_matrix(u) for u in _units()]
-    return list(_AD_CACHE)
+    return list(_AD)
 
 
-def is_derivation(x: ExactMatrix) -> bool:
+def ad_matrix(a: ImOctonion) -> tuple[tuple, ...]:
+    """Matrix of v -> a x v, through the table; antisymmetric, annihilates a."""
+    return _combination(a.coeffs, _AD)
+
+
+def is_derivation(x) -> bool:
     """x(e_i x e_j) == (x e_i) x e_j + e_i x (x e_j) for all 49 basis pairs."""
-    if x.n != 7:
-        raise ValueError("need a 7x7 matrix")
-    if not x.is_antisymmetric():
+    x = _rows(x)
+    if not _is_antisymmetric(x):
         raise ValueError("derivation candidates must be antisymmetric")
-    units = _units()
-    images = [apply_im(x, u) for u in units]
+    cols = list(zip(*x))  # cols[i] = x e_i
     for i in range(7):
         for j in range(7):
-            lhs = apply_im(x, _UNIT_CROSS[(i, j)])
-            rhs = cross(images[i], units[j]) + cross(units[i], images[j])
+            sign, k = _CROSS[i][j]
+            lhs = [sign * c for c in cols[k]]
+            rhs = [0] * 7
+            for m in range(7):
+                s1, k1 = _CROSS[m][j]
+                s2, k2 = _CROSS[i][m]
+                rhs[k1] += s1 * cols[i][m]
+                rhs[k2] += s2 * cols[j][m]
             if lhs != rhs:
                 return False
     return True
@@ -294,38 +313,26 @@ class G2Element:
         if len(self.coeffs) != 14:
             raise ValueError("g2 coefficients have length 14")
 
-    def matrix(self) -> ExactMatrix:
-        basis = g2_basis()
-        m = ExactMatrix.zeros(7)
-        for c, b in zip(self.coeffs, basis):
-            if c:
-                m = m + b.scale(qs(c))
-        return m
+    def matrix(self) -> tuple[tuple, ...]:
+        return _combination(self.coeffs, _G2)
 
 
 _UT_PAIRS = [(i, j) for i in range(7) for j in range(i + 1, 7)]
 
 
-def _upper_tri(m: ExactMatrix) -> list[Fraction]:
-    return [m.rows[i][j].as_fraction() for i, j in _UT_PAIRS]
+def _upper_tri(m: Rows) -> list:
+    return [m[i][j] for i, j in _UT_PAIRS]
 
 
-_SO7_SOLVER: Solver | None = None
-
-
+@functools.cache
 def _so7_solver() -> Solver:
-    global _SO7_SOLVER
-    if _SO7_SOLVER is None:
-        basis = g2_basis() + ad_basis()
-        _SO7_SOLVER = Solver([_upper_tri(b) for b in basis])
-    return _SO7_SOLVER
+    return Solver([_upper_tri(b) for b in _G2 + _AD])
 
 
-def so7_decompose(m: ExactMatrix) -> tuple[G2Element, ImOctonion]:
+def so7_decompose(m) -> tuple[G2Element, ImOctonion]:
     """Unique split of an antisymmetric 7x7 matrix into g2 + ad parts."""
-    if m.n != 7:
-        raise ValueError("need a 7x7 matrix")
-    if not m.is_antisymmetric():
+    m = _rows(m)
+    if not _is_antisymmetric(m):
         raise ValueError("matrix is not antisymmetric")
     sol = _so7_solver().solve(_upper_tri(m))
     if sol is None:  # cannot happen: the 21 elements span so(7)
@@ -343,7 +350,7 @@ def stabilizer_su3(z: ImOctonion) -> list[G2Element]:
     """
     if z.is_zero():
         raise ValueError("the stabilized element must be nonzero")
-    images = [apply_im(b, z).coeffs for b in g2_basis()]
+    images = [apply_im(b, z).coeffs for b in _G2]
     null = nullspace_exact(list(zip(*images)))  # 7 x 14 system X z = 0
     return [G2Element(tuple(v)) for v in null]
 
@@ -359,8 +366,7 @@ def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fracti
     for a in mats:
         row = []
         for b in mats:
-            br = a @ b - b @ a
-            sol = solver.solve(_upper_tri(br))
+            sol = solver.solve(_upper_tri(bracket(a, b)))
             if sol is None:
                 raise ValueError("bracket leaves the span: not a subalgebra")
             row.append(sol)
@@ -371,28 +377,18 @@ def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fracti
 def killing_form_table(elements: Sequence[G2Element]) -> list[list[Fraction]]:
     """Adjoint-trace Killing form within the subalgebra spanned by elements."""
     c = subalgebra_structure(elements)
-    n = len(elements)
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            total = Fraction(0)
-            for i in range(n):
-                for k in range(n):
-                    total += c[a][i][k] * c[b][k][i]
-            row.append(total)
-        out.append(row)
-    return out
+    idx = range(len(elements))
+    return [[sum((c[a][i][k] * c[b][k][i] for i in idx for k in idx), Fraction(0))
+             for b in idx] for a in idx]
 
 
 def is_negative_definite(sym: Sequence[Sequence[Fraction]]) -> bool:
     """Sylvester test on -K: all leading principal minors positive."""
     n = len(sym)
-    neg = [[-sym[i][j] for j in range(n)] for i in range(n)]
+    neg = [[-_fr(x) for x in row] for row in sym]
     for k in range(1, n + 1):
-        minor = ExactMatrix([[qs(neg[i][j]) for j in range(k)] for i in range(k)])
-        d = minor.det().as_fraction()
-        if d <= 0:
+        _, pivots, det = rref([row[:k] for row in neg[:k]], k)
+        if len(pivots) < k or det <= 0:
             return False
     return True
 
@@ -403,10 +399,8 @@ def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> 
     if probe is None:
         probe = [Fraction(k * k + 1, k + 1) for k in range(len(elements))]
     mats = [e.matrix() for e in elements]
-    x = ExactMatrix.zeros(7)
-    for c, m in zip(probe, mats):
-        x = x + m.scale(qs(c))
-    images = [_upper_tri(x @ m - m @ x) for m in mats]
+    x = _combination(probe, mats)
+    images = [_upper_tri(bracket(x, m)) for m in mats]
     # centralizer = nullspace of v -> [x, sum v_a X_a]
     return len(nullspace_exact(list(zip(*images))))
 
@@ -422,13 +416,14 @@ class ConsistencyReport:
         return self.chain_holds and self.consistent
 
 
-def jacobi_consistency(x: ExactMatrix, y: ImOctonion, z: ImOctonion) -> ConsistencyReport:
+def jacobi_consistency(x, y: ImOctonion, z: ImOctonion) -> ConsistencyReport:
     """Bracket-versus-action consistency for X in g2 acting through Y on Z.
 
     The chain X(Y x Z) - Y x (X Z) == (X Y) x Z holds for any derivation X;
     the obstruction to treating ad_Y as a gauge direction is the residual
     Y x (X Z), which vanishes iff X stabilizes Z.
     """
+    x = _rows(x)
     xy = apply_im(x, y)
     xz = apply_im(x, z)
     lhs = apply_im(x, cross(y, z)) - cross(y, xz)
@@ -439,5 +434,4 @@ def jacobi_consistency(x: ExactMatrix, y: ImOctonion, z: ImOctonion) -> Consiste
 
 def so7_span_rank() -> int:
     """Rank of the 21 stacked matrices (g2 basis plus the 7 ad generators)."""
-    mats = g2_basis() + ad_basis()
-    return rank_exact([_upper_tri(m) for m in mats])
+    return rank_exact([_upper_tri(m) for m in _G2 + _AD])

@@ -30,6 +30,20 @@ def test_signature_listing(capsys):
     assert "d^t" in out and "d^z" in out
 
 
+def test_signature_counts_without_enumerating(capsys):
+    # about 7.5e10 monomials: only the closed form can answer this
+    assert main(["signature", "--axes", "50", "--order", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "(10883976010, 64510051555)"
+
+
+def test_signature_list_cap_exits_2(capsys):
+    assert main(["signature", "--axes", "50", "--order", "10", "--list"]) == 2
+    captured = capsys.readouterr()
+    assert "capped" in one_line(captured.err) and captured.out == ""
+    assert main(["signature", "--axes", "4", "--order", "101"]) == 2
+    assert "capped" in one_line(capsys.readouterr().err)
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["no-such-command"]) == 2
 

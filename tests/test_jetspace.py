@@ -5,7 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetgauge.jetspace import (
+    MAX_LISTED,
+    MAX_ORDER,
     MultiIndex,
+    basis_size,
     enumerate_basis,
     is_timelike,
     signature,
@@ -71,6 +74,32 @@ def test_signature_sums_to_count(n, r):
     assert p + q == len(enumerate_basis(n, r))
     # stars and bars per degree
     assert p + q == sum(math.comb(n + k - 1, k) for k in range(1, r + 1))
+
+
+def test_closed_form_counts_match_enumeration():
+    for n in range(2, 7):
+        for r in range(1, 7):
+            basis = enumerate_basis(n, r)
+            per_order = []
+            for k in range(1, r + 1):
+                p = sum(1 for m in basis.order_block(k) if is_timelike(m))
+                per_order.append((p, len(basis.order_block(k)) - p))
+            assert signature_per_order(n, r) == per_order, (n, r)
+            p = sum(pk for pk, _ in per_order)
+            assert signature(n, r) == (p, len(basis) - p), (n, r)
+            assert basis_size(n, r) == len(basis)
+
+
+def test_size_caps():
+    assert basis_size(50, 10) > MAX_LISTED
+    with pytest.raises(ValueError, match="capped"):
+        enumerate_basis(50, 10)
+    assert signature(50, 10) == (10883976010, 64510051555)
+    signature(4, MAX_ORDER)
+    with pytest.raises(ValueError, match="capped"):
+        signature(4, MAX_ORDER + 1)
+    with pytest.raises(ValueError):
+        signature_per_order(4, 0)
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=1, max_value=4))

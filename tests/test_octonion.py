@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgauge.exactnum import ExactMatrix, commutator, qs
+from jetgauge.exactnum import ExactMatrix, commutator, nullspace_exact, qs, rank_exact
 from jetgauge.octonion import (
     ConsistencyReport,
     G2Element,
@@ -13,6 +13,7 @@ from jetgauge.octonion import (
     ad_basis,
     ad_matrix,
     apply_im,
+    bracket,
     cross,
     g2_basis,
     generic_centralizer_dimension,
@@ -35,9 +36,51 @@ im_octs = st.builds(lambda cs: ImOctonion(tuple(cs)),
 octs = st.builds(lambda cs: Octonion(tuple(cs)),
                  st.lists(fractions, min_size=8, max_size=8))
 
+UPPER = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+
+
+def antisymmetric(values):
+    """The 7x7 antisymmetric rows with upper-triangle entries `values`."""
+    m = [[F(0)] * 7 for _ in range(7)]
+    for (i, j), v in zip(UPPER, values):
+        m[i][j], m[j][i] = v, -v
+    return m
+
+
+antisym_rows = st.lists(fractions, min_size=21, max_size=21).map(antisymmetric)
+g2_coeffs = st.lists(fractions, min_size=14, max_size=14)
+
 
 def e(k):
     return ImOctonion.unit(k)
+
+
+def exact_sum(coeffs, mats) -> ExactMatrix:
+    """sum_k coeffs[k] * mats[k] through ExactMatrix arithmetic."""
+    out = ExactMatrix.zeros(7)
+    for c, m in zip(coeffs, mats):
+        out = out + ExactMatrix(m).scale(c)
+    return out
+
+
+def slow_is_derivation(x: ExactMatrix) -> bool:
+    """Oracle: the derivation identity on the 49 unit pairs, with every
+    image computed in QuadScalar arithmetic from x's rows and every product
+    taken through the component formula `cross` (the fast path reads the
+    unit table instead)."""
+    def act(v):
+        return ImOctonion(tuple(
+            sum((a * qs(c) for a, c in zip(row, v.coeffs)), qs(0)).as_fraction() for row in x.rows
+        ))
+
+    units = [e(k) for k in range(1, 8)]
+    images = [act(u) for u in units]
+    return all(
+        act(cross(units[i], units[j]))
+        == cross(images[i], units[j]) + cross(units[i], images[j])
+        for i in range(7)
+        for j in range(7)
+    )
 
 
 def test_table_examples():
@@ -97,8 +140,8 @@ def test_ad_matrix_examples():
     a = ImOctonion.make(F(1, 2), -1, 0, 2)
     assert apply_im(ad_matrix(a), a).is_zero()
     # column 5 of ad(e4) carries the e4-row dependence of the quoted display
-    col5 = [ad_matrix(e(4)).rows[i][4] for i in range(7)]
-    assert col5 == [qs(1), qs(0), qs(0), qs(0), qs(0), qs(0), qs(0)]
+    col5 = [ad_matrix(e(4))[i][4] for i in range(7)]
+    assert col5 == [1, 0, 0, 0, 0, 0, 0]
 
 
 @given(im_octs, im_octs)
@@ -110,11 +153,11 @@ def test_ad_action_is_cross(a, v):
 def test_g2_display_spot_entries():
     basis = g2_basis()
     a4 = basis[3]
-    assert a4.rows[4][0] == qs(1)       # entry (5,1) of A_4
+    assert a4[4][0] == 1                # entry (5,1) of A_4
     g4 = basis[10]
-    assert g4.rows[2][3] == qs(0)       # entry (3,4) of G_4 carries no d
-    col4 = [g4.rows[i][3] for i in range(7)]
-    assert col4 == [qs(0)] * 7          # G_4 annihilates e4
+    assert g4[2][3] == 0                # entry (3,4) of G_4 carries no d
+    col4 = [g4[i][3] for i in range(7)]
+    assert col4 == [0] * 7              # G_4 annihilates e4
 
 
 def test_g2_all_derivations_ad_none():
@@ -123,6 +166,52 @@ def test_g2_all_derivations_ad_none():
     for k in range(1, 8):
         assert not is_derivation(ad_matrix(e(k)))
     assert is_derivation(ExactMatrix.zeros(7))
+
+
+@given(antisym_rows)
+@settings(max_examples=40, deadline=None)
+def test_is_derivation_matches_slow_oracle(x):
+    assert is_derivation(x) == slow_is_derivation(ExactMatrix(x))
+
+
+@given(g2_coeffs, im_octs)
+@settings(max_examples=40, deadline=None)
+def test_g2_combinations_pass_and_ad_parts_fail(coeffs, a):
+    x = exact_sum(coeffs, g2_basis())
+    assert is_derivation(x) and slow_is_derivation(x)
+    if not a.is_zero():
+        y = x + ExactMatrix(ad_matrix(a))
+        assert not is_derivation(y) and not slow_is_derivation(y)
+
+
+def test_derivations_of_the_table_are_exactly_g2():
+    """Der(O) = g2 (Baez 2002, "The Octonions", Bull. AMS 39): the 343 x 21
+    integer system "x is a derivation" (49 unit pairs x 7 components,
+    unknowns the upper triangle of an antisymmetric x) has rank 7, and its
+    14-dimensional null space is the span of g2_basis()."""
+    units = [e(k) for k in range(1, 8)]
+
+    def residuals(i, j):
+        # x = E_ij - E_ji maps v to v_j e_i - v_i e_j
+        def act(v):
+            c = [F(0)] * 7
+            c[i], c[j] = v.coeffs[j], -v.coeffs[i]
+            return ImOctonion(tuple(c))
+
+        return [r for a in units for b in units
+                for r in (act(cross(a, b)) - cross(act(a), b) - cross(a, act(b))).coeffs]
+
+    columns = [residuals(i, j) for i, j in UPPER]
+    assert all(r.denominator == 1 for col in columns for r in col)
+    system = [[int(r) for r in row] for row in zip(*columns)]
+    assert len(system) == 343 and len(system[0]) == 21
+    assert rank_exact(system) == 7
+    null = nullspace_exact(system)
+    assert len(null) == 14
+    assert all(is_derivation(antisymmetric(v)) for v in null)
+    g2 = [[m[i][j] for i, j in UPPER] for m in g2_basis()]
+    assert rank_exact(g2) == 14
+    assert rank_exact(null + g2) == 14
 
 
 def test_is_derivation_rejects_bad_input():
@@ -146,11 +235,18 @@ def test_so7_decompose_examples():
     assert not any(g2p.coeffs)
     assert adp == e(3)
 
-    m = basis[0] + ad_matrix(e(5)).scale(qs(2))
+    m = ExactMatrix(basis[0]) + ExactMatrix(ad_matrix(e(5))).scale(qs(2))
     g2p, adp = so7_decompose(m)
     assert g2p.coeffs[0] == 1
     assert adp == e(5).scale(2)
-    assert (g2p.matrix() + ad_matrix(adp)).rows == m.rows
+    assert ExactMatrix(g2p.matrix()) + ExactMatrix(ad_matrix(adp)) == m
+
+
+@given(antisym_rows)
+@settings(max_examples=60, deadline=None)
+def test_so7_decompose_reconstructs_input(m):
+    g2p, adp = so7_decompose(m)
+    assert exact_sum(g2p.coeffs, g2_basis()) + ExactMatrix(ad_matrix(adp)) == ExactMatrix(m)
 
 
 def test_so7_decompose_rejects_non_antisymmetric():
@@ -158,9 +254,15 @@ def test_so7_decompose_rejects_non_antisymmetric():
         so7_decompose(ExactMatrix.identity(7))
 
 
+@given(antisym_rows, antisym_rows)
+@settings(max_examples=30, deadline=None)
+def test_bracket_matches_exact_commutator(a, b):
+    assert ExactMatrix(bracket(a, b)) == commutator(ExactMatrix(a), ExactMatrix(b))
+
+
 def test_bracket_sector_relations():
-    basis = g2_basis()
-    ads = ad_basis()
+    basis = [ExactMatrix(m) for m in g2_basis()]
+    ads = [ExactMatrix(m) for m in ad_basis()]
     # [g2, g2] subset g2
     for a in range(0, 14, 3):
         for b in range(1, 14, 4):
@@ -222,13 +324,22 @@ def test_stabilizer_su3_certificate():
     assert generic_centralizer_dimension(stab) == 2
     basis = g2_basis()
     a4, g4 = basis[3], basis[10]
-    assert commutator(a4, g4).is_zero()
+    assert commutator(ExactMatrix(a4), ExactMatrix(g4)).is_zero()
     assert apply_im(a4, e(4)).is_zero() and apply_im(g4, e(4)).is_zero()
-    from jetgauge.exactnum import rank_exact
-
-    flat = [[a4.rows[i][j] for i in range(7) for j in range(7)],
-            [g4.rows[i][j] for i in range(7) for j in range(7)]]
+    flat = [[a4[i][j] for i in range(7) for j in range(7)],
+            [g4[i][j] for i in range(7) for j in range(7)]]
     assert rank_exact(flat) == 2
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+@settings(max_examples=80, deadline=None)
+def test_is_negative_definite_matches_minors(entries):
+    n = int(len(entries) ** 0.5)
+    sym = [[F(entries[min(i, j) * n + max(i, j)]) for j in range(n)] for i in range(n)]
+    minors = [ExactMatrix([[-sym[i][j] for j in range(k)] for i in range(k)]).det()
+              for k in range(1, n + 1)]
+    assert is_negative_definite(sym) == all(d.as_fraction() > 0 for d in minors)
 
 
 def test_stabilizer_other_base_point():
@@ -281,6 +392,6 @@ def test_jacobi_consistency_zero_x():
 @given(im_octs, im_octs)
 @settings(max_examples=25)
 def test_derivation_chain_for_random_g2_element(y, z):
-    x = g2_basis()[2] + g2_basis()[9].scale(qs(3))
+    x = ExactMatrix(g2_basis()[2]) + ExactMatrix(g2_basis()[9]).scale(qs(3))
     rep = jacobi_consistency(x, y, z)
     assert rep.chain_holds
