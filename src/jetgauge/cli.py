@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,9 +67,7 @@ def cmd_proca_table(args) -> int:
         _emit(dump_json({"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}), args)
     elif args.format == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf)
-        for row in table:
-            w.writerow(row)
+        csv.writer(buf).writerows(table)
         _emit(buf.getvalue().rstrip("\n"), args)
     else:
         width = max(len(str(v)) for row in table for v in row)
@@ -263,8 +262,8 @@ def _field_from_config(cfg: dict):
 
 
 def _number(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
 
 
@@ -300,6 +299,8 @@ def cmd_simulate(args) -> int:
             charge = value * gen
         state = dynamics.ParticleState(x0, u0, m, q, charge)
         dlam = _number(_require(cfg, "integrator.dlambda"), "integrator.dlambda")
+        if dlam <= 0:
+            raise ValueError(f"integrator.dlambda must be > 0, got {dlam!r}")
         steps = _require(cfg, "integrator.steps")
         if type(steps) is not int or steps < 0:
             raise ValueError("integrator.steps must be a non-negative integer")
@@ -307,6 +308,9 @@ def cmd_simulate(args) -> int:
         path = _require(cfg, "output.path")
         if not isinstance(path, str):
             raise ValueError("output.path must be a string")
+        fmt = out_cfg.get("format", "csv")
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"output.format must be \"csv\" or \"json\", got {fmt!r}")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad simulate config: {exc}", file=sys.stderr)
         return 2
@@ -324,21 +328,20 @@ def cmd_simulate(args) -> int:
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
-    if out_cfg.get("format", "csv") == "json":
+    if fmt == "json":
         payload = {
-            "meta": {k: v for k, v in traj.meta.items()},
+            "meta": traj.meta,
             "samples": [
-                {"lambda": row[0], "x": row[1:5], "u": row[5:9]} for row in traj.rows()
+                {"lambda": r[0], "x": r[1:5], "u": r[5:9]}
+                for r in map(np.ndarray.tolist, traj.table)
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_json(payload, args.full_precision))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "x0", "x1", "x2", "x3", "u0", "u1", "u2", "u3"])
-            for row in traj.rows():
-                w.writerow([repr(float(v)) for v in row])
+            fh.write("lambda,x0,x1,x2,x3,u0,u1,u2,u3\r\n")
+            fh.writelines(",".join(map(repr, r.tolist())) + "\r\n" for r in traj.table)
     print(
         f"integrated {len(traj) - 1} steps ({traj.meta['law']}); "
         f"eta(u,u) drift {traj.meta['eta_drift']:.3e}; wrote {path}"

@@ -28,15 +28,22 @@ weights, which is what a plain corner loop does.  So samples are
 bit-identical to that loop (tests/test_dynamics.py keeps it as the oracle);
 einsum, tensordot and @ leave their summation order to the library.
 
-Trajectories integrate with fixed-step classical RK4, which keeps runs
-deterministic and makes golden-file comparisons meaningful.
+Trajectories integrate with fixed-step classical RK4 on eight Python
+floats, which keeps runs deterministic and golden files meaningful.  Its
+order is pinned too: du/dlam = qm M u, with M = F or Wong's charge-contracted
+F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order
+that numpy's F @ u showed on the OpenBLAS build the golden files came from;
+stages are y + (h/2) k and y + h k, and a step is
+y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).  tests/test_dynamics.py keeps a numpy
+RK4 with that column order as the oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +59,8 @@ class GridBoundaryError(ValueError):
 class MetricField:
     """Evaluator of the four metric components g_mu(x) := g_{mu,00}(x)."""
 
-    def __init__(self, func, jacobian=None, step: float = 1e-3):
+    def __init__(self, func, step: float = 1e-3):
         self._func = func
-        self._jac = jacobian
         self.step = step
 
     def values(self, x) -> np.ndarray:
@@ -63,8 +69,6 @@ class MetricField:
     def jacobian(self, x) -> np.ndarray:
         """J[mu, nu] = d_mu g_nu, 4th-order central differences by default."""
         x = np.asarray(x, dtype=float)
-        if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
         h = self.step
         jac = np.zeros((4, 4))
         for mu in range(4):
@@ -87,7 +91,7 @@ class GridMetricField(MetricField):
         self.grid = values
         self.origin = np.asarray(origin, dtype=float)
         self.spacing = float(spacing)
-        super().__init__(self._node_values, None, spacing)
+        super().__init__(self._node_values, spacing)
 
     def _index(self, x) -> tuple[int, ...]:
         rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
@@ -193,10 +197,6 @@ class GaugePotentialField:
             raise ValueError("potential evaluator must return shape (4, d, d)")
         return a
 
-    @property
-    def dim(self) -> int:
-        return self.values(np.zeros(4)).shape[1]
-
     def derivative(self, x, mu: int) -> np.ndarray:
         """d_mu A at x, 4th-order central difference; shape (4, d, d)."""
         x = np.asarray(x, dtype=float)
@@ -243,16 +243,13 @@ def bianchi_residual(a: GaugePotentialField, x) -> float:
     h = a.step
     vals = a.values(x)
 
-    def f_at(pt):
-        return _field_strength_all(a, pt)
-
     dfs = []
     for lam in range(4):
         xp, xm = x.copy(), x.copy()
         xp[lam] += h
         xm[lam] -= h
-        dfs.append((f_at(xp) - f_at(xm)) / (2.0 * h))
-    f0 = f_at(x)
+        dfs.append((_field_strength_all(a, xp) - _field_strength_all(a, xm)) / (2.0 * h))
+    f0 = _field_strength_all(a, x)
     worst = 0.0
     for lam, mu, nu in itertools.combinations(range(4), 3):
         total = None
@@ -301,61 +298,80 @@ def eta_norm(u: np.ndarray) -> float:
     return float(-u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
 
 
-@dataclass
 class Trajectory:
-    lambdas: np.ndarray
-    xs: np.ndarray
-    us: np.ndarray
-    meta: dict = field(default_factory=dict)
+    """Samples as one (n + 1, 9) table of rows [lambda, x0..x3, u0..u3];
+    lambdas, xs and us are views of it."""
+
+    def __init__(self, table: np.ndarray, meta: dict):
+        self.table, self.meta = table, meta
+        self.lambdas, self.xs, self.us = table[:, 0], table[:, 1:5], table[:, 5:]
 
     def __len__(self):
-        return len(self.lambdas)
+        return len(self.table)
 
     def eta_drift(self) -> float:
         norms = -self.us[:, 0] ** 2 + np.sum(self.us[:, 1:] ** 2, axis=1)
         return float(np.max(np.abs(norms - norms[0])))
 
-    def rows(self):
-        for lam, x, u in zip(self.lambdas, self.xs, self.us):
-            yield [lam, *x, *u]
 
+def _integrate(state: ParticleState, rows_at, dlam: float, nsteps: int, law: str) -> Trajectory:
+    """RK4 on dx/dlam = u, du/dlam = (q/m) M(x) u, where rows_at(x) gives the
+    rows of M as lists of floats.  The state is eight Python floats; stage k
+    has dx/dlam = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  Arithmetic
+    order: see the module docstring."""
+    if not (dlam > 0 and math.isfinite(dlam)):
+        raise ValueError("step must be positive and finite")
+    qm = state.q / state.m
+    h2, h6 = 0.5 * dlam, dlam / 6.0
 
-def _integrate(state: ParticleState, accel, dlam: float, nsteps: int, meta) -> Trajectory:
-    if dlam <= 0:
-        raise ValueError("step must be positive")
-    y = np.concatenate([state.x, state.u])
+    def accel(x, u0, u1, u2, u3):
+        rows = rows_at(np.array(x))
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
+                qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
+                qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
+                qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3)))
 
-    def rhs(yv):
-        return np.concatenate([yv[4:], accel(yv[:4], yv[4:])])
-
-    lambdas = np.empty(nsteps + 1)
-    xs = np.empty((nsteps + 1, 4))
-    us = np.empty((nsteps + 1, 4))
-    lambdas[0], xs[0], us[0] = 0.0, y[:4], y[4:]
+    y = state.x.tolist() + state.u.tolist()
+    out = array("d", [0.0])
+    out.extend(y)
+    x0, x1, x2, x3, u0, u1, u2, u3 = y
     for k in range(nsteps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dlam * k1)
-        k3 = rhs(y + 0.5 * dlam * k2)
-        k4 = rhs(y + dlam * k3)
-        y = y + (dlam / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
+        v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
+        q0, q1, q2, q3 = accel((x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3),
+                               v0, v1, v2, v3)
+        w0, w1, w2, w3 = u0 + h2 * q0, u1 + h2 * q1, u2 + h2 * q2, u3 + h2 * q3
+        r0, r1, r2, r3 = accel((x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3),
+                               w0, w1, w2, w3)
+        z0, z1, z2, z3 = u0 + dlam * r0, u1 + dlam * r1, u2 + dlam * r2, u3 + dlam * r3
+        s0, s1, s2, s3 = accel((x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3),
+                               z0, z1, z2, z3)
+        y = (x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
+             x1 + h6 * (((u1 + 2.0 * v1) + 2.0 * w1) + z1),
+             x2 + h6 * (((u2 + 2.0 * v2) + 2.0 * w2) + z2),
+             x3 + h6 * (((u3 + 2.0 * v3) + 2.0 * w3) + z3),
+             u0 + h6 * (((p0 + 2.0 * q0) + 2.0 * r0) + s0),
+             u1 + h6 * (((p1 + 2.0 * q1) + 2.0 * r1) + s1),
+             u2 + h6 * (((p2 + 2.0 * q2) + 2.0 * r2) + s2),
+             u3 + h6 * (((p3 + 2.0 * q3) + 2.0 * r3) + s3))
+        if not all(map(math.isfinite, y)):
             raise FloatingPointError(f"non-finite state at step {k + 1}")
-        lambdas[k + 1] = (k + 1) * dlam
-        xs[k + 1] = y[:4]
-        us[k + 1] = y[4:]
-    return Trajectory(lambdas, xs, us, meta)
+        x0, x1, x2, x3, u0, u1, u2, u3 = y
+        out.append((k + 1) * dlam)
+        out.extend(y)
+    traj = Trajectory(np.frombuffer(out).reshape(nsteps + 1, 9), {"law": law, "dlam": dlam})
+    traj.meta["eta_drift"] = traj.eta_drift()
+    return traj
 
 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> (4, 4)."""
-    qm = state.q / state.m
 
-    def accel(x, u):
-        return qm * (np.asarray(f_eval(x), dtype=float) @ u)
+    def rows_at(x):
+        return np.asarray(f_eval(x), dtype=float).tolist()
 
-    traj = _integrate(state, accel, dlam, nsteps, {"law": "lorentz", "dlam": dlam})
-    traj.meta["eta_drift"] = traj.eta_drift()
-    return traj
+    return _integrate(state, rows_at, dlam, nsteps, "lorentz")
 
 
 def charge_pairing(a: np.ndarray, b: np.ndarray) -> float:
@@ -387,16 +403,12 @@ def integrate_wong(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Tr
         raise ValueError(
             f"charge dimension {charge.shape} does not match field {probe.shape[2:]}"
         )
-    qm = state.q / state.m
 
-    def accel(x, u):
+    def rows_at(x):
         f = np.asarray(f_eval(x), dtype=float)
-        feff = -0.5 * np.einsum("mnij,ji->mn", f, charge)
-        return qm * (feff @ u)
+        return (-0.5 * np.einsum("mnij,ji->mn", f, charge)).tolist()
 
-    traj = _integrate(state, accel, dlam, nsteps, {"law": "wong", "dlam": dlam})
-    traj.meta["eta_drift"] = traj.eta_drift()
-    return traj
+    return _integrate(state, rows_at, dlam, nsteps, "wong")
 
 
 def recalibrate_charge(q: float, m: float, alpha: float) -> float:

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from jetgauge.cli import main
 from jetgauge.report import VerificationReport
 
@@ -261,6 +264,29 @@ def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("integrator.dlambda", float("nan")), ("integrator.dlambda", float("inf")),
+    ("integrator.dlambda", -0.01), ("integrator.dlambda", 0),
+    ("particle.m", float("nan")), ("particle.q", float("-inf")), ("output.format", "jsn"),
+])
+@pytest.mark.parametrize("kind", ["uniform_B", "grid"])
+def test_simulate_rejects_bad_values_before_integrating(tmp_path, capsys, key, value, kind):
+    field = {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}}
+    if kind == "grid":
+        small_grid_npz(tmp_path / "grid.npz")
+        field = {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}}
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, field, particle, 0.01, 5)
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    section, name = key.split(".")
+    data[section][name] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")  # NaN, Infinity
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("bad simulate config:") and key in line
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_pheno_unknown_constant_exits_2(tmp_path, capsys):
     path = tmp_path / "k.json"
     path.write_text(json.dumps({"M_W": 80.4, "not_a_constant": 1.0}), encoding="utf-8")
@@ -274,3 +300,58 @@ def test_pheno_unknown_constant_exits_2(tmp_path, capsys):
 def test_su3_malformed_fix_exits_2(capsys):
     assert main(["su3", "--fix", "1,2,3"]) == 2
     assert "--fix" in one_line(capsys.readouterr().err)
+
+
+# sha256 of the bytes `simulate` writes: a change to the RK4 arithmetic order,
+# the float formatting or the CSV/JSON layout shows here.
+UNIFORM_CSV_SHA256 = "ab42bb685b92227000f17f1c8660f0a607d3d8da35dca92ba76ca65b8c1377d0"
+GRID_JSON_SHA256 = {
+    "lorentz": "e5458ab2ada80b045b87d6ece65303e3e3c803998c09cfac6dcd6bd51d090d2f",
+    "wong": "cea851695770d8fb74f9c02d11ad59ca1814299a501c360050cb3a9544cf0429",
+}
+
+
+def test_simulate_uniform_csv_bytes_pinned(tmp_path, capsys):
+    particle = {"x0": [0.1, -0.2, 0.3, 0.05], "u0": [1.2, 0.3, -0.4, 0.5], "m": 0.9, "q": 1.3}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0.3, -0.7, 1.1]}},
+                           particle, 0.01, 200)
+    assert main(["simulate", "--config", cfg]) == 0
+    data = (tmp_path / "traj.csv").read_bytes()
+    assert data.count(b"\r\n") == 202  # header + 201 samples
+    assert hashlib.sha256(data).hexdigest() == UNIFORM_CSV_SHA256
+
+
+def small_grid_npz(path):
+    """An 8^4-node grid of a cubic metric, filled elementwise (no BLAS).  Each
+    row of F has three nonzero entries, so the matvec order shows in the bytes."""
+    n, h = 8, 0.125
+    origin = np.array([-0.5, -0.25, 0.0, -0.375])
+    t, a, b, c = origin[:, None, None, None, None] + h * np.indices((n,) * 4)
+    g = np.stack([
+        1.2 * a * b + 0.8 * c * c - 0.4 * t * a,
+        2.0 * t * c + b * b * a,
+        -1.6 * t * a + 1.2 * c * a + 0.4 * t * t,
+        0.8 * a * a - 1.4 * t * b + 0.6 * b * c * t,
+    ])
+    np.savez(path, g=g, origin=origin, spacing=h)
+    return origin, h
+
+
+@pytest.mark.parametrize("law", ["lorentz", "wong"])
+def test_simulate_grid_json_bytes_pinned(tmp_path, capsys, law):
+    origin, h = small_grid_npz(tmp_path / "grid.npz")
+    x0 = origin + h * np.array([2.5, 3.5, 3.5, 3.5])
+    particle = {"x0": x0.tolist(), "u0": [1.1, 0.3, -0.2, 0.25], "m": 0.8, "q": 1.2}
+    if law == "wong":
+        particle["I"] = {"dim": 3, "pair": [1, 3], "value": 0.7}
+    cfg = {
+        "field": {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}},
+        "particle": particle,
+        "integrator": {"dlambda": 0.001, "steps": 200},
+        "output": {"path": str(tmp_path / "traj.json"), "format": "json"},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--full-precision"]) == 0
+    data = (tmp_path / "traj.json").read_bytes()
+    assert len(json.loads(data)["samples"]) == 201
+    assert hashlib.sha256(data).hexdigest() == GRID_JSON_SHA256[law]

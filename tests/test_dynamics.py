@@ -558,6 +558,74 @@ def test_wong_dimension_mismatch():
         integrate_wong(state, algebra_f, 0.1, 5)
 
 
+# -- the scalar RK4 kernel against a numpy oracle -----------------------------------
+
+
+def numpy_integrate(state, m_eval, dlam, nsteps):
+    """Rows [lambda, x, u] of the numpy RK4 loop the integrators ran before
+    their scalar kernel, on du/dlam = (q/m) M(x) u.  The matvec is written
+    column by column in the pinned order, so no BLAS kernel decides it."""
+    qm = state.q / state.m
+
+    def rhs(yv):
+        f, u = np.asarray(m_eval(yv[:4]), dtype=float), yv[4:]
+        acc = (f[:, 0] * u[0] + f[:, 2] * u[2]) + (f[:, 1] * u[1] + f[:, 3] * u[3])
+        return np.concatenate([u, qm * acc])
+
+    y = np.concatenate([state.x, state.u])
+    rows = np.empty((nsteps + 1, 9))
+    rows[0] = [0.0, *y]
+    for k in range(nsteps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dlam * k1)
+        k3 = rhs(y + 0.5 * dlam * k2)
+        k4 = rhs(y + dlam * k3)
+        y = y + (dlam / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rows[k + 1] = [(k + 1) * dlam, *y]
+    return rows
+
+
+@pytest.mark.parametrize("f", [uniform_magnetic_f([0.3, -0.7, 1.1]), uniform_electric_f([0.4, 0.2, -0.9])])
+def test_scalar_rk4_matches_numpy_oracle_on_uniform_fields(f):
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
+    traj = integrate_lorentz(state, lambda x: f, 0.01, 500)
+    assert np.array_equal(traj.table, numpy_integrate(state, lambda x: f, 0.01, 500))
+    assert np.array_equal(traj.xs, traj.table[:, 1:5]) and len(traj) == 501
+
+
+def oracle_grid(seed):
+    """A 9^4 random grid whose F is of order 0.2, and a start in its middle."""
+    g = random_grid(seed, False, 9)
+    grid = GridMetricField(0.2 * g.spacing * g.grid, g.origin, g.spacing)
+    rng = np.random.default_rng(seed)
+    x0 = grid.origin + grid.spacing * rng.uniform(3.5, 4.5, 4)
+    u0 = np.concatenate([[1.0], rng.uniform(-0.3, 0.3, 3)])
+    return grid, x0, u0
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
+    """Rows of a grid F have three nonzero entries, so the matvec order shows."""
+    grid, x0, u0 = oracle_grid(seed)
+    f_eval = grid_field_strength_evaluator(grid)
+    dlam, n = 0.01 * grid.spacing, 100  # about one node along x0
+    state = ParticleState(x0, u0, 0.8, 1.2)
+    want = numpy_integrate(state, f_eval, dlam, n)
+    assert np.array_equal(integrate_lorentz(state, f_eval, dlam, n).table, want)
+    gen, i0 = x12(3), 0.7
+
+    def algebra_f(x):
+        return f_eval(x)[:, :, None, None] * gen
+
+    def feff(x):
+        return -0.5 * np.einsum("mnij,ji->mn", algebra_f(x), i0 * gen)
+
+    sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=i0 * gen)
+    assert np.array_equal(integrate_wong(sw, algebra_f, dlam, n).table,
+                          numpy_integrate(sw, feff, dlam, n))
+
+
 def test_recalibrate_charge():
     alpha = 7.2973525693e-3
     assert recalibrate_charge(0.0, 2.0, alpha) == math.sqrt(alpha) * 2.0
