@@ -562,9 +562,9 @@ def test_wong_dimension_mismatch():
 
 
 def numpy_integrate(state, m_eval, dlam, nsteps):
-    """Rows [lambda, x, u] of the numpy RK4 loop the integrators ran before
-    their scalar kernel, on du/dlam = (q/m) M(x) u.  The matvec is written
-    column by column in the pinned order, so no BLAS kernel decides it."""
+    """Rows [lambda, x, u] of a plain numpy RK4 on du/dlam = (q/m) M(x) u, the
+    slow reference for the scalar kernel.  The matvec is written column by
+    column in the pinned order, so no BLAS kernel decides it."""
     qm = state.q / state.m
 
     def rhs(yv):
@@ -585,7 +585,9 @@ def numpy_integrate(state, m_eval, dlam, nsteps):
     return rows
 
 
-@pytest.mark.parametrize("f", [uniform_magnetic_f([0.3, -0.7, 1.1]), uniform_electric_f([0.4, 0.2, -0.9])])
+@pytest.mark.parametrize(
+    "f", [uniform_magnetic_f([0.3, -0.7, 1.1]), uniform_electric_f([0.4, 0.2, -0.9])]
+)
 def test_scalar_rk4_matches_numpy_oracle_on_uniform_fields(f):
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
     traj = integrate_lorentz(state, lambda x: f, 0.01, 500)
