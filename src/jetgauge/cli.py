@@ -14,7 +14,7 @@ import numpy as np
 from . import dynamics, electroweak, jetspace, octonion, pheno, proca, verify
 from .octonion import ImOctonion
 from .refdata import MODE_CENSUS_REFERENCE
-from .report import dump_json, fmt_float
+from .report import VerificationReport, dump_json, fmt_float
 
 
 def _emit(text: str, args) -> None:
@@ -163,16 +163,18 @@ def cmd_electroweak(args) -> int:
     return 0
 
 
-def cmd_octonion(args) -> int:
-    from .report import VerificationReport
-
-    rep = VerificationReport()
-    verify.suite_octonions(rep.suite("octonion algebra and su(3) reduction"), args.seed)
+def _emit_report(rep, args) -> int:
     text = rep.to_text(args.full_precision) if args.format == "text" else dump_json(
-        rep.to_dict(args.full_precision), args.full_precision
+        rep.to_dict(), args.full_precision
     )
     _emit(text, args)
     return rep.exit_code
+
+
+def cmd_octonion(args) -> int:
+    rep = VerificationReport()
+    verify.suite_octonions(rep.suite("octonion algebra and su(3) reduction"), args.seed)
+    return _emit_report(rep, args)
 
 
 def _parse_im(text: str) -> ImOctonion:
@@ -218,22 +220,24 @@ def cmd_pheno(args) -> int:
         "predict": pheno.predicted_masses,
     }[args.what](k)
     if args.format == "json":
-        _emit(dump_json(rep.to_dict(), args.full_precision), args)
+        _emit(dump_json(pheno.as_dict(rep), args.full_precision), args)
     else:
-        lines = [rep.title]
-        for e in rep.entries:
-            val = fmt_float(e.value, args.full_precision)
-            parts = [f"  {e.name:<34s} {val:<14g} {e.unit}"]
-            if e.reference is not None:
+        lines = [rep.name]
+        for c in rep.checks:
+            if c.actual is None:
+                continue
+            val = fmt_float(c.actual, args.full_precision)
+            parts = [f"  {c.name:<34s} {val:<14g} {c.unit}"]
+            if c.expected is not None:
                 parts.append(
-                    f" reference={fmt_float(e.reference, args.full_precision):g}"
-                    f" dev({e.kind})={e.deviation:.2e} [{e.status}]"
+                    f" reference={fmt_float(c.expected, args.full_precision):g}"
+                    f" dev({c.kind})={c.deviation:.2e} [{c.status}]"
                 )
             lines.append("".join(parts))
-        for f in rep.flags:
+        for f in pheno.flags(rep):
             lines.append(f"  flagged: {f}")
         _emit("\n".join(lines), args)
-    return 1 if rep.failures else 0
+    return 1 if rep.counts["fail"] else 0
 
 
 def _require(cfg: dict, path: str, where: str = ""):
@@ -249,10 +253,12 @@ def _require(cfg: dict, path: str, where: str = ""):
 def _field_from_config(cfg: dict):
     kind = _require(cfg, "kind", "field.")
     if kind == "uniform_E":
-        f = dynamics.uniform_electric_f(_require(cfg, "params.E", "field."))
+        e = _vector(_require(cfg, "params.E", "field."), "field.params.E", 3)
+        f = dynamics.uniform_electric_f(e)
         return lambda x: f
     if kind == "uniform_B":
-        f = dynamics.uniform_magnetic_f(_require(cfg, "params.B", "field."))
+        b = _vector(_require(cfg, "params.B", "field."), "field.params.B", 3)
+        f = dynamics.uniform_magnetic_f(b)
         return lambda x: f
     if kind == "grid":
         data = np.load(_require(cfg, "params.npz", "field."))
@@ -265,6 +271,12 @@ def _number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
+
+
+def _vector(value, path: str, n: int) -> list:
+    if not isinstance(value, list) or len(value) != n:
+        raise ValueError(f"{path} must be a list of {n} finite numbers, got {value!r}")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _charge_generator(cfg: dict) -> tuple[np.ndarray, float]:
@@ -291,7 +303,9 @@ def cmd_simulate(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
         f_eval = _field_from_config(_require(cfg, "field"))
-        x0, u0 = _require(cfg, "particle.x0"), _require(cfg, "particle.u0")
+        x0, u0 = (
+            _vector(_require(cfg, f"particle.{k}"), f"particle.{k}", 4) for k in ("x0", "u0")
+        )
         m, q = (_number(_require(cfg, f"particle.{k}"), f"particle.{k}") for k in "mq")
         gen = charge = None
         if cfg["particle"].get("I"):
@@ -350,13 +364,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    constants = _constants(args)
-    rep = verify.build_report(args.seed, constants)
-    text = rep.to_text(args.full_precision) if args.format == "text" else dump_json(
-        rep.to_dict(args.full_precision), args.full_precision
-    )
-    _emit(text, args)
-    return rep.exit_code
+    return _emit_report(verify.build_report(args.seed, _constants(args)), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any
+
+from .report import FLAGGED, Suite
 
 
 @dataclass(frozen=True)
@@ -64,10 +66,6 @@ class Constants:
     def lambda_sq(self) -> float:
         return 2.0 * self.Lambda
 
-    @property
-    def kappa(self) -> float:
-        return self.G / self.c**4
-
     @staticmethod
     def defaults() -> "Constants":
         return Constants()
@@ -76,9 +74,6 @@ class Constants:
     def table_inputs() -> "Constants":
         """Inputs the reference number tables were computed with."""
         return Constants(M_W=80.3790)
-
-    def with_overrides(self, **kw) -> "Constants":
-        return replace(self, **kw)
 
     @staticmethod
     def from_json(path_or_dict) -> "Constants":
@@ -151,67 +146,34 @@ def mass_scale(k: Constants, a_order: int, b_order: int) -> tuple[float, float]:
     return ratio, ratio * k.m_P
 
 
-@dataclass
-class ReportEntry:
-    name: str
-    value: float
-    unit: str
-    reference: float | None = None
-    deviation: float | None = None      # relative unless kind says otherwise
-    kind: str = "rel"
-    tolerance: float | None = None
-    status: str = "pass"                # pass | fail | flagged
-    note: str = ""
+def flags(rep: Suite) -> list[str]:
+    """The flagged rows in order: a measured row as "name: note", a note row
+    as its bare text."""
+    return [f"{c.name}: {c.detail}" if c.actual is not None else c.detail
+            for c in rep.checks if c.status == FLAGGED]
 
 
-@dataclass
-class PhenoReport:
-    title: str
-    entries: list[ReportEntry] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
-
-    def add(self, name, value, unit="", reference=None, tolerance=None,
-            kind="rel", flagged_note=None) -> ReportEntry:
-        dev = None
-        status = "pass"
-        if reference is not None:
-            dev = (
-                abs(value - reference) / abs(reference)
-                if kind == "rel"
-                else abs(value - reference)
-            )
-            if tolerance is not None and dev > tolerance:
-                status = "flagged" if flagged_note else "fail"
-        e = ReportEntry(name, value, unit, reference, dev, kind, tolerance,
-                        status, flagged_note or "")
-        if status == "flagged" and flagged_note:
-            self.flags.append(f"{name}: {flagged_note}")
-        self.entries.append(e)
-        return e
-
-    @property
-    def failures(self) -> list[ReportEntry]:
-        return [e for e in self.entries if e.status == "fail"]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "title": self.title,
-            "entries": [
-                {
-                    "name": e.name,
-                    "value": e.value,
-                    "unit": e.unit,
-                    "reference": e.reference,
-                    "deviation": e.deviation,
-                    "deviation_kind": e.kind,
-                    "tolerance": e.tolerance,
-                    "status": e.status,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
-            "flags": self.flags,
-        }
+def as_dict(rep: Suite) -> dict[str, Any]:
+    """The report as {"title", "entries", "flags"}; entries are the measured rows."""
+    return {
+        "title": rep.name,
+        "entries": [
+            {
+                "name": c.name,
+                "value": c.actual,
+                "unit": c.unit,
+                "reference": c.expected,
+                "deviation": c.deviation,
+                "deviation_kind": c.kind,
+                "tolerance": c.tolerance,
+                "status": c.status,
+                "note": c.detail,
+            }
+            for c in rep.checks
+            if c.actual is not None
+        ],
+        "flags": flags(rep),
+    }
 
 
 # Reports accept one last-place unit of slack in the fifth significant
@@ -227,64 +189,60 @@ _TABLE1_ROW1_NOTE = (
 )
 
 
-def table1(k: Constants) -> PhenoReport:
+def table1(k: Constants) -> Suite:
     """The five-row sector mass-scale table against its reference values."""
-    rep = PhenoReport("sector mass scales")
+    rep = Suite("sector mass scales")
     for (a, b), (ref_mp, ref_gev) in REF["table1"].items():
         mp_units, gev = mass_scale(k, a, b)
-        rep.add(f"M({a},{b})", mp_units, "m_P", ref_mp, TABLE1_TOL)
-        rep.add(
+        rep.measure(f"M({a},{b})", mp_units, "m_P", ref_mp, TABLE1_TOL)
+        rep.measure(
             f"M({a},{b})",
             gev,
             "GeV",
             ref_gev,
             TABLE1_TOL,
-            flagged_note=_TABLE1_ROW1_NOTE if (a, b) == (1, 2) else None,
+            note=_TABLE1_ROW1_NOTE if (a, b) == (1, 2) else "",
         )
-    rep.flags.append(
-        "the table's first row is labeled M_11 but its order columns read "
-        "(1,2); rows are keyed by the order columns here"
-    )
+    rep.flag("note", "the table's first row is labeled M_11 but its order columns "
+             "read (1,2); rows are keyed by the order columns here")
     return rep
 
 
-def consistency(k: Constants) -> PhenoReport:
+def consistency(k: Constants) -> Suite:
     """The coupling-constant consistency numbers against 4*pi."""
-    rep = PhenoReport("coupling-constant consistency")
+    rep = Suite("coupling-constant consistency")
     i = iota(k)
-    rep.add("iota", i, "cgs", REF["iota"], 1e-4)
-    rep.add("B", b_parameter(k), "cm", REF["B_cm"], 5e-4)
-    rep.add("B_geometrical", b_parameter_geometrical(k), "", REF["B_geometrical"], 5e-4)
+    rep.measure("iota", i, "cgs", REF["iota"], 1e-4)
+    rep.measure("B", b_parameter(k), "cm", REF["B_cm"], 5e-4)
+    rep.measure("B_geometrical", b_parameter_geometrical(k), "", REF["B_geometrical"], 5e-4)
     v_w = math.pi * k.M_W**2 / (2.0 * k.m_P**2) * i
     v_z = 2.0 * math.pi * k.M_Z**2 / (5.0 * k.m_P**2) * i
-    rep.add("pi MW^2 iota / (2 mP^2)", v_w, "cgs", REF["consistency_w"], 1e-3)
-    rep.add("2 pi MZ^2 iota / (5 mP^2)", v_z, "cgs", REF["consistency_z"], 1e-3)
-    rep.add("target 4 pi", 4.0 * math.pi, "cgs", REF["four_pi"], 1e-4)
+    rep.measure("pi MW^2 iota / (2 mP^2)", v_w, "cgs", REF["consistency_w"], 1e-3)
+    rep.measure("2 pi MZ^2 iota / (5 mP^2)", v_z, "cgs", REF["consistency_z"], 1e-3)
+    rep.measure("target 4 pi", 4.0 * math.pi, "cgs", REF["four_pi"], 1e-4)
     chi = 2.0 * k.M_Z / (math.sqrt(5.0) * k.M_W)
-    rep.add(
+    rep.measure(
         "chi = 2 MZ / (sqrt5 MW)",
         chi,
         "",
         REF["chi"],
         1e-5,
         kind="abs",
-        flagged_note=(
+        note=(
             "the quoted 1.014701 corresponds to M_W = 80.3790 (the number "
             "tables' own W mass), not to the stated 80.377"
         )
         if abs(chi - REF["chi"]) > 1e-5
-        else None,
+        else "",
     )
-    rep.add("1 + 2 alpha", 1.0 + 2.0 * k.alpha, "")
+    rep.measure("1 + 2 alpha", 1.0 + 2.0 * k.alpha, "")
     v3 = k.M_W**3 / (k.M_Z * k.m_P**2) * i
-    rep.add("MW^3 iota / (MZ mP^2)", v3, "cgs")
-    rep.add("16 / sqrt5", REF["second_relation_rhs"], "cgs")
-    rep.add("ratio of the previous two", v3 / REF["second_relation_rhs"], "")
-    rep.flags.append(
-        "the second W/Z relation is quoted as holding 'to a relative error "
-        "of 0.99911', which reads as a ratio; the computed ratio is printed "
-        "without interpretation"
-    )
+    rep.measure("MW^3 iota / (MZ mP^2)", v3, "cgs")
+    rep.measure("16 / sqrt5", REF["second_relation_rhs"], "cgs")
+    rep.measure("ratio of the previous two", v3 / REF["second_relation_rhs"], "")
+    rep.flag("note", "the second W/Z relation is quoted as holding 'to a relative "
+             "error of 0.99911', which reads as a ratio; the computed ratio is "
+             "printed without interpretation")
     return rep
 
 
@@ -298,21 +256,21 @@ _PREDICTION_NOTE = (
 )
 
 
-def predicted_masses(k: Constants) -> PhenoReport:
+def predicted_masses(k: Constants) -> Suite:
     """Semi-empirical W/Z mass formulae.
 
     Unit convention (documented, reverse-engineered): masses in GeV come
     out of m_P[GeV] / sqrt(iota[cgs]), with the conversion factor's own
     hidden unit-magnitude coupling making the combination dimensionless.
     """
-    rep = PhenoReport("semi-empirical mass predictions")
+    rep = Suite("semi-empirical mass predictions")
     root_iota = math.sqrt(iota(k))
     mw_pred = 2.0 * math.sqrt(2.0) * (1.0 + k.alpha) * k.m_P / root_iota
     mz_pred = math.sqrt(10.0) * (1.0 + 3.0 * k.alpha) * k.m_P / root_iota
-    rep.add("M_W predicted", mw_pred, "GeV", k.M_W, PREDICTION_TOL,
-            flagged_note=_PREDICTION_NOTE)
-    rep.add("M_Z predicted", mz_pred, "GeV", k.M_Z, PREDICTION_TOL,
-            flagged_note=_PREDICTION_NOTE)
-    rep.add("predicted ratio MZ/MW", mz_pred / mw_pred, "")
-    rep.add("input ratio MZ/MW", k.M_Z / k.M_W, "")
+    rep.measure("M_W predicted", mw_pred, "GeV", k.M_W, PREDICTION_TOL,
+                note=_PREDICTION_NOTE)
+    rep.measure("M_Z predicted", mz_pred, "GeV", k.M_Z, PREDICTION_TOL,
+                note=_PREDICTION_NOTE)
+    rep.measure("predicted ratio MZ/MW", mz_pred / mw_pred, "")
+    rep.measure("input ratio MZ/MW", k.M_Z / k.M_W, "")
     return rep

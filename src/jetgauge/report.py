@@ -30,6 +30,16 @@ class Check:
     actual: Any = None
     tolerance: Any = None
     detail: str = ""
+    unit: str = ""
+    kind: str = "rel"
+
+    @property
+    def deviation(self) -> float | None:
+        """|actual - expected|, relative to |expected| when kind is "rel"."""
+        if self.expected is None:
+            return None
+        dev = abs(self.actual - self.expected)
+        return dev / abs(self.expected) if self.kind == "rel" else dev
 
 
 @dataclass
@@ -38,9 +48,18 @@ class Suite:
     checks: list[Check] = field(default_factory=list)
 
     def check(self, name: str, ok: bool, expected=None, actual=None,
-              tolerance=None, detail: str = "", flag: bool = False) -> Check:
-        status = PASS if ok else (FLAGGED if flag else FAIL)
-        c = Check(name, status, expected, actual, tolerance, detail)
+              tolerance=None, detail: str = "") -> Check:
+        c = Check(name, PASS if ok else FAIL, expected, actual, tolerance, detail)
+        self.checks.append(c)
+        return c
+
+    def measure(self, name: str, value: float, unit: str = "", reference=None,
+                tolerance=None, kind: str = "rel", note: str = "") -> Check:
+        """A measured value against a reference: past tolerance it fails, or is
+        flagged when a note names a contradiction in the reference data."""
+        c = Check(name, PASS, reference, value, tolerance, note, unit, kind)
+        if tolerance is not None and c.deviation is not None and c.deviation > tolerance:
+            c.status = FLAGGED if note else FAIL
         self.checks.append(c)
         return c
 
@@ -78,14 +97,8 @@ class VerificationReport:
     def exit_code(self) -> int:
         return 1 if self.counts[FAIL] else 0
 
-    def to_dict(self, full_precision: bool = False) -> dict:
-        def conv(v):
-            if isinstance(v, float):
-                return fmt_float(v, full_precision)
-            if isinstance(v, (list, tuple)):
-                return [conv(x) for x in v]
-            return v
-
+    def to_dict(self) -> dict:
+        """Plain data for dump_json, which rounds every float."""
         return {
             "suites": [
                 {
@@ -94,9 +107,9 @@ class VerificationReport:
                         {
                             "name": c.name,
                             "status": c.status,
-                            "expected": conv(c.expected),
-                            "actual": conv(c.actual),
-                            "tolerance": conv(c.tolerance),
+                            "expected": c.expected,
+                            "actual": c.actual,
+                            "tolerance": c.tolerance,
                             "detail": c.detail,
                         }
                         for c in s.checks

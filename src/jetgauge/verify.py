@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from . import electroweak, jetspace, octonion, pheno, proca
@@ -262,22 +263,15 @@ def suite_octonions(s: Suite, seed: int = 0) -> None:
 def suite_pheno(s: Suite, constants: pheno.Constants | None = None) -> None:
     k = constants or pheno.Constants.defaults()
     for rep in (pheno.table1(k), pheno.consistency(k), pheno.predicted_masses(k)):
-        for e in rep.entries:
-            if e.reference is None:
-                continue
-            ok = e.status == "pass"
-            s.check(
-                f"{rep.title}: {e.name} [{e.unit}]" if e.unit else f"{rep.title}: {e.name}",
-                ok,
-                e.reference,
-                e.value,
-                tolerance=f"{e.kind} {e.tolerance}" if e.tolerance else None,
-                detail=e.note,
-                flag=e.status == "flagged",
-            )
-        for msg in rep.flags:
-            if not any(c.detail == msg for c in s.checks):
-                s.flag(f"{rep.title}: note", msg)
+        for c in rep.checks:
+            if c.expected is not None:
+                s.checks.append(replace(
+                    c,
+                    name=f"{rep.name}: {c.name} [{c.unit}]" if c.unit else f"{rep.name}: {c.name}",
+                    tolerance=f"{c.kind} {c.tolerance}" if c.tolerance else None,
+                ))
+        for msg in pheno.flags(rep):
+            s.flag(f"{rep.name}: note", msg)
 
 
 def build_report(seed: int = 0, constants: pheno.Constants | None = None) -> VerificationReport:

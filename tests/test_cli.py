@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jetgauge.cli import main
-from jetgauge.report import VerificationReport
+from jetgauge.report import FLAGGED, VerificationReport
 
 
 def run_cli(*argv, capsys=None):
@@ -160,6 +160,24 @@ def test_verify_all_report_bytes_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
 
 
+# sha256 of `pheno <what> --format <format>` stdout with the default constants
+PHENO_SHA256 = {
+    ("table1", "text"): "71ad1dad7a39e8431bf612601c6cc5be16568f2cd4f0ec76cf775adf640be1dd",
+    ("table1", "json"): "c8708fd5f56077d92d98a2760661ae9ab71d43de0ac48ddf05b18d24cb7a49e1",
+    ("consistency", "text"): "d43331dd6866fb8d2bb5c2c6417b7e63762a42fe667ab90197e905fb1a7f6f05",
+    ("consistency", "json"): "8fd8c71141232eff0ef70ca2dc3c6396c46a438a04234ed5876156ea0f3aa7da",
+    ("predict", "text"): "5f69e16ab5de1203ced931757f4b5bbef664dbf83472f6501dba4d7724cde1d2",
+    ("predict", "json"): "7f8f51073f9f9e28d130df772b8ed6aa2d6bdd5a49110af316b391ab89e2af46",
+}
+
+
+@pytest.mark.parametrize("what, fmt", sorted(PHENO_SHA256))
+def test_pheno_report_bytes_pinned(capsys, what, fmt):
+    assert main(["pheno", what, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == PHENO_SHA256[what, fmt]
+
+
 def test_exit_code_contract_on_failure():
     rep = VerificationReport()
     s = rep.suite("demo")
@@ -171,6 +189,26 @@ def test_exit_code_contract_on_failure():
     st = s2.suite("flag-only")
     st.flag("note", "reference-data inconsistency")
     assert s2.exit_code == 0  # flagged rows never fail a run
+
+    # measured rows: past tolerance a row fails, unless a note flags it
+    rep = VerificationReport()
+    s = rep.suite("measured")
+    c = s.measure("inside", 1.00005, "GeV", 1.0, 1e-4)
+    assert c.status == "pass" and c.deviation == pytest.approx(5e-5)
+    assert rep.exit_code == 0
+    c = s.measure("outside", 1.001, "GeV", 1.0, 1e-4)
+    assert c.status == "fail" and rep.exit_code == 1
+    flagged = VerificationReport()
+    c = flagged.suite("noted").measure("outside", 1.001, "GeV", 1.0, 1e-4,
+                                       note="the reference contradicts itself")
+    assert c.status == FLAGGED and c.detail == "the reference contradicts itself"
+    assert flagged.exit_code == 0
+    # "abs" compares |actual - expected|, "rel" divides it by |expected|
+    assert s.measure("rel", 3.0, "", 2.0, 0.6).deviation == 0.5
+    c = s.measure("abs", 3.0, "", 2.0, 0.6, kind="abs")
+    assert c.deviation == 1.0 and c.status == "fail"
+    c = s.measure("unreferenced", 7.0, "cm")
+    assert c.deviation is None and c.status == "pass"
 
 
 def test_simulate_csv(tmp_path, capsys):
@@ -264,22 +302,40 @@ def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("integrator.dlambda", float("nan")), ("integrator.dlambda", float("inf")),
+NAN, INF = float("nan"), float("inf")
+BAD_VALUES = [
+    ("integrator.dlambda", NAN), ("integrator.dlambda", INF),
     ("integrator.dlambda", -0.01), ("integrator.dlambda", 0),
-    ("particle.m", float("nan")), ("particle.q", float("-inf")), ("output.format", "jsn"),
-])
-@pytest.mark.parametrize("kind", ["uniform_B", "grid"])
-def test_simulate_rejects_bad_values_before_integrating(tmp_path, capsys, key, value, kind):
-    field = {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}}
+    ("particle.m", NAN), ("particle.q", -INF), ("output.format", "jsn"),
+    ("particle.u0", [1.0, NAN, 0, 0]), ("particle.x0", [0, 0, 0]),
+    ("particle.x0", [0, INF, 0, 0]), ("particle.u0", "up"), ("particle.u0", [1.0, True, 0, 0]),
+]
+# each field value is read by its own field kind only
+BAD_FIELDS = [
+    ("uniform_B", "field.params.B", [0, 0, NAN]), ("uniform_B", "field.params.B", [0, 1.0]),
+    ("uniform_E", "field.params.E", [0.5, 0, 0, 0]), ("uniform_E", "field.params.E", [-INF, 0, 0]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [(kind, key, value) for kind in ("uniform_B", "grid") for key, value in BAD_VALUES]
+    + BAD_FIELDS,
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, list) else None,
+)
+def test_simulate_rejects_bad_values_before_integrating(tmp_path, capsys, kind, key, value):
+    field = {"kind": kind, "params": {"B": [0, 0, 1.0], "E": [0.5, 0, 0]}}
     if kind == "grid":
         small_grid_npz(tmp_path / "grid.npz")
         field = {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}}
     particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
     cfg = _simulate_config(tmp_path, field, particle, 0.01, 5)
     data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
-    section, name = key.split(".")
-    data[section][name] = value
+    *parents, name = key.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[name] = value
     (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")  # NaN, Infinity
     assert main(["simulate", "--config", cfg]) == 2
     line = one_line(capsys.readouterr().err)
