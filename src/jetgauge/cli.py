@@ -42,7 +42,7 @@ def cmd_signature(args) -> int:
                 {"monomial": m.label(args.axes), "timelike": jetspace.is_timelike(m)}
                 for m in basis.entries
             ]
-        _emit(dump_json(payload, args.full_precision), args)
+        _emit(dump_json(payload), args)
     else:
         lines = [f"({p}, {q})"]
         if args.list:
@@ -214,11 +214,7 @@ def cmd_su3(args) -> int:
 
 def cmd_pheno(args) -> int:
     k = _constants(args)
-    rep = {
-        "table1": pheno.table1,
-        "consistency": pheno.consistency,
-        "predict": pheno.predicted_masses,
-    }[args.what](k)
+    rep = pheno.evaluate(args.what, k)
     if args.format == "json":
         _emit(dump_json(pheno.as_dict(rep), args.full_precision), args)
     else:
@@ -374,12 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
+    def common(p, formats=("text", "json"), *, floats=False, seed=False):
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--full-precision", action="store_true")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property suites")
+        if floats:
+            p.add_argument("--full-precision", action="store_true")
+        if seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized property suites")
 
     p = sub.add_parser("signature", help="jet-space signature (p, q)")
     p.add_argument("--axes", type=int, required=True)
@@ -399,16 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isotropic", help="totally isotropic bases and Gram checks")
     p.add_argument("--sector", choices=("33", "23", "13"), default="33")
-    common(p)
+    common(p, floats=True)
     p.set_defaults(func=cmd_isotropic)
 
     p = sub.add_parser("electroweak", help="exact symmetry-breaking report")
-    common(p, ("json", "text"))
+    common(p, ("json", "text"), floats=True)
     p.set_defaults(func=cmd_electroweak)
 
     p = sub.add_parser("octonion", help="octonion / g2 / su(3) property battery")
     p.add_argument("action", choices=("verify",))
-    common(p)
+    common(p, floats=True, seed=True)
     p.set_defaults(func=cmd_octonion)
 
     p = sub.add_parser("su3", help="stabilizer subalgebra of an imaginary unit")
@@ -417,9 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_su3)
 
     p = sub.add_parser("pheno", help="mass scales, consistency numbers, predictions")
-    p.add_argument("what", choices=("table1", "consistency", "predict"))
+    p.add_argument("what", choices=pheno.REPORTS)
     p.add_argument("--constants", help="JSON file with constant overrides")
-    common(p)
+    common(p, floats=True)
     p.set_defaults(func=cmd_pheno)
 
     p = sub.add_parser("simulate", help="integrate a trajectory from a JSON config")
@@ -429,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run every exact verification suite")
     p.add_argument("--constants", help="JSON file with constant overrides")
-    common(p)
+    common(p, floats=True, seed=True)
     p.set_defaults(func=cmd_verify_all)
 
     return ap

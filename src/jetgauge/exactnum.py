@@ -270,6 +270,9 @@ class ExactMatrix:
         i, j = ij
         return self.rows[i][j]
 
+    def __iter__(self):
+        return iter(self.rows)
+
     def _check_dim(self, other: "ExactMatrix"):
         if self.n != other.n:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")

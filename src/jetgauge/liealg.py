@@ -14,6 +14,10 @@ Minkowskian metric eta = diag(-1,1,1,1) into both index contractions,
 this reproduces the adjoint-trace Killing form of so(1,3), flipping the
 boost directions to positive norm.  (Inserting a single eta does not:
 boost pairs then come out 0 instead of +-4.)
+
+The so(1,3) Killing form and the su(3) one in octonion share one kernel:
+bracket (on rows; an ExactMatrix iterates its rows), structure_constants
+over a closed basis, and the Killing forms read off those constants.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from .exactnum import (
     QS_ZERO,
     RationalLike,
     Solver,
-    commutator,
     qs,
 )
+
+Rows = Sequence[Sequence]
 
 
 def so_pairs(n: int) -> list[tuple[int, int]]:
@@ -206,8 +211,8 @@ def so13_basis() -> list[ExactMatrix]:
     return [eta @ so_generator(4, i, j) for (i, j) in so_pairs(4)]
 
 
-def _ad_matrix_son(x: LieElement) -> list[list[QuadScalar]]:
-    """ad_x over the X_ij coefficient basis of so(n)."""
+def _ad_columns_son(x: LieElement) -> list[list[QuadScalar]]:
+    """The columns of ad_x over the X_ij coefficient basis of so(n)."""
     pairs = so_pairs(x.n)
     index = {p: k for k, p in enumerate(pairs)}
     cols = []
@@ -217,63 +222,70 @@ def _ad_matrix_son(x: LieElement) -> list[list[QuadScalar]]:
         for key, v in br.coeffs.items():
             col[index[key]] = v
         cols.append(col)
-    return [[cols[j][i] for j in range(len(pairs))] for i in range(len(pairs))]
+    return cols
 
 
 def killing_adjoint(x: LieElement, y: LieElement) -> QuadScalar:
-    """K(x, y) = tr(ad_x ad_y), brute force over the so(n) generator basis."""
+    """K(x, y) = tr(ad_x ad_y) = tr(ad_x^T ad_y^T), brute force over so(n)'s basis."""
     x._check(y)
-    return _ad_trace(_ad_matrix_son(x), _ad_matrix_son(y))
+    return _ad_trace(_ad_columns_son(x), _ad_columns_son(y), QS_ZERO)
 
 
-def _expander(basis: Sequence[ExactMatrix]):
-    """Coordinates over basis, which is eliminated once for all expansions."""
-    solver = Solver([[x for row in b.rows for x in row] for b in basis])
-
-    def expand(m: ExactMatrix) -> list[QuadScalar]:
-        sol = solver.solve([x for row in m.rows for x in row])
-        if sol is None:
-            raise ValueError("element does not lie in the span of the basis")
-        return sol
-
-    return expand
+def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
+    """ab - ba of two square matrices given as rows."""
+    acols, bcols = list(zip(*a)), list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(ra, cb) if x and y)
+              - sum(x * y for x, y in zip(rb, ca) if x and y)
+              for ca, cb in zip(acols, bcols))
+        for ra, rb in zip(a, b)
+    )
 
 
-def _ad_in_basis(basis: Sequence[ExactMatrix], m: ExactMatrix, expand) -> list[list[QuadScalar]]:
-    cols = [expand(commutator(m, b)) for b in basis]
-    k = len(basis)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+def _coords(solver: Solver, m: Rows) -> list:
+    sol = solver.solve([x for row in m for x in row])
+    if sol is None:
+        raise ValueError("element does not lie in the span of the basis")
+    return sol
 
 
-def _ad_trace(ax, ay) -> QuadScalar:
-    k = len(ax)
-    total = QS_ZERO
-    for i in range(k):
-        for j in range(k):
-            if ax[i][j] and ay[j][i]:
-                total = total + ax[i][j] * ay[j][i]
-    return total
+def _structure(basis: Sequence[Rows]) -> tuple[Solver, list[list[list]]]:
+    solver = Solver([[x for row in b for x in row] for b in basis])
+    return solver, [[_coords(solver, bracket(a, b)) for b in basis] for a in basis]
 
 
-def killing_adjoint_in_basis(
-    basis: Sequence[ExactMatrix], x: ExactMatrix, y: ExactMatrix
-) -> QuadScalar:
-    """tr(ad_x ad_y) over an explicit closed matrix basis.
+def structure_constants(basis: Sequence[Rows]) -> list[list[list]]:
+    """c[a][b][k] with [X_a, X_b] = sum_k c[a][b][k] X_k, in the basis field.
+
+    The basis is eliminated once; a bracket outside its span raises ValueError."""
+    return _structure(basis)[1]
+
+
+def _ad_trace(ax, ay, zero):
+    return sum((v * ay[j][i] for i, row in enumerate(ax) for j, v in enumerate(row)
+                if v and ay[j][i]), zero)
+
+
+def killing_adjoint_in_basis(basis: Sequence[Rows], x: Rows, y: Rows) -> QuadScalar:
+    """tr(ad_x ad_y) = sum_ab x_a y_b K_ab over an explicit closed matrix basis.
 
     x and y must lie in span(basis) and all brackets must stay inside the
-    span; a bracket that leaves the span raises ValueError.
+    span; an element or a bracket outside the span raises ValueError.
     """
-    expand = _expander(basis)
-    expand(x)
-    expand(y)
-    return _ad_trace(_ad_in_basis(basis, x, expand), _ad_in_basis(basis, y, expand))
+    solver, c = _structure(basis)
+    xs, ys = _coords(solver, x), _coords(solver, y)
+    return sum((u * v * _ad_trace(ca, cb, solver.zero) for u, ca in zip(xs, c) if u
+                for v, cb in zip(ys, c) if v), solver.zero)
 
 
-def killing_table_in_basis(basis: Sequence[ExactMatrix]) -> list[list[QuadScalar]]:
-    """Full Killing table K_ab = tr(ad_a ad_b) over a closed matrix basis."""
-    expand = _expander(basis)
-    ads = [_ad_in_basis(basis, b, expand) for b in basis]
-    return [[_ad_trace(ax, ay) for ay in ads] for ax in ads]
+def killing_table_in_basis(basis: Sequence[Rows]) -> list[list]:
+    """Full Killing table K_ab = tr(ad_a ad_b) over a closed matrix basis.
+
+    (ad_a)[k][i] = c[a][i][k], so K_ab = sum c[a][i][k] c[b][k][i] is _ad_trace
+    of c[a] and c[b]; sums start from the basis field's zero.
+    """
+    solver, c = _structure(basis)
+    return [[_ad_trace(ca, cb, solver.zero) for cb in c] for ca in c]
 
 
 def killing_metric_twisted(

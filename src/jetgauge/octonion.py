@@ -17,7 +17,8 @@ table of (sign, k) with e_i x e_j = sign * e_k, is read once from
 bases are integer rows.  A function that takes a matrix also accepts an
 ExactMatrix and converts it once.  ad_matrix(a) is the matrix of
 v -> a x v in columns (the quoted display lists its transpose, a global
-sign for antisymmetric matrices).
+sign for antisymmetric matrices).  The bracket, structure constants and
+Killing table of subalgebras are liealg's kernel, shared with so(1,3).
 
 The fourteen g2 basis elements A_1..A_7, G_1..G_7 are read off the two
 quoted parameterized displays, with the b-coefficient signs of the G
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Solver, nullspace_exact, rank_exact, rref
+from .exactnum import ExactMatrix, Solver, _frac, nullspace_exact, rank_exact, rref
+from .liealg import Rows, bracket, killing_table_in_basis, structure_constants
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
 _TABLE = {
@@ -56,28 +58,37 @@ def unit_product(i: int, j: int) -> tuple[int, int]:
     return _TABLE[i][j - 1]
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"rational coefficient expected, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
-class Octonion:
-    """Rational octonion c0 + c1 e1 + ... + c7 e7."""
+class _Coefficients:
+    """A fixed-length tuple of rational coefficients, added componentwise."""
 
     coeffs: tuple[Fraction, ...]
+    _size, _noun = 0, ""
 
     def __post_init__(self):
-        if len(self.coeffs) != 8:
-            raise ValueError("an octonion has 8 coefficients")
+        if len(self.coeffs) != self._size:
+            raise ValueError(f"{self._noun} has {self._size} coefficients")
 
-    @staticmethod
-    def make(*cs) -> "Octonion":
-        cs = tuple(_fr(c) for c in cs)
-        return Octonion(cs + (Fraction(0),) * (8 - len(cs)))
+    @classmethod
+    def make(cls, *cs):
+        """Pads the given ints or Fractions with zeros."""
+        cs = tuple(_frac(c) for c in cs)
+        return cls(cs + (Fraction(0),) * (cls._size - len(cs)))
+
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return type(self)(tuple(-a for a in self.coeffs))
+
+
+class Octonion(_Coefficients):
+    """Rational octonion c0 + c1 e1 + ... + c7 e7."""
+
+    _size, _noun = 8, "an octonion"
 
     @staticmethod
     def unit(k: int) -> "Octonion":
@@ -91,15 +102,6 @@ class Octonion:
 
     def imaginary(self) -> "ImOctonion":
         return ImOctonion(self.coeffs[1:])
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(tuple(-a for a in self.coeffs))
 
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
@@ -121,20 +123,10 @@ def oct_mul(a: Octonion, b: Octonion) -> Octonion:
     return Octonion(tuple(out))
 
 
-@dataclass(frozen=True)
-class ImOctonion:
+class ImOctonion(_Coefficients):
     """Pure imaginary octonion, coefficients over e1..e7."""
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 7:
-            raise ValueError("an imaginary octonion has 7 coefficients")
-
-    @staticmethod
-    def make(*cs) -> "ImOctonion":
-        cs = tuple(_fr(c) for c in cs)
-        return ImOctonion(cs + (Fraction(0),) * (7 - len(cs)))
+    _size, _noun = 7, "an imaginary octonion"
 
     @staticmethod
     def unit(k: int) -> "ImOctonion":
@@ -148,17 +140,8 @@ class ImOctonion:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "ImOctonion") -> "ImOctonion":
-        return ImOctonion(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ImOctonion") -> "ImOctonion":
-        return ImOctonion(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "ImOctonion":
-        return ImOctonion(tuple(-a for a in self.coeffs))
-
     def scale(self, c) -> "ImOctonion":
-        c = _fr(c)
+        c = _frac(c)
         return ImOctonion(tuple(c * a for a in self.coeffs))
 
 
@@ -187,8 +170,6 @@ def cross(a: ImOctonion, b: ImOctonion) -> ImOctonion:
 _CROSS = [[(0, 0) if i == j else (_TABLE[i + 1][j][0], _TABLE[i + 1][j][1] - 1)
            for j in range(7)] for i in range(7)]
 
-Rows = Sequence[Sequence]
-
 
 def _rows(m) -> Rows:
     """m as 7x7 rows; an ExactMatrix is converted to Fractions once."""
@@ -216,17 +197,6 @@ def apply_im(m, v: ImOctonion) -> ImOctonion:
     """m v, for a 7x7 matrix m."""
     return ImOctonion(tuple(sum((x * c for x, c in zip(row, v.coeffs) if x), Fraction(0))
                             for row in _rows(m)))
-
-
-def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
-    """ab - ba of two 7x7 rows."""
-    acols, bcols = list(zip(*a)), list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(ra, cb) if x and y)
-              - sum(x * y for x, y in zip(rb, ca) if x and y)
-              for ca, cb in zip(acols, bcols))
-        for ra, rb in zip(a, b)
-    )
 
 
 # the two parameterized displays, encoded per cell as (coefficient k, factor);
@@ -303,15 +273,10 @@ def is_derivation(x) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class G2Element:
+class G2Element(_Coefficients):
     """Element of g2 as coefficients over [A_1..A_7, G_1..G_7]."""
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != 14:
-            raise ValueError("g2 coefficients have length 14")
+    _size, _noun = 14, "a g2 element"
 
     def matrix(self) -> tuple[tuple, ...]:
         return _combination(self.coeffs, _G2)
@@ -356,36 +321,19 @@ def stabilizer_su3(z: ImOctonion) -> list[G2Element]:
 
 
 def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fraction]]]:
-    """Structure constants c[a][b] with [X_a, X_b] = sum_k c[a][b][k] X_k.
-
-    Raises if a bracket leaves the span (i.e. the set is not closed).
-    """
-    mats = [e.matrix() for e in elements]
-    solver = Solver([_upper_tri(m) for m in mats])
-    table = []
-    for a in mats:
-        row = []
-        for b in mats:
-            sol = solver.solve(_upper_tri(bracket(a, b)))
-            if sol is None:
-                raise ValueError("bracket leaves the span: not a subalgebra")
-            row.append(sol)
-        table.append(row)
-    return table
+    """liealg.structure_constants of the elements; ValueError if they do not close."""
+    return structure_constants([e.matrix() for e in elements])
 
 
 def killing_form_table(elements: Sequence[G2Element]) -> list[list[Fraction]]:
     """Adjoint-trace Killing form within the subalgebra spanned by elements."""
-    c = subalgebra_structure(elements)
-    idx = range(len(elements))
-    return [[sum((c[a][i][k] * c[b][k][i] for i in idx for k in idx), Fraction(0))
-             for b in idx] for a in idx]
+    return killing_table_in_basis([e.matrix() for e in elements])
 
 
 def is_negative_definite(sym: Sequence[Sequence[Fraction]]) -> bool:
     """Sylvester test on -K: all leading principal minors positive."""
     n = len(sym)
-    neg = [[-_fr(x) for x in row] for row in sym]
+    neg = [[-_frac(x) for x in row] for row in sym]
     for k in range(1, n + 1):
         _, pivots, det = rref([row[:k] for row in neg[:k]], k)
         if len(pivots) < k or det <= 0:

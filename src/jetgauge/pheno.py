@@ -59,8 +59,9 @@ class Constants:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"constant {f.name} must be positive")
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"constant {f.name} must be finite and positive, got {v!r}")
 
     @property
     def lambda_sq(self) -> float:
@@ -274,3 +275,16 @@ def predicted_masses(k: Constants) -> Suite:
     rep.measure("predicted ratio MZ/MW", mz_pred / mw_pred, "")
     rep.measure("input ratio MZ/MW", k.M_Z / k.M_W, "")
     return rep
+
+
+REPORTS = {"table1": table1, "consistency": consistency, "predict": predicted_masses}
+
+
+def evaluate(what: str, k: Constants) -> Suite:
+    """The REPORTS[what] suite of k; constants that drive a value out of float
+    range raise ValueError."""
+    try:
+        return REPORTS[what](k)
+    except ArithmeticError as exc:
+        raise ValueError(f"constants drive pheno {what} out of float range: "
+                         f"{exc.args[-1]}") from None

@@ -9,6 +9,7 @@ whole point of the artifact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -56,7 +57,10 @@ class Suite:
     def measure(self, name: str, value: float, unit: str = "", reference=None,
                 tolerance=None, kind: str = "rel", note: str = "") -> Check:
         """A measured value against a reference: past tolerance it fails, or is
-        flagged when a note names a contradiction in the reference data."""
+        flagged when a note names a contradiction in the reference data.  A
+        non-finite value raises FloatingPointError: it would pass any tolerance."""
+        if not math.isfinite(value):
+            raise FloatingPointError(f"{name} = {value}")
         c = Check(name, PASS, reference, value, tolerance, note, unit, kind)
         if tolerance is not None and c.deviation is not None and c.deviation > tolerance:
             c.status = FLAGGED if note else FAIL

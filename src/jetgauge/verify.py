@@ -17,6 +17,7 @@ from . import electroweak, jetspace, octonion, pheno, proca
 from .exactnum import ExactMatrix, commutator, qs, trace_metric
 from .liealg import (
     LieElement,
+    bracket,
     killing_adjoint,
     killing_metric_twisted,
     killing_table_in_basis,
@@ -229,7 +230,7 @@ def suite_octonions(s: Suite, seed: int = 0) -> None:
 
     # bracket sector relations
     def has_parts(a, b):
-        g2p, adp = octonion.so7_decompose(octonion.bracket(a, b))
+        g2p, adp = octonion.so7_decompose(bracket(a, b))
         return any(g2p.coeffs), not adp.is_zero()
 
     ok_g2g2 = not any(has_parts(a, b)[1] for a, b in itertools.combinations(basis, 2))
@@ -262,7 +263,7 @@ def suite_octonions(s: Suite, seed: int = 0) -> None:
 
 def suite_pheno(s: Suite, constants: pheno.Constants | None = None) -> None:
     k = constants or pheno.Constants.defaults()
-    for rep in (pheno.table1(k), pheno.consistency(k), pheno.predicted_masses(k)):
+    for rep in (pheno.evaluate(what, k) for what in pheno.REPORTS):
         for c in rep.checks:
             if c.expected is not None:
                 s.checks.append(replace(

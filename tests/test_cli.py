@@ -209,6 +209,10 @@ def test_exit_code_contract_on_failure():
     assert c.deviation == 1.0 and c.status == "fail"
     c = s.measure("unreferenced", 7.0, "cm")
     assert c.deviation is None and c.status == "pass"
+    # a NaN would pass any tolerance, so a non-finite value is refused
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(FloatingPointError):
+            s.measure("non-finite", value, "GeV", 1.0, 1e-4)
 
 
 def test_simulate_csv(tmp_path, capsys):
@@ -351,6 +355,51 @@ def test_pheno_unknown_constant_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"M_W": "heavy"}), encoding="utf-8")
     assert main(["pheno", "table1", "--constants", str(path)]) == 2
     assert "M_W" in one_line(capsys.readouterr().err)
+
+
+# JSON reads NaN and Infinity; M_W**2 overflows at 1e200; e_cgs = 1e300 makes
+# both predicted masses inf, so their ratio comes out NaN
+@pytest.mark.parametrize("constants, argv, message", [
+    ('{"M_W": NaN}', ["pheno", "table1"], "M_W must be finite and positive"),
+    ('{"M_W": Infinity}', ["pheno", "table1"], "M_W must be finite and positive"),
+    ('{"M_W": NaN}', ["verify-all"], "M_W must be finite and positive"),
+    ('{"M_W": Infinity}', ["verify-all"], "M_W must be finite and positive"),
+    ('{"M_W": 1e200}', ["pheno", "consistency"], "pheno consistency out of float range"),
+    ('{"M_W": 1e200}', ["verify-all"], "pheno table1 out of float range"),
+    ('{"e_cgs": 1e300}', ["pheno", "predict"], "M_W predicted = nan"),
+], ids=["table1-nan", "table1-inf", "verify-nan", "verify-inf", "consistency-overflow",
+        "verify-overflow", "predict-nan-result"])
+def test_constants_out_of_range_exit_2(tmp_path, capsys, constants, argv, message):
+    path = tmp_path / "k.json"
+    path.write_text(constants, encoding="utf-8")
+    assert main([*argv, "--constants", str(path)]) == 2
+    captured = capsys.readouterr()
+    line = one_line(captured.err)
+    assert line.startswith("error:") and message in line
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["signature", "--axes", "4", "--order", "1", "--seed", "1"],
+    ["signature", "--axes", "4", "--order", "1", "--full-precision"],
+    ["census", "--full-precision"],
+    ["proca-table", "--full-precision"],
+    ["su3", "--full-precision"],
+    ["su3", "--seed", "1"],
+    ["pheno", "table1", "--seed", "1"],
+    ["isotropic", "--seed", "1"],
+    ["electroweak", "--seed", "1"],
+], ids="-".join)
+def test_options_exist_only_where_read(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_all_keeps_seed(capsys):
+    # the argv of perfbench's verify_all workload; its simulate argv with
+    # --full-precision runs in test_simulate_grid_json_bytes_pinned
+    assert main(["verify-all", "--format", "json", "--seed", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["fail"] == 0
 
 
 def test_su3_malformed_fix_exits_2(capsys):

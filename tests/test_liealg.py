@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,15 @@ from jetgauge.exactnum import (
     QS_SQRT10,
     QS_SQRT5,
     ExactMatrix,
+    QuadScalar,
     commutator,
     qs,
+    solve_exact,
     trace_metric,
 )
 from jetgauge.liealg import (
     LieElement,
+    bracket,
     killing_adjoint,
     killing_adjoint_in_basis,
     killing_metric_twisted,
@@ -24,7 +29,9 @@ from jetgauge.liealg import (
     so_bracket_closed_form,
     so_generator,
     so_pairs,
+    structure_constants,
 )
+from jetgauge.octonion import ImOctonion, g2_basis, stabilizer_su3
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -240,3 +247,84 @@ def test_killing_in_basis_rejects_outside_elements():
 def test_killing_twisted_defaults_to_eta():
     x = so_generator(4, 2, 3)
     assert killing_metric_twisted(x, x) == killing_metric_twisted(x, x, minkowski_eta())
+
+
+# -- the structure-constant Killing kernel -------------------------------------
+
+# closed bases the kernel serves: so(1,3) as ExactMatrix (QuadScalar field) and
+# two su(3) stabilizers in g2 as integer/Fraction rows (Fraction field)
+RATIONAL_FIX = ImOctonion.make(1, F(1, 2), 0, -3, F(2, 3), 0, 5)
+KERNEL_BASES = {
+    "so13": (so13_basis, QuadScalar),
+    "su3_e4": (lambda: [e.matrix() for e in stabilizer_su3(ImOctonion.unit(4))], F),
+    "su3_rational": (lambda: [e.matrix() for e in stabilizer_su3(RATIONAL_FIX)], F),
+}
+
+
+def flat(m):
+    return [x for row in ExactMatrix(m).rows for x in row]
+
+
+def slow_killing_table(basis):
+    """Oracle: expand every commutator [X_a, X_j] over the basis with its own
+    solve, assemble ad_a column by column and take tr(ad_a ad_b) as a trace."""
+    mats = [ExactMatrix(m) for m in basis]
+    columns = [flat(m) for m in mats]
+
+    def ad(m):
+        cols = [solve_exact(columns, flat(commutator(m, xj))) for xj in mats]
+        return ExactMatrix([list(row) for row in zip(*cols)])
+
+    ads = [ad(m) for m in mats]
+    return [[(a @ b).trace() for b in ads] for a in ads]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+def test_structure_constants_expand_every_commutator(name):
+    make, field = KERNEL_BASES[name]
+    basis = make()
+    mats = [ExactMatrix(m) for m in basis]
+    c = structure_constants(basis)
+    for a, xa in enumerate(mats):
+        for b, xb in enumerate(mats):
+            total = ExactMatrix.zeros(xa.n)
+            for k, xk in enumerate(mats):
+                total = total + xk.scale(c[a][b][k])
+            assert total == commutator(xa, xb), (a, b)
+    assert all(type(v) is field for plane in c for row in plane for v in row)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+def test_killing_table_matches_commutator_expansion_oracle(name):
+    make, field = KERNEL_BASES[name]
+    basis = make()
+    table = killing_table_in_basis(basis)
+    assert table == slow_killing_table(basis)
+    assert all(type(v) is field for row in table for v in row)
+
+
+def test_killing_adjoint_in_basis_is_bilinear_in_the_table():
+    basis = so13_basis()
+    slow = slow_killing_table(basis)
+    x = basis[0] + basis[3].scale(qs(2))
+    got = killing_adjoint_in_basis(basis, x, basis[4])
+    assert got == slow[0][4] + qs(2) * slow[3][4]
+    assert type(got) is QuadScalar
+
+
+def test_bracket_takes_exact_matrices_and_rows():
+    x, y = so13_basis()[0], so13_basis()[4]
+    assert ExactMatrix(bracket(x, y)) == commutator(x, y)
+    a, b = g2_basis()[0], g2_basis()[9]
+    assert ExactMatrix(bracket(a, b)) == commutator(ExactMatrix(a), ExactMatrix(b))
+
+
+@pytest.mark.parametrize("basis", [
+    so13_basis()[:2],                 # two boosts: their bracket is a rotation
+    [g2_basis()[7], g2_basis()[8]],   # G_1, G_2 alone do not close
+], ids=["so13-boosts", "g2-G1-G2"])
+def test_kernel_rejects_open_sets(basis):
+    with pytest.raises(ValueError):
+        structure_constants(basis)
+    with pytest.raises(ValueError):
+        killing_table_in_basis(basis)

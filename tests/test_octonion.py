@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetgauge.exactnum import ExactMatrix, commutator, nullspace_exact, qs, rank_exact
+from jetgauge.liealg import bracket
 from jetgauge.octonion import (
     ConsistencyReport,
     G2Element,
@@ -13,7 +14,6 @@ from jetgauge.octonion import (
     ad_basis,
     ad_matrix,
     apply_im,
-    bracket,
     cross,
     g2_basis,
     generic_centralizer_dimension,
