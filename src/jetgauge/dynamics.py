@@ -14,8 +14,11 @@ The non-abelian field strength is F_{mu nu} = d_mu A_nu - d_nu A_mu +
 [A_mu, A_nu]; the commutator term vanishes identically for commuting
 potentials.
 
-A grid-sampled metric gives F at the nodes by the 4th-order stencil and
-between them by multilinear interpolation over the 16 corners of the
+Every first derivative is _stencil(sample, h), the one 4th-order central
+difference: it adds w sample(off) over _STENCIL4 in offset order -2, -1, 1,
+2, starting from 0.0, and divides by 12 h.  A grid-sampled metric gives F at
+the nodes by it (GridMetricField.jacobian steps node indices) and between
+them by multilinear interpolation over the 16 corners of the
 enclosing cell.  grid_field_strength_evaluator fills two lazy caches: F per
 node, computed through the module-level field_strength_em when a node is
 first needed, and per cell the (16, 4, 4) stack of its corner values, so a
@@ -52,6 +55,14 @@ ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
 _STENCIL4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
 
 
+def _stencil(sample, h: float):
+    """sum_k w_k sample(off_k) / (12 h) over _STENCIL4, added in k order from 0.0."""
+    acc = 0.0
+    for off, w in _STENCIL4:
+        acc = acc + w * sample(off)
+    return acc / (12.0 * h)
+
+
 class GridBoundaryError(ValueError):
     """Raised when a stencil would reach outside the sampled grid."""
 
@@ -66,19 +77,20 @@ class MetricField:
     def values(self, x) -> np.ndarray:
         return np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
 
-    def jacobian(self, x) -> np.ndarray:
-        """J[mu, nu] = d_mu g_nu, 4th-order central differences by default."""
+    def derivative(self, x, mu: int) -> np.ndarray:
+        """d_mu of values() at x by the 4th-order stencil."""
         x = np.asarray(x, dtype=float)
-        h = self.step
-        jac = np.zeros((4, 4))
-        for mu in range(4):
-            acc = np.zeros(4)
-            for off, w in _STENCIL4:
-                xp = x.copy()
-                xp[mu] += off * h
-                acc += w * self.values(xp)
-            jac[mu] = acc / (12.0 * h)
-        return jac
+
+        def sample(off):
+            xp = x.copy()
+            xp[mu] += off * self.step
+            return self.values(xp)
+
+        return _stencil(sample, self.step)
+
+    def jacobian(self, x) -> np.ndarray:
+        """J[mu, nu] = d_mu g_nu."""
+        return np.stack([self.derivative(x, mu) for mu in range(4)])
 
 
 class GridMetricField(MetricField):
@@ -114,15 +126,16 @@ class GridMetricField(MetricField):
             raise GridBoundaryError(
                 f"4th-order stencil at node {idx} leaves grid of shape {shape}"
             )
-        jac = np.zeros((4, 4))
-        for mu in range(4):
-            acc = np.zeros(4)
-            for off, w in _STENCIL4:
+        # step along the node index directly, without an _index per sample
+        def row(mu):
+            def sample(off):
                 nidx = list(idx)
                 nidx[mu] += off
-                acc += w * self.grid[(slice(None),) + tuple(nidx)]
-            jac[mu] = acc / (12.0 * self.spacing)
-        return jac
+                return self.grid[(slice(None),) + tuple(nidx)]
+
+            return _stencil(sample, self.spacing)
+
+        return np.stack([row(mu) for mu in range(4)])
 
 
 def field_strength_em(g: MetricField, x) -> np.ndarray:
@@ -184,39 +197,20 @@ def grid_field_strength_evaluator(grid: GridMetricField):
     return evaluate
 
 
-class GaugePotentialField:
-    """Evaluator of four algebra-valued potentials A_mu(x), shape (4, d, d)."""
-
-    def __init__(self, func, step: float = 1e-3):
-        self._func = func
-        self.step = step
+class GaugePotentialField(MetricField):
+    """Evaluator of four algebra-valued potentials A_mu(x), shape (4, d, d);
+    derivative(x, mu) is d_mu A, shape (4, d, d)."""
 
     def values(self, x) -> np.ndarray:
-        a = np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
+        a = super().values(x)
         if a.ndim != 3 or a.shape[0] != 4 or a.shape[1] != a.shape[2]:
             raise ValueError("potential evaluator must return shape (4, d, d)")
         return a
 
-    def derivative(self, x, mu: int) -> np.ndarray:
-        """d_mu A at x, 4th-order central difference; shape (4, d, d)."""
-        x = np.asarray(x, dtype=float)
-        h = self.step
-        acc = None
-        for off, w in _STENCIL4:
-            xp = x.copy()
-            xp[mu] += off * h
-            term = w * self.values(xp)
-            acc = term if acc is None else acc + term
-        return acc / (12.0 * h)
-
 
 def discrete_field_strength(a: GaugePotentialField, x, mu: int, nu: int) -> np.ndarray:
     """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at x."""
-    da_mu = a.derivative(x, mu)[nu]
-    da_nu = a.derivative(x, nu)[mu]
-    vals = a.values(x)
-    am, an = vals[mu], vals[nu]
-    return da_mu - da_nu + am @ an - an @ am
+    return _field_strength_all(a, x)[mu, nu]
 
 
 def _field_strength_all(a: GaugePotentialField, x) -> np.ndarray:

@@ -24,23 +24,12 @@ import numpy as np
 from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
 
 
-@dataclass(frozen=True)
-class EwFieldConfig:
-    b0: QuadScalar
-    a0: QuadScalar
-    a1: QuadScalar
-    a2: QuadScalar
-    g_prime: QuadScalar = qs(1)
-    g: QuadScalar = qs(2)
-
-
-def ew_connection(cfg: EwFieldConfig) -> ExactMatrix:
+def ew_connection(b0, a0, a1, a2) -> ExactMatrix:
     """The antisymmetric 4x4 connection block, with its 1/2 prefactor.
 
     Entry (4,1) is fixed to B0 - 2*A0 as antisymmetry forces (the quoted
     display carries a sign slip there, visible only when A0 != 0).
     """
-    b0, a0, a1, a2 = cfg.b0, cfg.a0, cfg.a1, cfg.a2
     two = qs(2)
     rows = [
         [qs(0), -two * a2, two * a1, two * a0 - b0],
@@ -123,14 +112,17 @@ def mixed_block_closed_form(g_prime, g, cos, sin) -> ExactMatrix:
     return ExactMatrix([[e11, e12], [e12, e22]]).scale(half)
 
 
-def mass_spectrum() -> dict:
-    """Spectrum of the (g', g) = (1, 2) breaking in display normalization."""
-    ratio = QuadScalar(0, 0, Fraction(1, 2))  # sqrt5 / 2
+def mass_spectrum(doubled: ExactMatrix) -> dict:
+    """Spectrum in display normalization, read off the diagonal (photon, Z,
+    W, W) of the doubled mixed mass matrix; the Z/W ratio is exact."""
+    m2_photon, m2_z, m2_w = (doubled.rows[k][k] for k in range(3))
+    ratio_sq = (m2_z / m2_w).as_fraction()
+    ratio = sqrt_rational(ratio_sq)
     return {
-        "m2_photon": qs(0),
-        "m2_z": qs(5),
-        "m2_w": qs(4),
-        "ratio_sq": Fraction(5, 4),
+        "m2_photon": m2_photon,
+        "m2_z": m2_z,
+        "m2_w": m2_w,
+        "ratio_sq": ratio_sq,
         "ratio": ratio,
         "ratio_float": ratio.to_float(),
     }
@@ -180,7 +172,7 @@ def breaking_report() -> dict:
     assert ang.sin is not None and ang.cos is not None
     mixed = apply_mixing(ang.cos, ang.sin, m)
     doubled = mixed.scale(2)
-    spectrum = mass_spectrum()
+    spectrum = mass_spectrum(doubled)
     eigs = float_eigen_crosscheck(m.scale(2).to_float())
     return {
         "couplings": {"g_prime": str(gp), "g": str(gg)},

@@ -51,9 +51,6 @@ class MultiIndex:
     def label(self, n_axes: int = 4) -> str:
         return "".join(axis_name(a, n_axes) for a in self.axes)
 
-    def display(self, n_axes: int = 4) -> str:
-        return f"d^{self.label(n_axes)}"
-
 
 def is_timelike(m: MultiIndex) -> bool:
     """True iff the monomial carries an odd number of timelike factors."""

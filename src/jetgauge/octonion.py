@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import ExactMatrix, Solver, _frac, nullspace_exact, rank_exact, rref
-from .liealg import Rows, bracket, killing_table_in_basis, structure_constants
+from .liealg import Rows, bracket, killing_table_in_basis
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
 _TABLE = {
@@ -318,11 +318,6 @@ def stabilizer_su3(z: ImOctonion) -> list[G2Element]:
     images = [apply_im(b, z).coeffs for b in _G2]
     null = nullspace_exact(list(zip(*images)))  # 7 x 14 system X z = 0
     return [G2Element(tuple(v)) for v in null]
-
-
-def subalgebra_structure(elements: Sequence[G2Element]) -> list[list[list[Fraction]]]:
-    """liealg.structure_constants of the elements; ValueError if they do not close."""
-    return structure_constants([e.matrix() for e in elements])
 
 
 def killing_form_table(elements: Sequence[G2Element]) -> list[list[Fraction]]:

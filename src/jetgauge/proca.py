@@ -53,9 +53,6 @@ class HMetric:
         """1-based access matching the generator index convention."""
         return self.diag[i - 1]
 
-    def as_ints(self) -> list[int]:
-        return [int(x.as_fraction()) for x in self.diag]
-
 
 _H_INTS = (0, 0, 0, 0, 1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
 _H_DIAG = tuple(qs(v) for v in _H_INTS)
@@ -260,14 +257,6 @@ def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
             after = np.sum(hvec * np.diag(rot[i] @ rot[j]))
             worst = max(worst, abs(after - before))
     return worst
-
-
-def u1y_invariance_check(basis: IsotropicBasis, tol: float = 1e-12) -> bool:
-    """Exact first-order invariance plus finite rotations at theta = 0.1, 0.7."""
-    first = u1y_first_order_variation(basis)
-    if any(x for row in first for x in row):
-        return False
-    return all(u1y_finite_rotation_residual(basis, t) <= tol for t in (0.1, 0.7))
 
 
 # -- rotated Proca value over the (3,3) block ---------------------------------

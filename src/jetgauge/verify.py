@@ -164,7 +164,7 @@ def suite_electroweak(s: Suite) -> None:
     mixed = electroweak.apply_mixing(ang.cos, ang.sin, m)
     want_mixed = ExactMatrix.diagonal([0, 5, 4, 4]).scale(qs(1) / qs(2))
     s.check("mixed matrix = (1/2) diag(0,5,4,4) exactly", mixed == want_mixed)
-    spec = electroweak.mass_spectrum()
+    spec = electroweak.mass_spectrum(mixed.scale(2))
     s.check("mass ratio squared = 5/4", spec["ratio_sq"] == Fraction(5, 4),
             "5/4", str(spec["ratio_sq"]))
     eigs = electroweak.float_eigen_crosscheck(m.scale(2).to_float())
@@ -261,9 +261,8 @@ def suite_octonions(s: Suite, seed: int = 0) -> None:
     s.check("stabilizer elements are bracket-action consistent on e4", ok)
 
 
-def suite_pheno(s: Suite, constants: pheno.Constants | None = None) -> None:
-    k = constants or pheno.Constants.defaults()
-    for rep in (pheno.evaluate(what, k) for what in pheno.REPORTS):
+def suite_pheno(s: Suite, reports: list[Suite]) -> None:
+    for rep in reports:
         for c in rep.checks:
             if c.expected is not None:
                 s.checks.append(replace(
@@ -276,6 +275,9 @@ def suite_pheno(s: Suite, constants: pheno.Constants | None = None) -> None:
 
 
 def build_report(seed: int = 0, constants: pheno.Constants | None = None) -> VerificationReport:
+    # first, so constants out of float range raise before the exact suites
+    k = constants or pheno.Constants.defaults()
+    reports = [pheno.evaluate(what, k) for what in pheno.REPORTS]
     rep = VerificationReport()
     suite_signatures(rep.suite("jet signatures"))
     suite_so4(rep.suite("so(4) structure"))
@@ -285,5 +287,5 @@ def build_report(seed: int = 0, constants: pheno.Constants | None = None) -> Ver
     suite_isotropy(rep.suite("totally isotropic subspaces"))
     suite_electroweak(rep.suite("electroweak breaking"))
     suite_octonions(rep.suite("octonion algebra and su(3) reduction"), seed)
-    suite_pheno(rep.suite("mass scales and consistency numbers"), constants)
+    suite_pheno(rep.suite("mass scales and consistency numbers"), reports)
     return rep

@@ -145,7 +145,7 @@ def test_criterion_7_electroweak_breaking():
     mixed = electroweak.apply_mixing(ang.cos, ang.sin, m)
     # the quoted diagonal (0,5,4,4) sits inside the conventional outer 1/2
     assert mixed.scale(2) == ExactMatrix.diagonal([0, 5, 4, 4])
-    spec = electroweak.mass_spectrum()
+    spec = electroweak.mass_spectrum(mixed.scale(2))
     assert spec["ratio_sq"] == F(5, 4)
     assert spec["ratio"] * spec["ratio"] == qs(F(5, 4))
     eigs = electroweak.float_eigen_crosscheck(m.scale(2).to_float())

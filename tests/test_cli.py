@@ -379,6 +379,19 @@ def test_constants_out_of_range_exit_2(tmp_path, capsys, constants, argv, messag
     assert captured.out == ""
 
 
+def test_verify_all_rejects_constants_before_any_suite(tmp_path, capsys, monkeypatch):
+    from jetgauge import verify
+
+    calls = []
+    for name in [n for n in vars(verify) if n.startswith("suite_")]:
+        monkeypatch.setattr(verify, name, lambda *a, n=name: calls.append(n))
+    path = tmp_path / "k.json"
+    path.write_text('{"M_W": 1e200}', encoding="utf-8")
+    assert main(["verify-all", "--constants", str(path)]) == 2
+    assert "pheno table1 out of float range" in one_line(capsys.readouterr().err)
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["signature", "--axes", "4", "--order", "1", "--seed", "1"],
     ["signature", "--axes", "4", "--order", "1", "--full-precision"],

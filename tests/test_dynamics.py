@@ -262,6 +262,16 @@ def test_grid_boundary_error():
         grid.values(np.array([0.26, 1.0, 1.0, 1.0]))  # off-node query
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.tuples(*[st.integers(2, 4)] * 4))
+@settings(max_examples=60, deadline=None)
+def test_grid_jacobian_bit_equal_to_generic_stencil(seed, dyadic, node):
+    # the node-index override against MetricField.jacobian, which steps x and
+    # resolves every sample through GridMetricField.values
+    grid = random_grid(seed, dyadic)
+    x = grid.origin + grid.spacing * np.array(node, dtype=float)
+    assert same_bits(grid.jacobian(x), MetricField.jacobian(grid, x))
+
+
 # -- non-abelian field strength ----------------------------------------------------
 
 
@@ -317,6 +327,16 @@ def test_linear_so3_potential_matches_hand_computed():
             want = c[nu][mu] * t[nu % 3] - c[mu][nu] * t[mu % 3] + am @ an - an @ am
             got = discrete_field_strength(a, x, mu, nu)
             assert np.allclose(got, want, atol=1e-9), (mu, nu)
+
+
+def test_potential_and_metric_fields_share_the_derivative():
+    def func(x):
+        return np.sin(np.outer([0.3, -1.1, 0.7, 2.0], x) + 0.2).reshape(4, 2, 2)
+
+    x = np.array([0.4, -0.3, 1.2, 0.05])
+    for mu in range(4):
+        want = MetricField(func, step=1e-2).derivative(x, mu)
+        assert same_bits(GaugePotentialField(func, step=1e-2).derivative(x, mu), want)
 
 
 def test_bianchi_zero_field():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetgauge.electroweak import (
-    EwFieldConfig,
     apply_mixing,
     breaking_report,
     ew_connection,
@@ -22,16 +21,16 @@ from jetgauge.exactnum import ExactMatrix, qs
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
-def cfg(b0=0, a0=0, a1=0, a2=0):
-    return EwFieldConfig(qs(b0), qs(a0), qs(a1), qs(a2))
+def fields(b0=0, a0=0, a1=0, a2=0):
+    return qs(b0), qs(a0), qs(a1), qs(a2)
 
 
 def test_connection_zero_fields():
-    assert ew_connection(cfg()).is_zero()
+    assert ew_connection(*fields()).is_zero()
 
 
 def test_connection_b0_only():
-    m = ew_connection(cfg(b0=1))
+    m = ew_connection(*fields(b0=1))
     half = qs(1) / qs(2)
     assert m.rows[0][3] == -half
     assert m.rows[3][0] == half
@@ -43,7 +42,7 @@ def test_connection_b0_only():
 
 
 def test_connection_a2_only():
-    m = ew_connection(cfg(a2=1))
+    m = ew_connection(*fields(a2=1))
     assert m.rows[0][1] == qs(-1)
     assert m.rows[1][0] == qs(1)
     assert m.rows[2][3] == qs(-1)
@@ -53,7 +52,7 @@ def test_connection_a2_only():
 @given(fractions, fractions, fractions, fractions)
 @settings(max_examples=40)
 def test_connection_always_antisymmetric(b0, a0, a1, a2):
-    assert ew_connection(cfg(b0, a0, a1, a2)).is_antisymmetric()
+    assert ew_connection(*fields(b0, a0, a1, a2)).is_antisymmetric()
 
 
 def test_mass_matrix_reference_couplings():
@@ -131,14 +130,34 @@ def test_mixing_preserves_trace_det_and_matches_closed_form(t, gp, g):
             assert mixed.rows[i][j] == block.rows[i][j]
 
 
+def doubled_mixed_matrix(gp, g):
+    ang = weinberg_angle(gp, g)
+    return apply_mixing(ang.cos, ang.sin, mass_matrix(gp, g)).scale(2)
+
+
 def test_mass_spectrum():
-    spec = mass_spectrum()
+    spec = mass_spectrum(doubled_mixed_matrix(1, 2))
     assert spec["m2_photon"] == qs(0)
     assert spec["m2_z"] == qs(5)
     assert spec["m2_w"] == qs(4)
     assert spec["ratio_sq"] == F(5, 4)
     assert spec["ratio"] * spec["ratio"] == qs(F(5, 4))
     assert spec["ratio_float"] == 1.118033988749895
+
+
+# Z^2/W^2 = (g^2 + g'^2) / g^2 and Z/W its exact root, read off the matrix
+@pytest.mark.parametrize("gp, g, ratio_sq, ratio", [
+    (1, 1, F(2), qs(0, 1)),   # sqrt2
+    (2, 1, F(5), qs(0, 0, 1)),  # sqrt5
+])
+def test_mass_spectrum_follows_the_couplings(gp, g, ratio_sq, ratio):
+    spec = mass_spectrum(doubled_mixed_matrix(gp, g))
+    assert spec["m2_photon"] == qs(0)
+    assert spec["m2_z"] == qs(g * g + gp * gp)
+    assert spec["m2_w"] == qs(g * g)
+    assert spec["ratio_sq"] == ratio_sq
+    assert spec["ratio"] == ratio
+    assert spec["ratio_float"] == ratio.to_float()
 
 
 def test_jacobi_oracle_examples():

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetgauge.exactnum import ExactMatrix, commutator, nullspace_exact, qs, rank_exact
-from jetgauge.liealg import bracket
+from jetgauge.liealg import bracket, structure_constants
 from jetgauge.octonion import (
     ConsistencyReport,
-    G2Element,
     ImOctonion,
     Octonion,
     ad_basis,
@@ -26,7 +25,6 @@ from jetgauge.octonion import (
     so7_decompose,
     so7_span_rank,
     stabilizer_su3,
-    subalgebra_structure,
     unit_product,
 )
 
@@ -313,7 +311,7 @@ def test_stabilizer_zero_rejected():
 
 def test_stabilizer_su3_certificate():
     stab = stabilizer_su3(e(4))
-    table = subalgebra_structure(stab)          # closure: no residuals
+    table = structure_constants([el.matrix() for el in stab])  # closure: no residuals
     assert len(table) == 8
     kf = killing_form_table(stab)
     assert all(kf[i][j] == kf[j][i] for i in range(8) for j in range(8))
@@ -348,13 +346,6 @@ def test_stabilizer_other_base_point():
     kf = killing_form_table(stab)
     assert is_negative_definite(kf)
     assert generic_centralizer_dimension(stab) == 2
-
-
-def test_subalgebra_structure_rejects_open_sets():
-    bad = [G2Element(tuple(F(1 if i == k else 0) for i in range(14)))
-           for k in (7, 8)]  # G_1, G_2 alone do not close
-    with pytest.raises(ValueError):
-        subalgebra_structure(bad)
 
 
 # -- bracket-action consistency --------------------------------------------------

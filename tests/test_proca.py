@@ -27,7 +27,6 @@ from jetgauge.proca import (
     sector_generator_pairs,
     u1y_finite_rotation_residual,
     u1y_first_order_variation,
-    u1y_invariance_check,
 )
 from jetgauge.refdata import MODE_CENSUS_REFERENCE, PROCA_TABLE_REFERENCE
 from jetgauge.report import FAIL, PASS, Suite
@@ -40,7 +39,7 @@ def test_h_metric_entries():
     assert h[5] == qs(1)
     assert h[12] == qs(-1)
     assert h[28] == qs(1)
-    assert h.as_ints() == [0] * 4 + [1, -1, -1, -1] + [-1] * 7 + [1] * 13
+    assert h.diag == tuple(qs(v) for v in [0] * 4 + [1, -1, -1, -1] + [-1] * 7 + [1] * 13)
 
 
 def test_proca_trace_examples():
@@ -242,8 +241,8 @@ def test_u1y_first_order_variation_matches_dense_oracle():
 def test_u1y_finite_rotation():
     b = isotropic_23_basis()
     assert u1y_finite_rotation_residual(b, 0.0) == 0.0
+    assert u1y_finite_rotation_residual(b, 0.1) <= 1e-12
     assert u1y_finite_rotation_residual(b, 0.7) <= 1e-12
-    assert u1y_invariance_check(b)
 
 
 def test_u1y_invariance_is_structural():
@@ -254,7 +253,8 @@ def test_u1y_invariance_is_structural():
     from jetgauge.proca import IsotropicBasis
 
     other = IsotropicBasis((2, 3), (LieElement(28, {(6, 9): 1}),))
-    assert u1y_invariance_check(other)
+    assert not any(x for row in u1y_first_order_variation(other) for x in row)
+    assert all(u1y_finite_rotation_residual(other, t) <= 1e-12 for t in (0.1, 0.7))
     h = h_metric()
     assert h[6] == h[7]
 

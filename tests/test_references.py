@@ -1,45 +1,80 @@
 """Every function, class and method that src/jetgauge defines is used somewhere.
 
-A name counts as used when it occurs, as a whole word, anywhere in the
-Python files under src/, tests/, scripts/ or perfbench/ other than in a
-`def` or `class` line that defines it.  Dunder methods are exempt: Python
-calls them.  A name that fails here is referenced nowhere and can go.
+Uses are read from the syntax trees of the Python files under src/, tests/,
+scripts/ and perfbench/, so words in docstrings and comments do not count.
+A function or class counts as used through a name (a call, a reference or
+an import of it) or an attribute access such as `dynamics.field_strength_em`.
+A method counts only through an attribute access (`m.label(4)`), or through
+a perfbench span string such as "LieElement.bracket".  Dunder methods are
+exempt: Python calls them.  A name that fails here is used nowhere and can go.
 """
 
 import ast
 import os
-import re
-from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEARCHED = ("src", "tests", "scripts", "perfbench")
 
 
-def python_sources(top):
+def syntax_trees(top):
     for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
         for name in sorted(names):
             if name.endswith(".py"):
                 with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
-                    yield fh.read()
+                    yield ast.parse(fh.read())
 
 
-def defined_names():
+def definitions():
+    """(module, name, is_method) for every non-dunder def and class."""
     package = os.path.join(ROOT, "src", "jetgauge")
     for module in sorted(os.listdir(package)):
         if not module.endswith(".py"):
             continue
         with open(os.path.join(package, module), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        methods[item] = f"{node.name}.{item.name}"
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield module, node.name
+                    yield module, methods.get(node, node.name), node in methods
+
+
+def references():
+    """Names and imported names, attribute names, and perfbench strings."""
+    names, attributes, spans = set(), set(), set()
+    for top in SEARCHED:
+        for tree in syntax_trees(top):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif top == "perfbench" and isinstance(node, ast.Constant):
+                    if isinstance(node.value, str):
+                        spans.add(node.value)
+    return names, attributes, spans
+
+
+def unused_definitions():
+    names, attributes, spans = references()
+    unused = []
+    for module, name, is_method in definitions():
+        short = name.rpartition(".")[2]
+        used = short in attributes or name in spans
+        if not is_method:
+            used = used or short in names
+        if not used:
+            unused.append(f"{module}: {name}")
+    return unused
 
 
 def test_every_defined_name_is_referenced():
-    text = "\n".join(src for top in SEARCHED for src in python_sources(top))
-    words = Counter(re.findall(r"\w+", text))
-    definitions = Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
-    unused = [f"{module}: {name}" for module, name in defined_names()
-              if words[name] <= definitions[name]]
+    unused = unused_definitions()
     assert not unused, f"defined but referenced nowhere: {unused}"
