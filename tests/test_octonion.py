@@ -8,6 +8,7 @@ from jetgauge.exactnum import ExactMatrix, commutator, nullspace_exact, qs, rank
 from jetgauge.liealg import bracket, structure_constants
 from jetgauge.octonion import (
     ConsistencyReport,
+    G2Element,
     ImOctonion,
     Octonion,
     ad_basis,
@@ -346,6 +347,15 @@ def test_stabilizer_other_base_point():
     kf = killing_form_table(stab)
     assert is_negative_definite(kf)
     assert generic_centralizer_dimension(stab) == 2
+
+
+def test_subalgebra_structure_rejects_open_sets():
+    bad = [G2Element(tuple(F(1 if i == k else 0) for i in range(14)))
+           for k in (7, 8)]  # G_1, G_2 alone do not close
+    with pytest.raises(ValueError):
+        structure_constants([el.matrix() for el in bad])
+    with pytest.raises(ValueError):
+        killing_form_table(bad)
 
 
 # -- bracket-action consistency --------------------------------------------------
