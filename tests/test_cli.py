@@ -160,6 +160,37 @@ def test_verify_all_report_bytes_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+def test_verify_all_report_is_seed_independent(capsys, seed):
+    # the random octonion pairs must not change the report bytes
+    assert main(["verify-all", "--format", "json", "--seed", seed]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
+
+
+# sha256 of the stdout of the exact commands whose arithmetic runs over Z;
+# `su3 --fix 1,0,0,1,0,0,1/2` has a non-integral stabilizer basis
+EXACT_OUTPUT_SHA256 = {
+    ("proca-table",): "d20c43ef8c47f7176605fa2293d033d949f0b9dd82893f3ca8d09bd9cbb2359e",
+    ("proca-table", "--format", "csv"): "237166c6596baa85fba624eca74f8c04a89fa8fa6aea3d52ca93f8cfff56c160",
+    ("proca-table", "--format", "json"): "bb91dd1f4d8d5023832160f717557ad2f377fc3061b5d88c373cf85e30983c60",
+    ("su3", "--fix", "e4"): "a56108cf7254397ac4eae23af588ee9036e163541d6a1131ecab5fdecec5dc12",
+    ("su3", "--fix", "e4", "--format", "text"): "9dbed0c2ac8beadf80e37133806b4b44547a9124a203a7245aef8497abe637b1",
+    ("su3", "--fix", "e1"): "ac231a8b9a41fed7960ccac964dd5093c39586849c65b9091f9c88dac54f1899",
+    ("su3", "--fix", "1,0,0,1,0,0,1/2"): "717b982a07bfe1663722a4673a38b0f71e233965c01eb350bc0daacce9fa4bd8",
+    ("octonion", "verify"): "bea8c5c382aaa6826f39c53fc2b30e46068ebb6e1246d580809ea94d9b1b0009",
+    ("octonion", "verify", "--format", "json"): "0c687c1eaa9f5cae03972d258d1fc3d867e6b7306a68cc21844f40d658242a22",
+    ("verify-all",): "e47b42446b08c0b865958750cb6dd24e83e583a5faf634a2508a7f961b0824b5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXACT_OUTPUT_SHA256), ids=" ".join)
+def test_exact_output_bytes_pinned(capsys, argv):
+    main(list(argv))
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == EXACT_OUTPUT_SHA256[argv]
+
+
 # sha256 of `pheno <what> --format <format>` stdout with the default constants
 PHENO_SHA256 = {
     ("table1", "text"): "71ad1dad7a39e8431bf612601c6cc5be16568f2cd4f0ec76cf775adf640be1dd",
