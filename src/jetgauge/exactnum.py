@@ -12,15 +12,19 @@ computations need are 1/sqrt2 (isotropic basis coefficients) and sqrt5
 upstream, and sqrt extraction is offered only for rationals whose
 square-free part is 1, 2, 5 or 10.
 
-ExactMatrix is a dense square matrix over QuadScalar with the handful of
-operations the generator algebra needs (products, commutators, traces
-against a diagonal metric, determinants).
+Integer arithmetic comes first: the structural suites hold their matrices
+as rows of ints (Fractions where a half enters), and QuadScalar enters
+only with a radical, in the isotropic bases and the electroweak data.
+ExactMatrix, a dense square matrix over QuadScalar, is what those modules
+and the test oracles compute with (products, commutators, determinants).
+trace_metric takes rows of any exact type, ExactMatrix included.
 
 All exact linear algebra runs through one Gauss-Jordan kernel, rref,
 which works over whatever field its entries belong to.  ExactMatrix.det,
 solve_exact, nullspace_exact and rank_exact are thin wrappers on it, and
-Solver eliminates a fixed set of columns once for many right-hand sides.
-The wrappers keep the scalar type of their inputs: QuadScalar if any entry
+Solver eliminates a fixed set of columns once for many right-hand sides;
+over Q it keeps one integer transform over a common denominator.  The
+wrappers keep the scalar type of their inputs: QuadScalar if any entry
 is one, Fraction otherwise.
 """
 
@@ -255,10 +259,6 @@ class ExactMatrix:
         return ExactMatrix([[0] * n for _ in range(n)])
 
     @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def diagonal(entries: Sequence[RationalLike]) -> "ExactMatrix":
         n = len(entries)
         m = ExactMatrix.zeros(n)
@@ -315,19 +315,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([list(col) for col in zip(*self.rows)])
 
-    def trace(self) -> QuadScalar:
-        t = _ZERO
-        for i in range(self.n):
-            t = t + self.rows[i][i]
-        return t
-
-    def is_antisymmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == -self.rows[j][i]
-            for i in range(self.n)
-            for j in range(i, self.n)
-        )
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -356,25 +343,18 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
 
 
-def trace_metric(h: Sequence[RationalLike], a: ExactMatrix, b: ExactMatrix) -> QuadScalar:
-    """sum_k h_k (A B)_{kk}, computed exactly without forming the product."""
-    if len(h) != a.n:
-        raise ValueError(f"metric length {len(h)} does not match dimension {a.n}")
-    a._check_dim(b)
-    total = _ZERO
-    brows = b.rows
+def trace_metric(h: Sequence[RationalLike], a: Sequence[Sequence], b: Sequence[Sequence]):
+    """sum_k h_k (A B)_{kk} of square matrices given as rows (an ExactMatrix
+    iterates its rows), computed exactly without forming the product."""
+    a, b = list(a), list(b)
+    if len(h) != len(a):
+        raise ValueError(f"metric length {len(h)} does not match dimension {len(a)}")
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    total = 0
     for k, hk in enumerate(h):
-        hk = QuadScalar.coerce(hk)
-        if not hk:
-            continue
-        arow = a.rows[k]
-        acc = _ZERO
-        for j, akj in enumerate(arow):
-            if akj:
-                bjk = brows[j][k]
-                if bjk:
-                    acc = acc + akj * bjk
-        total = total + hk * acc
+        if hk:
+            total += hk * sum(akj * b[j][k] for j, akj in enumerate(a[k]) if akj and b[j][k])
     return total
 
 
@@ -456,7 +436,9 @@ class Solver:
 
     The columns are eliminated once, as [A | I]; solve(b) applies the stored
     transform E (E A is reduced) to b and answers exactly as solve_exact
-    would.  b must lie over the same field as the columns.
+    would.  Over Q, E is kept as integers over one common denominator, so a
+    solve is an integer matrix-vector product and one division per nonzero
+    entry.  b must lie over the same field as the columns.
     """
 
     def __init__(self, columns: Sequence[Sequence[RationalLike]]):
@@ -465,15 +447,20 @@ class Solver:
         aug = [row + [one if k == i else self.zero for k in range(nrows)]
                for i, row in enumerate(a)]
         reduced, self.pivots, _ = rref(aug, self.ncols)
-        self.transform = [row[self.ncols:] for row in reduced]
+        self.transform, self.scale = [row[self.ncols:] for row in reduced], one
+        if isinstance(one, Fraction):
+            den = math.lcm(*(x.denominator for row in self.transform for x in row))
+            self.transform = [[x.numerator * (den // x.denominator) if x else 0 for x in row]
+                              for row in self.transform]
+            self.scale = Fraction(1, den)
 
     def solve(self, b: Sequence) -> list | None:
         if len(b) != len(self.transform):
             raise ValueError("right-hand side length does not match the columns")
         nonzero = [(k, v) for k, v in enumerate(b) if v]
-        y = [sum((row[k] * v for k, v in nonzero if row[k]), self.zero)
-             for row in self.transform]
-        return _solution(y, self.pivots, self.ncols)
+        y = [sum(row[k] * v for k, v in nonzero if row[k]) for row in self.transform]
+        return _solution([v * self.scale if v else self.zero for v in y],
+                         self.pivots, self.ncols)
 
 
 def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:

@@ -1,10 +1,15 @@
 """so(N) generator algebra: brackets, structure checks, Killing forms.
 
 Generators are indexed by pairs 1 <= i < j <= n with
-(X_ij)_{kl} = delta_ik delta_jl - delta_il delta_jk, realized as exact
-antisymmetric matrices.  LieElement is primarily its coefficients over
-index pairs: brackets and trace forms work on them, and the realized
-matrix is built only on demand, as the test suite's independent oracle.
+(X_ij)_{kl} = delta_ik delta_jl - delta_il delta_jk.  Matrices are square
+rows of ints or Fractions (an ExactMatrix iterates its rows, so it is
+accepted too): generator_rows, so4_bases, minkowski_eta and so13_basis are
+integer rows, with Fraction halves in the so(4) split X_i, Y_i.  bracket,
+the structure constants and the Killing forms run on them over Z or Q.
+QuadScalar enters only with a radical: LieElement keeps QuadScalar
+coefficients for the isotropic bases' 1/sqrt2.  Its brackets and trace
+forms work on the coefficients; the realized ExactMatrix is built only on
+demand, as the test suite's independent oracle.
 
 Two Killing-form flavours are exposed.  killing_adjoint is the plain
 brute-force trace of ad_X ad_Y over the generator basis of so(n); for
@@ -13,26 +18,18 @@ Minkowskian metric eta = diag(-1,1,1,1) into both index contractions,
 2 tr(eta X eta Y); on antisymmetric representatives of so(1,3) elements
 this reproduces the adjoint-trace Killing form of so(1,3), flipping the
 boost directions to positive norm.  (Inserting a single eta does not:
-boost pairs then come out 0 instead of +-4.)
-
-The so(1,3) Killing form and the su(3) one in octonion share one kernel:
-bracket (on rows; an ExactMatrix iterates its rows), structure_constants
-over a closed basis, and the Killing forms read off those constants.
+boost pairs then come out 0 instead of +-4.)  The so(n), so(1,3) and
+su(3) Killing forms share one kernel: the sparse bracket,
+structure_constants over a closed basis, and the forms read off them.
 """
 
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import (
-    ExactMatrix,
-    QuadScalar,
-    QS_ONE,
-    QS_ZERO,
-    RationalLike,
-    Solver,
-    qs,
-)
+from .exactnum import ExactMatrix, QuadScalar, QS_ZERO, RationalLike, Solver, qs
 
 Rows = Sequence[Sequence]
 
@@ -41,14 +38,17 @@ def so_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def so_generator(n: int, i: int, j: int) -> ExactMatrix:
-    """X_ij with +1 at (i,j), -1 at (j,i); 1-based indices, i < j."""
+def generator_rows(n: int, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """X_ij as integer rows: +1 at (i,j), -1 at (j,i); 1-based indices, i < j."""
     if not (1 <= i < j <= n):
         raise ValueError(f"generator indices out of range: ({i},{j}) in so({n})")
-    m = ExactMatrix.zeros(n)
-    m.rows[i - 1][j - 1] = QS_ONE
-    m.rows[j - 1][i - 1] = -QS_ONE
-    return m
+    return tuple(tuple((k == i and m == j) - (k == j and m == i) for m in range(1, n + 1))
+                 for k in range(1, n + 1))
+
+
+def so_generator(n: int, i: int, j: int) -> ExactMatrix:
+    """X_ij realized as an ExactMatrix."""
+    return ExactMatrix(generator_rows(n, i, j))
 
 
 class LieElement:
@@ -178,68 +178,74 @@ def so_bracket_closed_form(
     return LieElement(n, acc)
 
 
-def so4_bases() -> dict[str, ExactMatrix]:
-    """The fixed so(4) generator set A_i, B_i and the split X_i, Y_i.
+def so4_bases() -> dict[str, tuple[tuple, ...]]:
+    """The fixed so(4) generator set A_i, B_i and the split X_i, Y_i, as rows.
 
     Commutation relations (all verified exactly by the test suite):
       [A_i,A_j] = eps_ijk A_k, [B_i,B_j] = eps_ijk A_k, [A_i,B_j] = eps_ijk B_k,
       [X_i,X_j] = eps_ijk X_k, [Y_i,Y_j] = eps_ijk Y_k, [X_i,Y_j] = 0,
-    where X_i = (A_i+B_i)/2 and Y_i = (A_i-B_i)/2.
+    where X_i = (A_i+B_i)/2 and Y_i = (A_i-B_i)/2.  A_i and B_i are integer
+    rows; X_i and Y_i carry Fraction halves.
     """
-    A1 = ExactMatrix([[0, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
-    A2 = ExactMatrix([[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
-    A3 = ExactMatrix([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-    B1 = ExactMatrix([[0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
-    B2 = ExactMatrix([[0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 1, 0, 0]])
-    B3 = ExactMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    half = qs(1) / qs(2)
+    A1 = ((0, 0, 0, 0), (0, 0, -1, 0), (0, 1, 0, 0), (0, 0, 0, 0))
+    A2 = ((0, 0, 1, 0), (0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 0))
+    A3 = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    B1 = ((0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0))
+    B2 = ((0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 1, 0, 0))
+    B3 = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
     out = {"A1": A1, "A2": A2, "A3": A3, "B1": B1, "B2": B2, "B3": B3}
     for i, (a, b) in enumerate(((A1, B1), (A2, B2), (A3, B3)), start=1):
-        out[f"X{i}"] = (a + b).scale(half)
-        out[f"Y{i}"] = (a - b).scale(half)
+        for name, sign in (("X", 1), ("Y", -1)):
+            out[f"{name}{i}"] = tuple(tuple(Fraction(u + sign * v, 2) for u, v in zip(p, q))
+                                      for p, q in zip(a, b))
     return out
 
 
-def minkowski_eta(n: int = 4) -> ExactMatrix:
-    """diag(-1, 1, ..., 1)."""
-    return ExactMatrix.diagonal([-1] + [1] * (n - 1))
+def minkowski_eta(n: int = 4) -> tuple[tuple[int, ...], ...]:
+    """diag(-1, 1, ..., 1) as integer rows."""
+    return tuple(tuple(-1 if i == j == 0 else int(i == j) for j in range(n)) for i in range(n))
 
 
-def so13_basis() -> list[ExactMatrix]:
-    """Mixed-index so(1,3) matrices eta X_ij (3 boosts, 3 rotations)."""
+def _product(a: Rows, b: Rows) -> list[list]:
+    """ab of two square matrices given as rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def so13_basis() -> list[list[list[int]]]:
+    """Mixed-index so(1,3) matrices eta X_ij (3 boosts, 3 rotations), integer rows."""
     eta = minkowski_eta()
-    return [eta @ so_generator(4, i, j) for (i, j) in so_pairs(4)]
+    return [_product(eta, generator_rows(4, i, j)) for (i, j) in so_pairs(4)]
 
 
-def _ad_columns_son(x: LieElement) -> list[list[QuadScalar]]:
-    """The columns of ad_x over the X_ij coefficient basis of so(n)."""
-    pairs = so_pairs(x.n)
-    index = {p: k for k, p in enumerate(pairs)}
-    cols = []
-    for p in pairs:
-        br = x.bracket(LieElement.generator(x.n, *p))
-        col = [QS_ZERO] * len(pairs)
-        for key, v in br.coeffs.items():
-            col[index[key]] = v
-        cols.append(col)
-    return cols
+@functools.cache
+def _so_killing_table(n: int) -> list[list]:
+    return killing_table_in_basis([generator_rows(n, *p) for p in so_pairs(n)])
 
 
 def killing_adjoint(x: LieElement, y: LieElement) -> QuadScalar:
-    """K(x, y) = tr(ad_x ad_y) = tr(ad_x^T ad_y^T), brute force over so(n)'s basis."""
+    """K(x, y) = tr(ad_x ad_y) = sum_ab x_a y_b K_ab, brute force: K is the
+    adjoint-trace table of so(n)'s integer generator rows."""
     x._check(y)
-    return _ad_trace(_ad_columns_son(x), _ad_columns_son(y), QS_ZERO)
+    table, index = _so_killing_table(x.n), {p: k for k, p in enumerate(so_pairs(x.n))}
+    return sum((u * v * table[index[p]][index[q]] for p, u in x.coeffs.items()
+                for q, v in y.coeffs.items()), QS_ZERO)
 
 
 def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
-    """ab - ba of two square matrices given as rows."""
-    acols, bcols = list(zip(*a)), list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(ra, cb) if x and y)
-              - sum(x * y for x, y in zip(rb, ca) if x and y)
-              for ca, cb in zip(acols, bcols))
-        for ra, rb in zip(a, b)
-    )
+    """ab - ba of two square matrices given as rows, by a sparse row kernel:
+    row i of ab accumulates v * b[k] over the nonzero entries v = a[i][k]."""
+    na, nb = ([[(k, v) for k, v in enumerate(row) if v] for row in m] for m in (a, b))
+    out = []
+    for ra, rb in zip(na, nb):
+        acc = [0] * len(na)
+        for k, v in ra:
+            for j, w in nb[k]:
+                acc[j] += v * w
+        for k, v in rb:
+            for j, w in na[k]:
+                acc[j] -= v * w
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _coords(solver: Solver, m: Rows) -> list:
@@ -288,10 +294,8 @@ def killing_table_in_basis(basis: Sequence[Rows]) -> list[list]:
     return [[_ad_trace(ca, cb, solver.zero) for cb in c] for ca in c]
 
 
-def killing_metric_twisted(
-    x: ExactMatrix, y: ExactMatrix, eta: ExactMatrix | None = None
-) -> QuadScalar:
-    """2 tr(eta x eta y) for antisymmetric representatives x, y.
+def killing_metric_twisted(x: Rows, y: Rows, eta: Rows | None = None):
+    """2 tr(eta x eta y) for antisymmetric representatives x, y, given as rows.
 
     The metric enters both contractions: multiplying two index-lowered
     antisymmetric tensors requires raising the middle index, and the
@@ -300,5 +304,6 @@ def killing_metric_twisted(
     to the plain so(4) value 2 tr(xy).
     """
     if eta is None:
-        eta = minkowski_eta(x.n)
-    return qs(2) * ((eta @ x) @ (eta @ y)).trace()
+        eta = minkowski_eta(len(list(x)))
+    ex, ey = _product(eta, x), _product(eta, y)
+    return 2 * sum(u * v for row, col in zip(ex, zip(*ey)) for u, v in zip(row, col))

@@ -11,14 +11,18 @@ random pairs:
   component's last term corrected from -a5*b7 to +a5*b7, which the
   identity a x b = ab + <a, b> (scalar part restored) forces.
 
-Everything else runs on integer structure constants: `_CROSS`, the 7x7
-table of (sign, k) with e_i x e_j = sign * e_k, is read once from
-`_TABLE`.  Matrices are 7x7 rows of ints or Fractions; the g2 and ad
-bases are integer rows.  A function that takes a matrix also accepts an
-ExactMatrix and converts it once.  ad_matrix(a) is the matrix of
-v -> a x v in columns (the quoted display lists its transpose, a global
-sign for antisymmetric matrices).  The bracket, structure constants and
-Killing table of subalgebras are liealg's kernel, shared with so(1,3).
+Everything else runs on integer structure constants, with no QuadScalar:
+`_CROSS`, the 7x7 table of (sign, k) with e_i x e_j = sign * e_k, is read
+once from `_TABLE`.  Coefficients and 7x7 rows are ints wherever they are
+integral (units, the g2 and ad bases), Fractions otherwise; `integral()`
+gives the integer positive multiple of a rational element, for checks
+whose verdict a positive scale keeps.  so7_decompose solves through one
+integer inverse over a common denominator.  A function that takes a
+matrix also accepts an ExactMatrix and converts it once.  ad_matrix(a) is
+the matrix of v -> a x v in columns (the quoted display lists its
+transpose, a global sign for antisymmetric matrices).  The bracket,
+structure constants and Killing table of subalgebras are liealg's kernel,
+shared with so(1,3).
 
 The fourteen g2 basis elements A_1..A_7, G_1..G_7 are read off the two
 quoted parameterized displays, with the b-coefficient signs of the G
@@ -30,11 +34,12 @@ fourteen span all derivations of the table: Der(O) = g2.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Solver, _frac, nullspace_exact, rank_exact, rref
+from .exactnum import ExactMatrix, Solver, _frac, nullspace_exact, rref
 from .liealg import Rows, bracket, killing_table_in_basis
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
@@ -84,6 +89,11 @@ class _Coefficients:
     def __neg__(self):
         return type(self)(tuple(-a for a in self.coeffs))
 
+    def integral(self):
+        """The positive multiple by the lcm of the denominators: integer coefficients."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return type(self)(tuple(int(c * den) for c in self.coeffs))
+
 
 class Octonion(_Coefficients):
     """Rational octonion c0 + c1 e1 + ... + c7 e7."""
@@ -94,7 +104,7 @@ class Octonion(_Coefficients):
     def unit(k: int) -> "Octonion":
         if not (0 <= k <= 7):
             raise ValueError("unit index must lie in 0..7")
-        return Octonion(tuple(Fraction(1 if i == k else 0) for i in range(8)))
+        return Octonion(tuple(int(i == k) for i in range(8)))
 
     @property
     def real(self) -> Fraction:
@@ -106,7 +116,7 @@ class Octonion(_Coefficients):
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
     """Bilinear extension of the unit table."""
-    out = [Fraction(0)] * 8
+    out = [0] * 8
     for i, ai in enumerate(a.coeffs):
         if not ai:
             continue
@@ -132,10 +142,10 @@ class ImOctonion(_Coefficients):
     def unit(k: int) -> "ImOctonion":
         if not (1 <= k <= 7):
             raise ValueError("imaginary unit index must lie in 1..7")
-        return ImOctonion(tuple(Fraction(1 if i == k - 1 else 0) for i in range(7)))
+        return ImOctonion(tuple(int(i == k - 1) for i in range(7)))
 
     def to_octonion(self) -> Octonion:
-        return Octonion((Fraction(0),) + self.coeffs)
+        return Octonion((0,) + self.coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -146,7 +156,7 @@ class ImOctonion(_Coefficients):
 
 
 def inner(a: ImOctonion, b: ImOctonion) -> Fraction:
-    return sum((x * y for x, y in zip(a.coeffs, b.coeffs)), Fraction(0))
+    return sum(x * y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def cross(a: ImOctonion, b: ImOctonion) -> ImOctonion:
@@ -188,15 +198,14 @@ def _combination(coeffs: Sequence, mats: Sequence[Rows]) -> tuple[tuple, ...]:
     """sum_k coeffs[k] * mats[k]."""
     terms = [(c, m) for c, m in zip(coeffs, mats) if c]
     return tuple(
-        tuple(sum((c * m[i][j] for c, m in terms if m[i][j]), Fraction(0)) for j in range(7))
+        tuple(sum(c * m[i][j] for c, m in terms if m[i][j]) for j in range(7))
         for i in range(7)
     )
 
 
 def apply_im(m, v: ImOctonion) -> ImOctonion:
     """m v, for a 7x7 matrix m."""
-    return ImOctonion(tuple(sum((x * c for x, c in zip(row, v.coeffs) if x), Fraction(0))
-                            for row in _rows(m)))
+    return ImOctonion(tuple(sum(x * c for x, c in zip(row, v.coeffs) if x) for row in _rows(m)))
 
 
 # the two parameterized displays, encoded per cell as (coefficient k, factor);
@@ -376,5 +385,6 @@ def jacobi_consistency(x, y: ImOctonion, z: ImOctonion) -> ConsistencyReport:
 
 
 def so7_span_rank() -> int:
-    """Rank of the 21 stacked matrices (g2 basis plus the 7 ad generators)."""
-    return rank_exact([_upper_tri(m) for m in _G2 + _AD])
+    """Rank of the 21 stacked matrices (g2 basis plus the 7 ad generators),
+    read off the pivots of the so(7) solver's one elimination."""
+    return len(_so7_solver().pivots)

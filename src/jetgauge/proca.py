@@ -8,10 +8,12 @@ Canonical global index order (1-based) of the reduced jet space:
   9-15   3-jet timelike monomials (d^ttt, d^txx, ..., d^tzz), h = -1
   16-28  3-jet spacelike monomials (d^ttx, ..., d^zzz), h = +1
 
-Every value of the form is computed on LieElement coefficients by the
-coefficient formula tr(h X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij, so for
-generators tr(h X_ij X_ij) = -(h_ii + h_jj).  Realized 28x28 matrices
-contracted with trace_metric are the independent test oracle.
+h is integral, so the table and the censuses are integers from _H_INTS:
+tr(h X_ij X_ij) = -(h_ii + h_jj).  QuadScalar enters with the 1/sqrt2 of
+the (2,3) isotropic basis: Grams, the hypercharge variation, proca_trace
+and proca_table use the coefficient formula tr(h X Y) = -sum_{i<j}
+(h_i + h_j) x_ij y_ij on LieElements.  Realized 28x28 matrices contracted
+with trace_metric are the independent test oracle.
 
 The (2,3) block census computed from h is (21 positive, 13 negative, 46
 zero).  The quoted signature "(7,39)" for the same block disagrees with
@@ -90,7 +92,9 @@ def proca_table() -> list[list[QuadScalar]]:
 
 
 def proca_table_ints() -> list[list[int]]:
-    return [[int(x.as_fraction()) for x in row] for row in proca_table()]
+    """The same table in integers: entry (i,j) = -(h_ii + h_jj) off the diagonal."""
+    return [[0 if i == j else -(hi + hj) for j, hj in enumerate(_H_INTS)]
+            for i, hi in enumerate(_H_INTS)]
 
 
 def sector_index_ranges(sector: SectorLabel) -> tuple[range, range]:

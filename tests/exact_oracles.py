@@ -1,0 +1,21 @@
+"""Dense QuadScalar helpers that only the tests need.
+
+The program computes its structural claims on integer rows; these build
+and inspect ExactMatrix oracles for the tests that check it.
+"""
+
+from jetgauge.exactnum import ExactMatrix, qs
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def trace(m: ExactMatrix):
+    return sum((m.rows[i][i] for i in range(m.n)), qs(0))
+
+
+def is_antisymmetric(m) -> bool:
+    """m[i][j] == -m[j][i] for a square matrix given as rows or an ExactMatrix."""
+    rows = [list(row) for row in m]
+    return all(rows[i][j] == -rows[j][i] for i in range(len(rows)) for j in range(i, len(rows)))

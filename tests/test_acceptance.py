@@ -68,7 +68,7 @@ EPS = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
 
 
 def test_criterion_2_so4_structure():
-    b = so4_bases()
+    b = {name: ExactMatrix(rows) for name, rows in so4_bases().items()}
     checked = 0
     for fam_l, fam_r, fam_o in (("X", "X", "X"), ("Y", "Y", "Y")):
         for i in range(1, 4):

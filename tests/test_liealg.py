@@ -33,6 +33,8 @@ from jetgauge.liealg import (
 )
 from jetgauge.octonion import ImOctonion, g2_basis, stabilizer_su3
 
+from exact_oracles import identity, is_antisymmetric, trace
+
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -78,7 +80,7 @@ def test_generator_bad_indices():
 def test_generator_self_trace(n):
     for i, j in so_pairs(n):
         g = so_generator(n, i, j)
-        assert (g @ g).trace() == qs(-2)
+        assert trace(g @ g) == qs(-2)
 
 
 def test_closed_form_matches_commutator_exhaustively():
@@ -121,8 +123,12 @@ def _eps_combo(b, fam, i, j):
     return out
 
 
+def so4_matrices():
+    return {name: ExactMatrix(rows) for name, rows in so4_bases().items()}
+
+
 def test_so4_commutation_relations():
-    b = so4_bases()
+    b = so4_matrices()
     for i in range(1, 4):
         for j in range(1, 4):
             assert commutator(b[f"A{i}"], b[f"A{j}"]) == _eps_combo(b, "A", i, j)
@@ -134,7 +140,7 @@ def test_so4_commutation_relations():
 
 
 def test_so4_split_definition():
-    b = so4_bases()
+    b = so4_matrices()
     half = qs(1) / qs(2)
     for i in range(1, 4):
         assert b[f"X{i}"] == (b[f"A{i}"] + b[f"B{i}"]).scale(half)
@@ -143,14 +149,14 @@ def test_so4_split_definition():
 
 def test_all_so4_base_matrices_antisymmetric():
     for m in so4_bases().values():
-        assert m.is_antisymmetric()
+        assert is_antisymmetric(m)
 
 
 @given(lie_elements(4), lie_elements(4))
 @settings(max_examples=40)
 def test_bracket_antisymmetric_and_closed(x, y):
     br = x.bracket(y)
-    assert br.matrix.is_antisymmetric()
+    assert is_antisymmetric(br.matrix)
     assert br == LieElement(4, {k: -v for k, v in y.bracket(x).coeffs.items()})
 
 
@@ -197,7 +203,7 @@ def test_killing_so4_examples():
     x34 = LieElement.generator(4, 3, 4)
     assert killing_adjoint(x12, x34) == qs(0)
     assert killing_adjoint(x12, x12) == qs(-4)
-    assert qs(2) * (x12.matrix @ x12.matrix).trace() == qs(-4)
+    assert qs(2) * trace(x12.matrix @ x12.matrix) == qs(-4)
 
 
 @given(st.integers(min_value=3, max_value=5), st.data())
@@ -205,7 +211,7 @@ def test_killing_so4_examples():
 def test_killing_equals_n_minus_2_trace(n, data):
     x = data.draw(lie_elements(n))
     y = data.draw(lie_elements(n))
-    want = qs(n - 2) * (x.matrix @ y.matrix).trace()
+    want = qs(n - 2) * trace(x.matrix @ y.matrix)
     assert killing_adjoint(x, y) == want
 
 
@@ -229,9 +235,9 @@ def test_so13_twisted_killing_identity():
 def test_single_eta_insertion_is_not_the_killing_form():
     """2 tr(eta X Y) with one metric factor fails on boost pairs; the
     double-contraction form is the one certified by the adjoint trace."""
-    eta = minkowski_eta()
+    eta = ExactMatrix(minkowski_eta())
     x = so_generator(4, 1, 2)  # boost representative
-    single = qs(2) * (eta @ (x @ x)).trace()
+    single = qs(2) * trace(eta @ (x @ x))
     basis = so13_basis()
     adjoint = killing_adjoint_in_basis(basis, eta @ x, eta @ x)
     assert single == qs(0)
@@ -241,7 +247,7 @@ def test_single_eta_insertion_is_not_the_killing_form():
 def test_killing_in_basis_rejects_outside_elements():
     basis = so13_basis()
     with pytest.raises(ValueError):
-        killing_adjoint_in_basis(basis, ExactMatrix.identity(4), basis[0])
+        killing_adjoint_in_basis(basis, identity(4), basis[0])
 
 
 def test_killing_twisted_defaults_to_eta():
@@ -251,11 +257,11 @@ def test_killing_twisted_defaults_to_eta():
 
 # -- the structure-constant Killing kernel -------------------------------------
 
-# closed bases the kernel serves: so(1,3) as ExactMatrix (QuadScalar field) and
-# two su(3) stabilizers in g2 as integer/Fraction rows (Fraction field)
+# closed bases the kernel serves, all as integer/Fraction rows (Fraction field):
+# so(1,3) and two su(3) stabilizers in g2
 RATIONAL_FIX = ImOctonion.make(1, F(1, 2), 0, -3, F(2, 3), 0, 5)
 KERNEL_BASES = {
-    "so13": (so13_basis, QuadScalar),
+    "so13": (so13_basis, F),
     "su3_e4": (lambda: [e.matrix() for e in stabilizer_su3(ImOctonion.unit(4))], F),
     "su3_rational": (lambda: [e.matrix() for e in stabilizer_su3(RATIONAL_FIX)], F),
 }
@@ -276,7 +282,7 @@ def slow_killing_table(basis):
         return ExactMatrix([list(row) for row in zip(*cols)])
 
     ads = [ad(m) for m in mats]
-    return [[(a @ b).trace() for b in ads] for a in ads]
+    return [[trace(a @ b) for b in ads] for a in ads]
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BASES))
@@ -306,16 +312,39 @@ def test_killing_table_matches_commutator_expansion_oracle(name):
 def test_killing_adjoint_in_basis_is_bilinear_in_the_table():
     basis = so13_basis()
     slow = slow_killing_table(basis)
-    x = basis[0] + basis[3].scale(qs(2))
+    x = [[u + 2 * v for u, v in zip(r0, r3)] for r0, r3 in zip(basis[0], basis[3])]
     got = killing_adjoint_in_basis(basis, x, basis[4])
     assert got == slow[0][4] + qs(2) * slow[3][4]
-    assert type(got) is QuadScalar
+    assert type(got) is F
 
 
 def test_bracket_takes_exact_matrices_and_rows():
     x, y = so13_basis()[0], so13_basis()[4]
-    assert ExactMatrix(bracket(x, y)) == commutator(x, y)
+    want = commutator(ExactMatrix(x), ExactMatrix(y))
+    assert ExactMatrix(bracket(x, y)) == want
+    assert ExactMatrix(bracket(ExactMatrix(x), ExactMatrix(y))) == want
     a, b = g2_basis()[0], g2_basis()[9]
+    assert ExactMatrix(bracket(a, b)) == commutator(ExactMatrix(a), ExactMatrix(b))
+
+
+# entries of the three exact types bracket meets: ints, Fractions, QuadScalars
+ENTRIES = {
+    "int": st.integers(min_value=-3, max_value=3),
+    "Fraction": fractions,
+    "QuadScalar": quads,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+@given(st.integers(min_value=2, max_value=8), st.data())
+@settings(max_examples=25, deadline=None)
+def test_sparse_bracket_matches_exact_commutator(kind, n, data):
+    """The sparse row kernel against the dense ExactMatrix commutator, on
+    square rows, mostly zero as the program's are, over each exact type."""
+    pool = data.draw(st.lists(ENTRIES[kind], min_size=1, max_size=6))
+    entry = st.sampled_from([0, 0] + pool)
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    a, b = data.draw(rows), data.draw(rows)
     assert ExactMatrix(bracket(a, b)) == commutator(ExactMatrix(a), ExactMatrix(b))
 
 

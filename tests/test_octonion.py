@@ -1,10 +1,18 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgauge.exactnum import ExactMatrix, commutator, nullspace_exact, qs, rank_exact
+from jetgauge.exactnum import (
+    ExactMatrix,
+    commutator,
+    nullspace_exact,
+    qs,
+    rank_exact,
+    solve_exact,
+)
 from jetgauge.liealg import bracket, structure_constants
 from jetgauge.octonion import (
     ConsistencyReport,
@@ -28,6 +36,8 @@ from jetgauge.octonion import (
     stabilizer_su3,
     unit_product,
 )
+
+from exact_oracles import identity
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 im_octs = st.builds(lambda cs: ImOctonion(tuple(cs)),
@@ -127,6 +137,37 @@ def test_cross_equals_imaginary_part_of_product(a, b):
     assert prod.real == -inner(a, b)
 
 
+def corrupted_cross(a, b):
+    """cross with the pre-correction -a5*b7 term in its second component."""
+    c = list(cross(a, b).coeffs)
+    c[1] -= 2 * a.coeffs[4] * b.coeffs[6]
+    return ImOctonion(tuple(c))
+
+
+def identity_verdict(a, b, cross_product):
+    prod = oct_mul(a.to_octonion(), b.to_octonion())
+    return cross_product(a, b) == prod.imaginary() and prod.real == -inner(a, b)
+
+
+@given(im_octs, im_octs)
+@settings(max_examples=60)
+def test_integral_identity_check_keeps_the_verdict(a, b):
+    """Scaling a pair to integers (as verify-all does) gives the verdict of
+    the Fraction check, and still rejects the pre-correction cross."""
+    ia, ib = a.integral(), b.integral()
+    assert all(type(c) is int for c in ia.coeffs + ib.coeffs)
+    for cross_product in (cross, corrupted_cross):
+        assert identity_verdict(ia, ib, cross_product) == identity_verdict(a, b, cross_product)
+    assert identity_verdict(ia, ib, cross)
+    assert identity_verdict(ia, ib, corrupted_cross) == (a.coeffs[4] * b.coeffs[6] == 0)
+
+
+def test_integral_is_a_positive_integer_multiple():
+    v = ImOctonion.make(F(1, 2), F(-2, 3), 0, 4, F(5, 6))
+    assert v.integral() == v.scale(6)
+    assert ImOctonion.make().integral().is_zero()
+
+
 def test_cross_identity_all_basis_pairs():
     for i in range(1, 8):
         for j in range(1, 8):
@@ -215,7 +256,7 @@ def test_derivations_of_the_table_are_exactly_g2():
 
 def test_is_derivation_rejects_bad_input():
     with pytest.raises(ValueError):
-        is_derivation(ExactMatrix.identity(7))
+        is_derivation(identity(7))
     with pytest.raises(ValueError):
         is_derivation(ExactMatrix.zeros(6))
 
@@ -248,9 +289,31 @@ def test_so7_decompose_reconstructs_input(m):
     assert exact_sum(g2p.coeffs, g2_basis()) + ExactMatrix(ad_matrix(adp)) == ExactMatrix(m)
 
 
+def fraction_decompose(m):
+    """Oracle: the g2 + ad coordinates of m from a one-shot Fraction
+    elimination, with no stored transform and no common denominator."""
+    columns = [[F(b[i][j]) for i, j in UPPER] for b in g2_basis() + ad_basis()]
+    return solve_exact(columns, [F(m[i][j]) for i, j in UPPER])
+
+
+def test_so7_decompose_matches_fraction_solve_on_all_brackets():
+    elements = g2_basis() + ad_basis()
+    for a, b in itertools.combinations(elements, 2):  # 210 brackets
+        m = bracket(a, b)
+        g2p, adp = so7_decompose(m)
+        assert list(g2p.coeffs + adp.coeffs) == fraction_decompose(m)
+
+
+@given(antisym_rows)
+@settings(max_examples=30, deadline=None)
+def test_so7_decompose_matches_fraction_solve(m):
+    g2p, adp = so7_decompose(m)
+    assert list(g2p.coeffs + adp.coeffs) == fraction_decompose(m)
+
+
 def test_so7_decompose_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
-        so7_decompose(ExactMatrix.identity(7))
+        so7_decompose(identity(7))
 
 
 @given(antisym_rows, antisym_rows)
@@ -339,6 +402,21 @@ def test_is_negative_definite_matches_minors(entries):
     minors = [ExactMatrix([[-sym[i][j] for j in range(k)] for i in range(k)]).det()
               for k in range(1, n + 1)]
     assert is_negative_definite(sym) == all(d.as_fraction() > 0 for d in minors)
+
+
+@pytest.mark.parametrize("z", [e(4), ImOctonion.make(1, F(1, 2), 0, -3, F(2, 3), 0, 5)],
+                         ids=["e4", "rational"])
+def test_integral_stabilizer_keeps_the_certificate(z):
+    """verify-all certifies su(3) on the stabilizer basis scaled to integers:
+    same span, so the same closure, definiteness and centralizer verdicts."""
+    stab = stabilizer_su3(z)
+    scaled = [el.integral() for el in stab]
+    assert all(type(c) is int for el in scaled for c in el.coeffs)
+    kf, kf_scaled = killing_form_table(stab), killing_form_table(scaled)
+    assert is_negative_definite(kf) and is_negative_definite(kf_scaled)
+    assert generic_centralizer_dimension(scaled) == generic_centralizer_dimension(stab) == 2
+    if z == e(4):  # an integral basis: the scaled one is the same basis in ints
+        assert kf_scaled == kf
 
 
 def test_stabilizer_other_base_point():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from jetgauge import verify
+from jetgauge import proca, verify
 from jetgauge.exactnum import QS_INV_SQRT2, commutator, qs, trace_metric
 from jetgauge.liealg import LieElement, so_generator, so_pairs
 from jetgauge.proca import (
@@ -81,18 +81,33 @@ def test_verify_proca_row_passes():
     assert _proca_row_status() == PASS
 
 
-@pytest.mark.parametrize(
-    "owner, name", [(LieElement, "trace_form"), (verify, "trace_metric")]
-)
+# a sign error on each side of the row: the integer table, then the dense oracle
+NEGATED = {
+    "proca_table_ints": lambda original: lambda: [[-v for v in row] for row in original()],
+    "trace_metric": lambda original: lambda *args: -original(*args),
+}
+
+
+@pytest.mark.parametrize("owner, name", [(proca, "proca_table_ints"), (verify, "trace_metric")])
 def test_verify_proca_row_fails_when_a_side_is_broken(monkeypatch, owner, name):
-    # the coefficient formula behind proca_trace, then the dense oracle
-    original = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: -original(*args))
+    monkeypatch.setattr(owner, name, NEGATED[name](getattr(owner, name)))
     assert _proca_row_status() == FAIL
 
 
 def test_proca_table_matches_reference_display():
     assert proca_table_ints() == PROCA_TABLE_REFERENCE
+
+
+def test_integer_table_matches_realized_generators():
+    """The integer table against trace_metric on realized 28x28 generators
+    over the QuadScalar metric, and against the coefficient-formula table."""
+    h = h_metric().diag
+    ints = proca_table_ints()
+    for i, j in so_pairs(28):
+        g = so_generator(28, i, j)
+        assert ints[i - 1][j - 1] == ints[j - 1][i - 1] == trace_metric(h, g, g), (i, j)
+    assert all(ints[i][i] == 0 for i in range(28))
+    assert proca_table() == [[qs(v) for v in row] for row in ints]
 
 
 def test_proca_table_spot_rows():

@@ -1,0 +1,207 @@
+"""Every row of the structural suites can fail.
+
+For each row of "so(4) structure", "Killing forms", "Proca trace table"
+and "octonion algebra and su(3) reduction", one targeted perturbation of
+the row's *computed* side (a sign, an entry, a reverted transcription
+correction, a degenerate input to the kernel) must turn the row from pass
+to fail.  A row that compares a value with itself would stay at pass.
+Perturbations live here only; the program is unchanged.
+"""
+
+import pytest
+
+from jetgauge import liealg, octonion, proca, verify
+from jetgauge.exactnum import Solver
+from jetgauge.liealg import bracket, generator_rows, so_pairs
+from jetgauge.octonion import G2Element, ImOctonion, cross
+from jetgauge.report import FAIL, PASS, Suite
+
+SUITES = {
+    "so4": verify.suite_so4,
+    "killing": verify.suite_killing,
+    "proca_table": verify.suite_proca_table,
+    "octonions": verify.suite_octonions,
+}
+
+
+def product(a, b):
+    """ab alone: a bracket that forgot its -ba term."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def plus(m, extra):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(m, extra))
+
+
+def drop_ba(mp):
+    mp.setattr(verify, "bracket", product)
+
+
+def so_killing_entry(mp):
+    original = liealg._so_killing_table
+
+    def table(n):
+        t = [list(row) for row in original(n)]
+        t[0][0] = -t[0][0]
+        return t
+
+    mp.setattr(liealg, "_so_killing_table", table)
+
+
+def so13_without_eta(mp):
+    mp.setattr(verify, "so13_basis", lambda: [generator_rows(4, *p) for p in so_pairs(4)])
+
+
+def proca_entry(mp):
+    original = proca.proca_table_ints
+
+    def table():
+        t = original()
+        t[4][15] = -t[4][15]
+        return t
+
+    mp.setattr(proca, "proca_table_ints", table)
+
+
+def uncorrected_e3e7(mp):
+    # DECISIONS.md C1: the quoted e3*e7 = +e4, before the forced correction
+    row = list(octonion._TABLE[3])
+    row[6] = (1, 4)
+    mp.setitem(octonion._TABLE, 3, row)
+
+
+def uncorrected_cross(mp):
+    # DECISIONS.md C2: the quoted -a5*b7 term of the second component
+    def broken(a, b):
+        c = list(cross(a, b).coeffs)
+        c[1] -= 2 * a.coeffs[4] * b.coeffs[6]
+        return ImOctonion(tuple(c))
+
+    mp.setattr(verify, "cross", broken)
+
+
+def negated_ad_matrix(mp):
+    ads = octonion.ad_basis()
+    ads[2] = tuple(tuple(-x for x in row) for row in ads[2])
+    mp.setattr(octonion, "ad_basis", lambda: list(ads))
+
+
+def uncorrected_g_display(mp):
+    # DECISIONS.md C3: the quoted b-signs at (5,7) and (7,5) of G_2
+    basis = octonion.g2_basis()
+    g = [list(row) for row in basis[8]]
+    g[4][6], g[6][4] = -g[4][6], -g[6][4]
+    basis[8] = tuple(tuple(row) for row in g)
+    mp.setattr(verify, "g2_basis", lambda: list(basis))
+
+
+def derivation_among_ads(mp):
+    ads = octonion.ad_basis()
+    ads[0] = octonion.g2_basis()[0]
+    mp.setattr(octonion, "ad_basis", lambda: list(ads))
+
+
+def degenerate_so7_stack(mp):
+    # the rank read off an elimination of a stack with G_1 in place of A_1
+    original = octonion.so7_span_rank
+    stack = octonion.g2_basis()
+    stack[0] = stack[7]
+    columns = [octonion._upper_tri(m) for m in stack + octonion.ad_basis()]
+
+    def rank():
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(octonion, "_so7_solver", lambda: Solver(columns))
+            return original()
+
+    mp.setattr(octonion, "so7_span_rank", rank)
+
+
+def bracket_plus_ad(mp):
+    ad = octonion.ad_basis()[0]
+    mp.setattr(verify, "bracket", lambda a, b: plus(bracket(a, b), ad))
+
+
+def bracket_plus_g2(mp):
+    g = octonion.g2_basis()[0]
+    mp.setattr(verify, "bracket", lambda a, b: plus(bracket(a, b), g))
+
+
+def zero_bracket(mp):
+    mp.setattr(verify, "bracket", lambda a, b: ((0,) * 7,) * 7)
+
+
+def stabilizer_missing_element(mp):
+    original = octonion.stabilizer_su3
+    mp.setattr(octonion, "stabilizer_su3", lambda z: original(z)[:-1])
+
+
+def stabilizer_with_g1(mp):
+    original = octonion.stabilizer_su3
+    g1 = G2Element.make(*[0] * 7, 1)
+    mp.setattr(octonion, "stabilizer_su3", lambda z: original(z)[:-1] + [g1])
+
+
+def negated_killing_table(mp):
+    original = octonion.killing_form_table
+    mp.setattr(octonion, "killing_form_table",
+               lambda els: [[-v for v in row] for row in original(els)])
+
+
+def zero_probe(mp):
+    # the centralizer of 0 is the whole subalgebra, not a Cartan subalgebra
+    original = octonion.generic_centralizer_dimension
+    mp.setattr(octonion, "generic_centralizer_dimension", lambda els: original(els, [0] * len(els)))
+
+
+def acting_on_e5(mp):
+    original = octonion.jacobi_consistency
+    mp.setattr(octonion, "jacobi_consistency", lambda x, y, z: original(x, y, ImOctonion.unit(5)))
+
+
+# (suite, row name) -> perturbation of the row's computed side
+FLIPS = {
+    ("so4", "[A_i,A_j] = eps_ijk A_k"): drop_ba,
+    ("so4", "[B_i,B_j] = eps_ijk A_k"): drop_ba,
+    ("so4", "[A_i,B_j] = eps_ijk B_k"): drop_ba,
+    ("so4", "[X_i,X_j] = eps_ijk X_k"): drop_ba,
+    ("so4", "[Y_i,Y_j] = eps_ijk Y_k"): drop_ba,
+    ("so4", "[X_i, Y_j] = 0"): drop_ba,
+    ("killing", "so(4): tr(ad ad) == 2 tr(XY), 36 pairs"): so_killing_entry,
+    ("killing", "so(1,3): tr(ad ad) == 2 tr(eta X eta Y), 36 pairs"): so13_without_eta,
+    ("proca_table", "28x28 table matches the quoted display entry-for-entry"): proca_entry,
+    ("proca_table", "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"): proca_entry,
+    ("octonions", "table: e_i e_j = -e_j e_i (i != j), e_i^2 = -1"): uncorrected_e3e7,
+    ("octonions", "cross(a,b) = Im(ab), <a,b> restores the scalar part (49 + 100 pairs)"):
+        uncorrected_cross,
+    ("octonions", "ad-matrix action equals the cross product"): negated_ad_matrix,
+    ("octonions", "all 14 derivation-basis elements pass the derivation test"):
+        uncorrected_g_display,
+    ("octonions", "all 7 ad generators fail the derivation test"): derivation_among_ads,
+    ("octonions", "g2 + ad spans so(7): rank 21"): degenerate_so7_stack,
+    ("octonions", "[g2, g2] stays in g2"): bracket_plus_ad,
+    ("octonions", "[g2, ad] stays in ad"): bracket_plus_g2,
+    ("octonions", "[ad, ad] has a g2 component for some pair"): zero_bracket,
+    ("octonions", "stabilizer of e4: dimension 8"): stabilizer_missing_element,
+    ("octonions", "stabilizer closes under the bracket (zero residuals)"): stabilizer_with_g1,
+    ("octonions", "stabilizer Killing form negative definite"): negated_killing_table,
+    ("octonions", "stabilizer rank (generic centralizer dim) = 2"): zero_probe,
+    ("octonions", "stabilizer elements are bracket-action consistent on e4"): acting_on_e5,
+}
+
+
+def statuses(suite):
+    s = Suite(suite)
+    SUITES[suite](s)
+    return {c.name: c.status for c in s.checks}
+
+
+def test_every_row_has_a_perturbation():
+    rows = {(suite, name) for suite in SUITES for name in statuses(suite)}
+    assert rows == set(FLIPS)
+
+
+@pytest.mark.parametrize("suite, row", sorted(FLIPS), ids=lambda v: v)
+def test_row_flips_to_fail(monkeypatch, suite, row):
+    assert statuses(suite)[row] == PASS
+    FLIPS[suite, row](monkeypatch)
+    assert statuses(suite)[row] == FAIL
