@@ -4,7 +4,7 @@ Modules
 -------
 exactnum     rationals, the field Q(sqrt2, sqrt5), dense exact matrices, elimination
 jetspace     jet-basis enumeration and generalized Minkowskian signatures
-liealg       so(N) generators, brackets, Killing forms
+liealg       so(N) generators as integer rows, brackets, Killing forms
 proca        the 28-dim quadratic form, censuses, isotropic subspaces
 electroweak  mass matrix, weak mixing, exact breaking spectrum
 octonion     octonions, 7d cross product, g2, su(3) stabilizers

@@ -92,7 +92,7 @@ class _Coefficients:
     def integral(self):
         """The positive multiple by the lcm of the denominators: integer coefficients."""
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        return type(self)(tuple(int(c * den) for c in self.coeffs))
+        return type(self)(tuple(c.numerator * (den // c.denominator) for c in self.coeffs))
 
 
 class Octonion(_Coefficients):

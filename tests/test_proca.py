@@ -58,14 +58,17 @@ def test_proca_trace_errors():
 
 
 def test_proca_trace_shortcut_oracle_all_pairs():
-    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, and the
-    same value from trace_metric on the realized 28x28 generator."""
+    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, from
+    proca_trace and from the integer table, and the same value from
+    trace_metric on the realized 28x28 generator."""
     h = h_metric()
+    ints = proca_table_ints()
     for i, j in so_pairs(28):
         want = -(h[i].as_fraction() + h[j].as_fraction())
         assert proca_trace(i, j).as_fraction() == want, (i, j)
         g = so_generator(28, i, j)
-        assert proca_trace(i, j) == trace_metric(h.diag, g, g), (i, j)
+        dense = trace_metric(h.diag, g, g)
+        assert proca_trace(i, j) == dense == ints[i - 1][j - 1] == ints[j - 1][i - 1], (i, j)
 
 
 PROCA_ROW = "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"
@@ -96,18 +99,8 @@ def test_verify_proca_row_fails_when_a_side_is_broken(monkeypatch, owner, name):
 
 def test_proca_table_matches_reference_display():
     assert proca_table_ints() == PROCA_TABLE_REFERENCE
-
-
-def test_integer_table_matches_realized_generators():
-    """The integer table against trace_metric on realized 28x28 generators
-    over the QuadScalar metric, and against the coefficient-formula table."""
-    h = h_metric().diag
-    ints = proca_table_ints()
-    for i, j in so_pairs(28):
-        g = so_generator(28, i, j)
-        assert ints[i - 1][j - 1] == ints[j - 1][i - 1] == trace_metric(h, g, g), (i, j)
-    assert all(ints[i][i] == 0 for i in range(28))
-    assert proca_table() == [[qs(v) for v in row] for row in ints]
+    # the coefficient-formula table over QuadScalar is the same table
+    assert proca_table() == [[qs(v) for v in row] for row in PROCA_TABLE_REFERENCE]
 
 
 def test_proca_table_spot_rows():
