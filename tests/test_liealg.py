@@ -10,7 +10,6 @@ from jetgauge.exactnum import (
     QS_SQRT10,
     QS_SQRT5,
     ExactMatrix,
-    QuadScalar,
     commutator,
     qs,
     solve_exact,
