@@ -168,8 +168,9 @@ def test_verify_all_report_is_seed_independent(capsys, seed):
     assert hashlib.sha256(out).hexdigest() == VERIFY_ALL_SHA256
 
 
-# sha256 of the stdout of the exact commands whose arithmetic runs over Z;
-# `su3 --fix 1,0,0,1,0,0,1/2` has a non-integral stabilizer basis
+# sha256 of the stdout of the exact commands; `su3 --fix 1,0,0,1,0,0,1/2`
+# has a non-integral stabilizer basis, `isotropic --sector 23` carries 1/sqrt2
+# and `electroweak` sqrt5
 EXACT_OUTPUT_SHA256 = {
     ("proca-table",): "d20c43ef8c47f7176605fa2293d033d949f0b9dd82893f3ca8d09bd9cbb2359e",
     ("proca-table", "--format", "csv"): "237166c6596baa85fba624eca74f8c04a89fa8fa6aea3d52ca93f8cfff56c160",
@@ -181,6 +182,13 @@ EXACT_OUTPUT_SHA256 = {
     ("octonion", "verify"): "bea8c5c382aaa6826f39c53fc2b30e46068ebb6e1246d580809ea94d9b1b0009",
     ("octonion", "verify", "--format", "json"): "0c687c1eaa9f5cae03972d258d1fc3d867e6b7306a68cc21844f40d658242a22",
     ("verify-all",): "e47b42446b08c0b865958750cb6dd24e83e583a5faf634a2508a7f961b0824b5",
+    ("census",): "a8465edc5d1a0e863b1643bc49ebd878a554e1364ce19e6a527e7f416fbfbd9d",
+    ("census", "--format", "json"): "45e69e8b6b150aa1e1dff0682b6d55fb5fc150722299d8eef414abb3adc40084",
+    ("isotropic", "--sector", "33", "--format", "json"): "203819430bc6b0ac53b3616e8c2db35604eef92969347968b005344b5b3ba631",
+    ("isotropic", "--sector", "23", "--format", "json"): "f76aad971d6ecc6f1949f32fb86c4517452c03b81da29d8e5496075e2393e0b8",
+    ("isotropic", "--sector", "13", "--format", "json"): "3c05685fc76d93bfc0f6425b4859f74e1acb8ae9256c1938fec758edbb16a7ce",
+    ("isotropic", "--sector", "13"): "72d3d81ef287e6b4820c85a0ece0ac072abddf0a237b3c20c3703ca580579543",
+    ("electroweak",): "75b5461d6810bd816118227c741c2887705deadba537eebf6a3a3c8689ba5452",
 }
 
 
