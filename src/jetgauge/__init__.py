@@ -13,36 +13,4 @@ pheno        constants, conversion factor, mass-scale table, consistency
 verify       the exact suites behind `jetgauge verify-all`
 """
 
-from .exactnum import ExactMatrix, QuadScalar, commutator, qs, trace_metric
-from .jetspace import JetBasis, MultiIndex, enumerate_basis, is_timelike, signature
-from .liealg import (
-    LieElement,
-    killing_adjoint,
-    killing_metric_twisted,
-    so4_bases,
-    so_bracket_closed_form,
-    so_generator,
-)
-from .pheno import Constants
-
-__all__ = [
-    "Constants",
-    "ExactMatrix",
-    "JetBasis",
-    "LieElement",
-    "MultiIndex",
-    "QuadScalar",
-    "commutator",
-    "enumerate_basis",
-    "is_timelike",
-    "killing_adjoint",
-    "killing_metric_twisted",
-    "qs",
-    "signature",
-    "so4_bases",
-    "so_bracket_closed_form",
-    "so_generator",
-    "trace_metric",
-]
-
 __version__ = "0.1.0"

@@ -208,11 +208,6 @@ class GaugePotentialField(MetricField):
         return a
 
 
-def discrete_field_strength(a: GaugePotentialField, x, mu: int, nu: int) -> np.ndarray:
-    """F_{mu nu} = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at x."""
-    return _field_strength_all(a, x)[mu, nu]
-
-
 def _field_strength_all(a: GaugePotentialField, x) -> np.ndarray:
     vals = a.values(x)
     derivs = [a.derivative(x, mu) for mu in range(4)]
@@ -254,20 +249,6 @@ def bianchi_residual(a: GaugePotentialField, x) -> float:
     return worst
 
 
-def gauge_covariance_check(
-    a: GaugePotentialField, lam: np.ndarray, x, pair: tuple[int, int], tol: float = 1e-10
-) -> bool:
-    """|| F(Lam A Lam^-1) - Lam F(A) Lam^-1 || <= tol for constant orthogonal Lam."""
-    lam = np.asarray(lam, dtype=float)
-    if np.max(np.abs(lam @ lam.T - np.eye(lam.shape[0]))) > 1e-12:
-        raise ValueError("gauge transform must be orthogonal within 1e-12")
-    mu, nu = pair
-    conj = GaugePotentialField(lambda pt: np.einsum("ij,mjk,lk->mil", lam, a.values(pt), lam), step=a.step)
-    f_conj = discrete_field_strength(conj, x, mu, nu)
-    f_plain = discrete_field_strength(a, x, mu, nu)
-    return float(np.max(np.abs(f_conj - lam @ f_plain @ lam.T))) <= tol
-
-
 # -- trajectories ---------------------------------------------------------------
 
 
@@ -286,10 +267,6 @@ class ParticleState:
             raise ValueError("rest mass must be positive")
         if self.x.shape != (4,) or self.u.shape != (4,):
             raise ValueError("x and u must be 4-vectors")
-
-
-def eta_norm(u: np.ndarray) -> float:
-    return float(-u[0] * u[0] + u[1] * u[1] + u[2] * u[2] + u[3] * u[3])
 
 
 class Trajectory:
@@ -368,25 +345,17 @@ def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) ->
     return _integrate(state, rows_at, dlam, nsteps, "lorentz")
 
 
-def charge_pairing(a: np.ndarray, b: np.ndarray) -> float:
-    """Normalized trace pairing -tr(ab)/2; equals 1 on a generator paired
-    with itself, so an abelian embedding reduces to the plain charge.
-
-    (The adjoint-trace Killing form itself is proportional to this on a
-    simple so(n) but vanishes identically for n = 2, so the defining-
-    representation trace form is the usable avatar of the Killing
-    pairing here.)
-    """
-    return float(-np.trace(a @ b) / 2.0)
-
-
 def integrate_wong(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m)(F^mu_nu . I) u^nu.
 
     f_eval(x) returns the algebra-valued strength, shape (4, 4, d, d); the
-    gauge indices contract against the particle's charge vector through
-    charge_pairing.  For strengths valued in a one-dimensional abelian
-    subalgebra this reduces exactly to integrate_lorentz.
+    gauge indices contract against the particle's charge vector I through
+    the normalized trace pairing -tr(F I)/2, which is 1 on a generator
+    paired with itself.  So for strengths valued in a one-dimensional
+    abelian subalgebra this reduces exactly to integrate_lorentz.  (The
+    adjoint-trace Killing form is proportional to this pairing on a simple
+    so(n) but vanishes identically for n = 2, so the defining-representation
+    trace form is the usable avatar of the Killing pairing here.)
     """
     charge = state.charge_vector
     if charge is None:
@@ -403,13 +372,6 @@ def integrate_wong(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Tr
         return (-0.5 * np.einsum("mnij,ji->mn", f, charge)).tolist()
 
     return _integrate(state, rows_at, dlam, nsteps, "wong")
-
-
-def recalibrate_charge(q: float, m: float, alpha: float) -> float:
-    """Central-rest-mass shift q -> q + sqrt(alpha) m."""
-    if m <= 0:
-        raise ValueError("rest mass must be positive")
-    return q + (alpha ** 0.5) * m
 
 
 # -- ready-made uniform fields ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Electroweak block: connection matrix, mass matrix, weak mixing, spectrum.
+"""Electroweak block: mass matrix, weak mixing, spectrum.
 
 All angle data is carried as exact (cos, sin) pairs in Q(sqrt2, sqrt5), so
 the whole symmetry-breaking computation stays equality-checkable.  With the
@@ -22,23 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
-
-
-def ew_connection(b0, a0, a1, a2) -> ExactMatrix:
-    """The antisymmetric 4x4 connection block, with its 1/2 prefactor.
-
-    Entry (4,1) is fixed to B0 - 2*A0 as antisymmetry forces (the quoted
-    display carries a sign slip there, visible only when A0 != 0).
-    """
-    two = qs(2)
-    rows = [
-        [qs(0), -two * a2, two * a1, two * a0 - b0],
-        [two * a2, qs(0), two * a0 + b0, -two * a1],
-        [-two * a1, -(two * a0 + b0), qs(0), -two * a2],
-        [b0 - two * a0, two * a1, two * a2, qs(0)],
-    ]
-    half = qs(1) / qs(2)
-    return ExactMatrix(rows).scale(half)
 
 
 def mass_matrix(g_prime, g) -> ExactMatrix:

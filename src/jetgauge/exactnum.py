@@ -16,7 +16,7 @@ Integer arithmetic comes first: the structural suites hold their matrices
 as rows of ints (Fractions where a half enters), and QuadScalar enters
 only with a radical, in the isotropic bases and the electroweak data.
 ExactMatrix, a dense square matrix over QuadScalar, is what those modules
-and the test oracles compute with (products, commutators, determinants).
+and the test oracles compute with (products, determinants).
 trace_metric takes rows of any exact type, ExactMatrix included.
 
 All exact linear algebra runs through one Gauss-Jordan kernel, rref,
@@ -323,9 +323,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash(tuple(tuple(row) for row in self.rows))
 
-    def is_zero(self) -> bool:
-        return not any(any(x for x in row) for row in self.rows)
-
     def det(self) -> QuadScalar:
         _, pivots, signed = rref(self.rows, self.n)
         return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
@@ -336,11 +333,6 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{body}]"
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """AB - BA."""
-    return a @ b - b @ a
 
 
 def trace_metric(h: Sequence[RationalLike], a: Sequence[Sequence], b: Sequence[Sequence]):

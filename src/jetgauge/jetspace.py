@@ -66,9 +66,6 @@ class JetBasis:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def labels(self) -> list[str]:
-        return [m.label(self.n_axes) for m in self.entries]
-
     def order_block(self, k: int) -> list[MultiIndex]:
         return [m for m in self.entries if m.degree == k]
 

@@ -19,8 +19,8 @@ Minkowskian metric eta = diag(-1,1,1,1) into both index contractions,
 this reproduces the adjoint-trace Killing form of so(1,3), flipping the
 boost directions to positive norm.  (Inserting a single eta does not:
 boost pairs then come out 0 instead of +-4.)  The so(n), so(1,3) and
-su(3) Killing forms share one kernel: the sparse bracket,
-structure_constants over a closed basis, and the forms read off them.
+su(3) Killing forms share one kernel: the sparse bracket, the structure
+constants of a closed basis (_structure), and the forms read off them.
 """
 
 from __future__ import annotations
@@ -81,27 +81,6 @@ class LieElement:
             self._matrix = m
         return self._matrix
 
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, QS_ZERO) + v
-        return LieElement(self.n, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, QS_ZERO) - v
-        return LieElement(self.n, out)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.n, {k: -v for k, v in self.coeffs.items()})
-
-    def scale(self, c) -> "LieElement":
-        c = QuadScalar.coerce(c)
-        return LieElement(self.n, {k: c * v for k, v in self.coeffs.items()})
-
     def bracket(self, other: "LieElement") -> "LieElement":
         """sum x_ab y_cd [X_ab, X_cd], each term from so_bracket_closed_form."""
         self._check(other)
@@ -128,9 +107,6 @@ class LieElement:
             if hij:
                 total = total + hij * x * y
         return -total
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other):
         if not isinstance(other, LieElement):
@@ -256,15 +232,11 @@ def _coords(solver: Solver, m: Rows) -> list:
 
 
 def _structure(basis: Sequence[Rows]) -> tuple[Solver, list[list[list]]]:
-    solver = Solver([[x for row in b for x in row] for b in basis])
-    return solver, [[_coords(solver, bracket(a, b)) for b in basis] for a in basis]
-
-
-def structure_constants(basis: Sequence[Rows]) -> list[list[list]]:
-    """c[a][b][k] with [X_a, X_b] = sum_k c[a][b][k] X_k, in the basis field.
+    """The basis' Solver and c[a][b][k] with [X_a, X_b] = sum_k c[a][b][k] X_k.
 
     The basis is eliminated once; a bracket outside its span raises ValueError."""
-    return _structure(basis)[1]
+    solver = Solver([[x for row in b for x in row] for b in basis])
+    return solver, [[_coords(solver, bracket(a, b)) for b in basis] for a in basis]
 
 
 def _ad_trace(ax, ay, zero):

@@ -19,3 +19,8 @@ def is_antisymmetric(m) -> bool:
     """m[i][j] == -m[j][i] for a square matrix given as rows or an ExactMatrix."""
     rows = [list(row) for row in m]
     return all(rows[i][j] == -rows[j][i] for i in range(len(rows)) for j in range(i, len(rows)))
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """AB - BA."""
+    return a @ b - b @ a

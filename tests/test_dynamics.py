@@ -12,16 +12,12 @@ from jetgauge.dynamics import (
     GridMetricField,
     MetricField,
     ParticleState,
+    _field_strength_all,
     bianchi_residual,
-    charge_pairing,
-    discrete_field_strength,
-    eta_norm,
     field_strength_em,
-    gauge_covariance_check,
     grid_field_strength_evaluator,
     integrate_lorentz,
     integrate_wong,
-    recalibrate_charge,
     uniform_electric_f,
     uniform_magnetic_f,
 )
@@ -279,7 +275,7 @@ def test_constant_potential_field_strength_is_commutator():
     t = so3_generators()
     a_const = np.stack([t[0], t[1], 2 * t[2], 0.5 * t[0]])
     a = GaugePotentialField(lambda x: a_const)
-    f01 = discrete_field_strength(a, np.zeros(4), 0, 1)
+    f01 = _field_strength_all(a, np.zeros(4))[0, 1]
     want = t[0] @ t[1] - t[1] @ t[0]
     assert np.allclose(f01, want, atol=1e-10)
 
@@ -303,7 +299,7 @@ def test_pure_gauge_abelian_potential_is_flat():
     a = GaugePotentialField(lambda x: grad_chi(x)[:, None, None] * gen, step=1e-3)
     x = np.array([0.3, -0.2, 0.7, 0.4])
     worst = max(
-        np.max(np.abs(discrete_field_strength(a, x, mu, nu)))
+        np.max(np.abs(_field_strength_all(a, x)[mu, nu]))
         for mu in range(4)
         for nu in range(mu + 1, 4)
     )
@@ -325,7 +321,7 @@ def test_linear_so3_potential_matches_hand_computed():
         for nu in range(mu + 1, 4):
             am, an = (c[mu] @ x) * t[mu % 3], (c[nu] @ x) * t[nu % 3]
             want = c[nu][mu] * t[nu % 3] - c[mu][nu] * t[mu % 3] + am @ an - an @ am
-            got = discrete_field_strength(a, x, mu, nu)
+            got = _field_strength_all(a, x)[mu, nu]
             assert np.allclose(got, want, atol=1e-9), (mu, nu)
 
 
@@ -390,6 +386,19 @@ def _givens(n, i, j, theta):
     r[i, j] = s
     r[j, i] = -s
     return r
+
+
+def gauge_covariance_check(a, lam, x, pair, tol=1e-10):
+    """|| F(Lam A Lam^-1) - Lam F(A) Lam^-1 || <= tol for constant orthogonal Lam."""
+    lam = np.asarray(lam, dtype=float)
+    if np.max(np.abs(lam @ lam.T - np.eye(lam.shape[0]))) > 1e-12:
+        raise ValueError("gauge transform must be orthogonal within 1e-12")
+    mu, nu = pair
+    conj = GaugePotentialField(lambda pt: np.einsum("ij,mjk,lk->mil", lam, a.values(pt), lam),
+                               step=a.step)
+    f_conj = _field_strength_all(conj, x)[mu, nu]
+    f_plain = _field_strength_all(a, x)[mu, nu]
+    return float(np.max(np.abs(f_conj - lam @ f_plain @ lam.T))) <= tol
 
 
 def test_gauge_covariance():
@@ -507,12 +516,6 @@ def x12(dim):
     g[0, 1] = 1.0
     g[1, 0] = -1.0
     return g
-
-
-def test_charge_pairing_normalization():
-    g = x12(2)
-    assert charge_pairing(g, g) == 1.0
-    assert charge_pairing(g, np.zeros((2, 2))) == 0.0
 
 
 def test_wong_reduces_to_lorentz_for_abelian_embedding():
@@ -646,17 +649,3 @@ def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
     sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=i0 * gen)
     assert np.array_equal(integrate_wong(sw, algebra_f, dlam, n).table,
                           numpy_integrate(sw, feff, dlam, n))
-
-
-def test_recalibrate_charge():
-    alpha = 7.2973525693e-3
-    assert recalibrate_charge(0.0, 2.0, alpha) == math.sqrt(alpha) * 2.0
-    assert recalibrate_charge(1.3, 2.0, 0.0) == 1.3
-    q = -math.sqrt(alpha) * 2.0
-    assert abs(recalibrate_charge(q, 2.0, alpha)) < 1e-18
-    with pytest.raises(ValueError):
-        recalibrate_charge(1.0, 0.0, alpha)
-
-
-def test_eta_norm_helper():
-    assert eta_norm(np.array([2.0, 1.0, 0.0, 0.0])) == -3.0

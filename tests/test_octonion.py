@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from jetgauge.exactnum import (
     ExactMatrix,
-    commutator,
     nullspace_exact,
     qs,
     rank_exact,
     solve_exact,
 )
-from jetgauge.liealg import bracket, structure_constants
+from jetgauge.liealg import _structure, bracket
 from jetgauge.octonion import (
     ConsistencyReport,
     G2Element,
@@ -37,7 +36,7 @@ from jetgauge.octonion import (
     unit_product,
 )
 
-from exact_oracles import identity
+from exact_oracles import commutator, identity
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 im_octs = st.builds(lambda cs: ImOctonion(tuple(cs)),
@@ -369,7 +368,7 @@ def test_stabilizer_zero_rejected():
 
 def test_stabilizer_su3_certificate():
     stab = stabilizer_su3(e(4))
-    table = structure_constants([el.matrix() for el in stab])  # closure: no residuals
+    table = _structure([el.matrix() for el in stab])[1]  # closure: no residuals
     assert len(table) == 8
     kf = killing_form_table(stab)
     assert all(kf[i][j] == kf[j][i] for i in range(8) for j in range(8))
@@ -380,7 +379,7 @@ def test_stabilizer_su3_certificate():
     assert generic_centralizer_dimension(stab) == 2
     basis = g2_basis()
     a4, g4 = basis[3], basis[10]
-    assert commutator(ExactMatrix(a4), ExactMatrix(g4)).is_zero()
+    assert commutator(ExactMatrix(a4), ExactMatrix(g4)) == ExactMatrix.zeros(7)
     assert apply_im(a4, e(4)).is_zero() and apply_im(g4, e(4)).is_zero()
     flat = [[a4[i][j] for i in range(7) for j in range(7)],
             [g4[i][j] for i in range(7) for j in range(7)]]
@@ -425,7 +424,7 @@ def test_subalgebra_structure_rejects_open_sets():
     bad = [G2Element(tuple(F(1 if i == k else 0) for i in range(14)))
            for k in (7, 8)]  # G_1, G_2 alone do not close
     with pytest.raises(ValueError):
-        structure_constants([el.matrix() for el in bad])
+        _structure([el.matrix() for el in bad])
     with pytest.raises(ValueError):
         killing_form_table(bad)
 

@@ -2,18 +2,19 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from jetgauge import proca, verify
-from jetgauge.exactnum import QS_INV_SQRT2, commutator, qs, trace_metric
+from jetgauge.exactnum import QS_INV_SQRT2, qs, trace_metric
 from jetgauge.liealg import LieElement, so_generator, so_pairs
 from jetgauge.proca import (
+    H_INTS,
     U1Y_GENERATOR_PAIR,
     IsotropicBasis,
     SECTOR_23_QUOTED_SIGNATURE,
     flagged_inconsistencies,
     gram_matrix,
-    h_metric,
     isotropic_13_basis,
     isotropic_23_basis,
     isotropic_33_basis,
@@ -21,9 +22,6 @@ from jetgauge.proca import (
     mode_census,
     proca_table,
     proca_table_ints,
-    proca_trace,
-    rotated_proca_closed_form,
-    rotated_proca_value,
     sector_generator_pairs,
     u1y_finite_rotation_residual,
     u1y_first_order_variation,
@@ -31,44 +29,31 @@ from jetgauge.proca import (
 from jetgauge.refdata import MODE_CENSUS_REFERENCE, PROCA_TABLE_REFERENCE
 from jetgauge.report import FAIL, PASS, Suite
 
+from exact_oracles import commutator
+
 
 def test_h_metric_entries():
-    h = h_metric()
-    assert len(h) == 28
-    assert [h[i] for i in range(1, 5)] == [qs(0)] * 4
-    assert h[5] == qs(1)
-    assert h[12] == qs(-1)
-    assert h[28] == qs(1)
-    assert h.diag == tuple(qs(v) for v in [0] * 4 + [1, -1, -1, -1] + [-1] * 7 + [1] * 13)
+    assert H_INTS == (0,) * 4 + (1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
 
 
 def test_proca_trace_examples():
-    assert proca_trace(1, 5) == qs(-1)
-    assert proca_trace(9, 10) == qs(2)
-    assert proca_trace(16, 17) == qs(-2)
-
-
-def test_proca_trace_errors():
-    with pytest.raises(ValueError):
-        proca_trace(3, 3)
-    with pytest.raises(ValueError):
-        proca_trace(0, 5)
-    with pytest.raises(ValueError):
-        proca_trace(1, 29)
+    t = proca_table()
+    assert t[0][4] == qs(-1)
+    assert t[8][9] == qs(2)
+    assert t[15][16] == qs(-2)
 
 
 def test_proca_trace_shortcut_oracle_all_pairs():
-    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, from
-    proca_trace and from the integer table, and the same value from
-    trace_metric on the realized 28x28 generator."""
-    h = h_metric()
-    ints = proca_table_ints()
+    """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, from the
+    coefficient-formula table and from the integer table, and the same
+    value from trace_metric on the realized 28x28 generator."""
+    table, ints = proca_table(), proca_table_ints()
     for i, j in so_pairs(28):
-        want = -(h[i].as_fraction() + h[j].as_fraction())
-        assert proca_trace(i, j).as_fraction() == want, (i, j)
+        got = table[i - 1][j - 1]
+        assert got.as_fraction() == -(H_INTS[i - 1] + H_INTS[j - 1]), (i, j)
         g = so_generator(28, i, j)
-        dense = trace_metric(h.diag, g, g)
-        assert proca_trace(i, j) == dense == ints[i - 1][j - 1] == ints[j - 1][i - 1], (i, j)
+        dense = trace_metric(H_INTS, g, g)
+        assert got == table[j - 1][i - 1] == dense == ints[i - 1][j - 1] == ints[j - 1][i - 1], (i, j)
 
 
 PROCA_ROW = "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"
@@ -152,7 +137,7 @@ def test_33_basis():
 
 def test_33_single_vector_traces():
     b = isotropic_33_basis()
-    h = h_metric().diag
+    h = H_INTS
     v12 = b.vectors[0].matrix  # (i,j) = (1,2)
     v13 = b.vectors[1].matrix  # (i,j) = (1,3)
     assert trace_metric(h, v12, v12) == qs(0)
@@ -165,7 +150,7 @@ def test_23_basis():
     assert is_totally_isotropic(b)
     v1 = b.vectors[0].matrix
     v2 = b.vectors[1].matrix
-    h = h_metric().diag
+    h = H_INTS
     assert trace_metric(h, v1, v1) == qs(0)  # -2 + 1 + 1
     assert trace_metric(h, v1, v2) == qs(0)
 
@@ -189,7 +174,7 @@ def test_13_basis_greedy():
 
 
 def _dense_gram(mats_a, mats_b):
-    h = h_metric().diag
+    h = H_INTS
     return [[trace_metric(h, a, b) for b in mats_b] for a in mats_a]
 
 
@@ -241,7 +226,7 @@ def test_u1y_first_order_variation_matches_dense_oracle():
     # nonzero, so the coefficient bracket and trace form are compared there
     gen = LieElement.generator(28, *U1Y_GENERATOR_PAIR)
     v, w = LieElement.generator(28, 6, 9), LieElement.generator(28, 7, 9)
-    one_sided = gen.bracket(v).trace_form(h_metric().diag, w)
+    one_sided = gen.bracket(v).trace_form(H_INTS, w)
     assert one_sided == _dense_gram([commutator(g, v.matrix)], [w.matrix])[0][0]
     assert one_sided
 
@@ -263,11 +248,64 @@ def test_u1y_invariance_is_structural():
     other = IsotropicBasis((2, 3), (LieElement(28, {(6, 9): 1}),))
     assert not any(x for row in u1y_first_order_variation(other) for x in row)
     assert all(u1y_finite_rotation_residual(other, t) <= 1e-12 for t in (0.1, 0.7))
-    h = h_metric()
-    assert h[6] == h[7]
+    assert H_INTS[5] == H_INTS[6]  # h_6 == h_7
 
 
 # -- rotated quadratic form ------------------------------------------------------
+
+# local (3,3) indices 1..20 map to global 9..28; local h is (-1)^7 (+1)^13,
+# so the dimensionless value (1/2) tr(h A A) weighs pairs inside 1..7 by +1,
+# pairs inside 8..20 by -1, and mixed pairs by 0.
+_LOCAL_DIM = 20
+_LOCAL_H = np.array([-1.0] * 7 + [1.0] * 13)
+
+
+def _local_weight(i: int, j: int) -> float:
+    return -(_LOCAL_H[i - 1] + _LOCAL_H[j - 1]) / 2.0
+
+
+def rotated_proca_value(coeffs, theta: float) -> float:
+    """Value of the (3,3) quadratic form after conjugating by exp(-theta X_78).
+
+    Coefficients index the local (3,3) generators (1 <= i < j <= 20, split
+    7 + 13).  Computed by direct conjugation of the realized matrix: the
+    oracle of rotated_proca_closed_form.
+    """
+    a = proca._antisymmetric(_LOCAL_DIM, coeffs)
+    r = proca._givens(_LOCAL_DIM, 7, 8, -theta)
+    ap = r @ a @ r.T
+    return 0.5 * float(np.sum(_LOCAL_H * np.diag(ap @ ap)))
+
+
+def rotated_proca_closed_form(coeffs, theta: float) -> float:
+    """Closed form of the rotated (3,3) value.
+
+    The quoted closed form for this rotation drops the theta-independent
+    cross-block contribution of the pairs touching indices 7 and 8 and
+    carries factor/sign slips in the brackets; the full expression used
+    here is rederived from the coefficient rotation and is checked against
+    direct conjugation (DECISIONS.md entry C5).  The bracketed
+    cos(2 theta) / sin(2 theta) structure of the quoted form is preserved.
+    """
+
+    def get(i, j):
+        if i < j:
+            return coeffs.get((i, j), 0.0)
+        return -coeffs.get((j, i), 0.0)
+
+    const = 0.0
+    for (i, j), v in coeffs.items():
+        if 7 in (i, j) or 8 in (i, j):
+            continue
+        const += _local_weight(i, j) * v * v
+    cos_bracket = 0.0
+    sin_bracket = 0.0
+    for k in list(range(1, 7)) + list(range(9, _LOCAL_DIM + 1)):
+        a7, a8 = get(k, 7), get(k, 8)
+        const += (a7 * a7 + a8 * a8) / 2.0 * (1.0 if k <= 6 else -1.0)
+        cos_bracket += (a7 * a7 - a8 * a8) / 2.0
+        sin_bracket += a7 * a8
+    return const + cos_bracket * math.cos(2 * theta) - sin_bracket * math.sin(2 * theta)
 
 
 def _random_coeffs(rng, n=12):

@@ -1,18 +1,20 @@
 """Every row of the structural suites can fail.
 
-For each row of "so(4) structure", "Killing forms", "Proca trace table"
-and "octonion algebra and su(3) reduction", one targeted perturbation of
-the row's *computed* side (a sign, an entry, a reverted transcription
-correction, a degenerate input to the kernel) must turn the row from pass
-to fail.  A row that compares a value with itself would stay at pass.
-Perturbations live here only; the program is unchanged.
+For each row of "so(4) structure", "Killing forms", "Proca trace table",
+"totally isotropic subspaces" and "octonion algebra and su(3) reduction",
+one targeted perturbation of the row's *computed* side (a sign, an entry,
+a reverted transcription correction, a degenerate input to the kernel)
+must turn the row from pass to fail.  A row that compares a value with
+itself would stay at pass.  Perturbations live here only; the program is
+unchanged.
 """
 
 import pytest
 
 from jetgauge import liealg, octonion, proca, verify
-from jetgauge.exactnum import Solver
-from jetgauge.liealg import bracket, generator_rows, so_pairs
+from jetgauge.cli import main
+from jetgauge.exactnum import Solver, qs
+from jetgauge.liealg import LieElement, bracket, generator_rows, so_pairs
 from jetgauge.octonion import G2Element, ImOctonion, cross
 from jetgauge.report import FAIL, PASS, Suite
 
@@ -20,6 +22,7 @@ SUITES = {
     "so4": verify.suite_so4,
     "killing": verify.suite_killing,
     "proca_table": verify.suite_proca_table,
+    "isotropy": verify.suite_isotropy,
     "octonions": verify.suite_octonions,
 }
 
@@ -61,6 +64,49 @@ def proca_entry(mp):
         return t
 
     mp.setattr(proca, "proca_table_ints", table)
+
+
+def with_last_vector(builder, *replacement):
+    """The builder's basis with its last vector dropped, or replaced."""
+    def perturb(mp):
+        original = getattr(proca, builder)
+
+        def basis():
+            b = original()
+            return proca.IsotropicBasis(b.sector, b.vectors[:-1] + replacement)
+
+        mp.setattr(proca, builder, basis)
+
+    return perturb
+
+
+def shortened(builder):
+    return with_last_vector(builder)
+
+
+def non_isotropic(builder, pair):
+    """The last vector replaced by X_pair, whose h-trace is nonzero."""
+    return with_last_vector(builder, LieElement.generator(28, *pair))
+
+
+def h7_unlike_h6(mp):
+    # the hypercharge invariance rests on h_6 == h_7
+    h = list(proca._H_DIAG)
+    h[6] = qs(1)
+    mp.setattr(proca, "_H_DIAG", tuple(h))
+
+
+def non_orthogonal_givens(mp):
+    original = proca._givens
+
+    def sheared(n, i, j, theta):
+        # adds row 6 into row 1, where h differs: no basis change can flip
+        # the theta = 0 row, but a rotation that is not orthogonal does
+        r = original(n, i, j, theta)
+        r[0, 5] += 1.0
+        return r
+
+    mp.setattr(proca, "_givens", sheared)
 
 
 def uncorrected_e3e7(mp):
@@ -170,6 +216,16 @@ FLIPS = {
     ("killing", "so(1,3): tr(ad ad) == 2 tr(eta X eta Y), 36 pairs"): so13_without_eta,
     ("proca_table", "28x28 table matches the quoted display entry-for-entry"): proca_entry,
     ("proca_table", "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"): proca_entry,
+    ("isotropy", "(3,3) basis size = 21 = min(21,78)"): shortened("isotropic_33_basis"),
+    ("isotropy", "(3,3) Gram identically zero"): non_isotropic("isotropic_33_basis", (9, 10)),
+    ("isotropy", "(2,3) basis size = 7"): shortened("isotropic_23_basis"),
+    ("isotropy", "(2,3) Gram identically zero"): non_isotropic("isotropic_23_basis", (5, 16)),
+    ("isotropy", "(1,3) greedy basis built and verified, size = 28 = min(28,52)"):
+        non_isotropic("isotropic_13_basis", (1, 9)),
+    ("isotropy", "(2,3) Gram hypercharge-invariant to first order (exact)"): h7_unlike_h6,
+    ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.0"): non_orthogonal_givens,
+    ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.1"): non_orthogonal_givens,
+    ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.7"): non_orthogonal_givens,
     ("octonions", "table: e_i e_j = -e_j e_i (i != j), e_i^2 = -1"): uncorrected_e3e7,
     ("octonions", "cross(a,b) = Im(ab), <a,b> restores the scalar part (49 + 100 pairs)"):
         uncorrected_cross,
@@ -205,3 +261,15 @@ def test_row_flips_to_fail(monkeypatch, suite, row):
     assert statuses(suite)[row] == PASS
     FLIPS[suite, row](monkeypatch)
     assert statuses(suite)[row] == FAIL
+
+
+def test_13_row_also_checks_the_size(monkeypatch):
+    row = "(1,3) greedy basis built and verified, size = 28 = min(28,52)"
+    shortened("isotropic_13_basis")(monkeypatch)
+    assert statuses("isotropy")[row] == FAIL
+
+
+def test_isotropic_command_reports_a_non_isotropic_basis(monkeypatch, capsys):
+    non_isotropic("isotropic_13_basis", (1, 9))(monkeypatch)
+    assert main(["isotropic", "--sector", "13"]) == 1
+    assert "gram zero: False" in capsys.readouterr().out.splitlines()[0]
