@@ -62,7 +62,7 @@ _INDEX_ORDER_NOTE = (
 
 
 def cmd_proca_table(args) -> int:
-    table = proca.proca_table_ints()
+    table = proca.proca_table()
     if args.format == "json":
         _emit(dump_json({"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}), args)
     elif args.format == "csv":

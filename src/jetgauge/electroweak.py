@@ -107,7 +107,7 @@ def mass_spectrum(doubled: ExactMatrix) -> dict:
         "m2_w": m2_w,
         "ratio_sq": ratio_sq,
         "ratio": ratio,
-        "ratio_float": ratio.to_float(),
+        "ratio_float": float(ratio),
     }
 
 

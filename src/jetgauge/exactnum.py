@@ -13,11 +13,13 @@ upstream, and sqrt extraction is offered only for rationals whose
 square-free part is 1, 2, 5 or 10.
 
 Integer arithmetic comes first: the structural suites hold their matrices
-as rows of ints (Fractions where a half enters), and QuadScalar enters
-only with a radical, in the isotropic bases and the electroweak data.
-ExactMatrix, a dense square matrix over QuadScalar, is what those modules
-and the test oracles compute with (products, determinants).
-trace_metric takes rows of any exact type, ExactMatrix included.
+as rows of ints (Fractions where a half enters) and so(n) coefficients in
+their native exact type.  QuadScalar enters only with a radical: the
+1/sqrt2 of the (2,3) isotropic basis and the sqrt5 of the electroweak
+data.  ExactMatrix, a dense square matrix over QuadScalar, is what the
+electroweak module and the test oracles compute with (products,
+determinants).  trace_metric takes rows of any exact type, ExactMatrix
+included.  Every exact scalar converts with float().
 
 All exact linear algebra runs through one Gauss-Jordan kernel, rref,
 which works over whatever field its entries belong to.  ExactMatrix.det,
@@ -38,7 +40,7 @@ import numpy as np
 
 RationalLike = Union[int, Fraction, "QuadScalar"]
 
-# 40-digit rational approximations of the radicals, so that to_float can
+# 40-digit rational approximations of the radicals, so that float() can
 # evaluate the full sum exactly and round once (a single rounding matches
 # high-precision evaluation; summing pre-rounded binary64 products can be
 # off by an ulp)
@@ -164,7 +166,7 @@ class QuadScalar:
     def __bool__(self):
         return bool(self.a or self.b or self.c or self.d)
 
-    def to_float(self) -> float:
+    def __float__(self) -> float:
         if not (self.b or self.c or self.d):
             return float(self.a)
         return float(self.a + self.b * _SQRT2_R + self.c * _SQRT5_R + self.d * _SQRT10_R)
@@ -202,7 +204,6 @@ QS_SQRT2 = QuadScalar(0, 1)
 QS_SQRT5 = QuadScalar(0, 0, 1)
 QS_SQRT10 = QuadScalar(0, 0, 0, 1)
 QS_INV_SQRT2 = QuadScalar(0, Fraction(1, 2))  # sqrt2/2
-QS_INV_SQRT5 = QuadScalar(0, 0, Fraction(1, 5))  # sqrt5/5
 
 
 def qs(a=0, b=0, c=0, d=0) -> QuadScalar:
@@ -266,10 +267,6 @@ class ExactMatrix:
             m.rows[i][i] = QuadScalar.coerce(e)
         return m
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __iter__(self):
         return iter(self.rows)
 
@@ -320,15 +317,12 @@ class ExactMatrix:
             return NotImplemented
         return self.n == other.n and self.rows == other.rows
 
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.rows))
-
     def det(self) -> QuadScalar:
         _, pivots, signed = rref(self.rows, self.n)
         return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
 
     def to_float(self) -> np.ndarray:
-        return np.array([[x.to_float() for x in row] for row in self.rows], dtype=float)
+        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)

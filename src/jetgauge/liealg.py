@@ -6,10 +6,12 @@ rows of ints or Fractions (an ExactMatrix iterates its rows, so it is
 accepted too): generator_rows, so4_bases, minkowski_eta and so13_basis are
 integer rows, with Fraction halves in the so(4) split X_i, Y_i.  bracket,
 the structure constants and the Killing forms run on them over Z or Q.
-QuadScalar enters only with a radical: LieElement keeps QuadScalar
-coefficients for the isotropic bases' 1/sqrt2.  Its brackets and trace
-forms work on the coefficients; the realized ExactMatrix is built only on
-demand, as the test suite's independent oracle.
+LieElement keeps each coefficient in its own exact type: an int, a
+Fraction, or a QuadScalar only where a radical is (the 1/sqrt2 of the
+(2,3) isotropic basis).  Its brackets and trace forms work on the
+coefficients and sum from int 0, so integral data stays integral; the
+realized ExactMatrix is built only on demand, as the test suite's
+independent oracle.
 
 Two Killing-form flavours are exposed.  killing_adjoint is the plain
 brute-force trace of ad_X ad_Y over the generator basis of so(n); for
@@ -29,7 +31,7 @@ import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactnum import ExactMatrix, QuadScalar, QS_ZERO, RationalLike, Solver, qs
+from .exactnum import ExactMatrix, RationalLike, Solver
 
 Rows = Sequence[Sequence]
 
@@ -58,10 +60,9 @@ class LieElement:
 
     def __init__(self, n: int, coeffs: Mapping[tuple[int, int], object] | None = None):
         self.n = n
-        self.coeffs: dict[tuple[int, int], QuadScalar] = {}
+        self.coeffs: dict[tuple[int, int], RationalLike] = {}
         self._matrix: ExactMatrix | None = None
         for (i, j), v in (coeffs or {}).items():
-            v = QuadScalar.coerce(v)
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad index pair ({i},{j}) for so({n})")
             if v:
@@ -74,36 +75,35 @@ class LieElement:
     @property
     def matrix(self) -> ExactMatrix:
         if self._matrix is None:
-            m = ExactMatrix.zeros(self.n)
+            rows = [[0] * self.n for _ in range(self.n)]
             for (i, j), v in self.coeffs.items():
-                m.rows[i - 1][j - 1] = v
-                m.rows[j - 1][i - 1] = -v
-            self._matrix = m
+                rows[i - 1][j - 1], rows[j - 1][i - 1] = v, -v
+            self._matrix = ExactMatrix(rows)
         return self._matrix
 
     def bracket(self, other: "LieElement") -> "LieElement":
         """sum x_ab y_cd [X_ab, X_cd], each term from so_bracket_closed_form."""
         self._check(other)
-        acc: dict[tuple[int, int], QuadScalar] = {}
+        acc: dict[tuple[int, int], RationalLike] = {}
         for ab, x in self.coeffs.items():
             for cd, y in other.coeffs.items():
                 xy = x * y
                 for key, s in so_bracket_closed_form(self.n, ab, cd).coeffs.items():
-                    acc[key] = acc.get(key, QS_ZERO) + s * xy
+                    acc[key] = acc.get(key, 0) + s * xy
         return LieElement(self.n, acc)
 
-    def trace_form(self, h: Sequence[RationalLike], other: "LieElement") -> QuadScalar:
+    def trace_form(self, h: Sequence[RationalLike], other: "LieElement") -> RationalLike:
         """tr(diag(h) X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij, over the sparser map."""
         self._check(other)
         if len(h) != self.n:
             raise ValueError(f"metric length {len(h)} does not match so({self.n})")
         small, large = sorted((self.coeffs, other.coeffs), key=len)
-        total = QS_ZERO
+        total = 0
         for (i, j), x in small.items():
             y = large.get((i, j))
             if y is None:
                 continue
-            hij = QuadScalar.coerce(h[i - 1]) + QuadScalar.coerce(h[j - 1])
+            hij = h[i - 1] + h[j - 1]
             if hij:
                 total = total + hij * x * y
         return -total
@@ -143,14 +143,14 @@ def so_bracket_closed_form(
         (1 if a == d else 0, (b, c)),
         (-1 if b == d else 0, (a, c)),
     ]
-    acc: dict[tuple[int, int], QuadScalar] = {}
+    acc: dict[tuple[int, int], int] = {}
     for sign, (p, q) in terms:
         if sign == 0 or p == q:
             continue
         if p > q:
             p, q = q, p
             sign = -sign
-        acc[(p, q)] = acc.get((p, q), QS_ZERO) + qs(sign)
+        acc[(p, q)] = acc.get((p, q), 0) + sign
     return LieElement(n, acc)
 
 
@@ -198,13 +198,13 @@ def _so_killing_table(n: int) -> list[list]:
     return killing_table_in_basis([generator_rows(n, *p) for p in so_pairs(n)])
 
 
-def killing_adjoint(x: LieElement, y: LieElement) -> QuadScalar:
+def killing_adjoint(x: LieElement, y: LieElement) -> RationalLike:
     """K(x, y) = tr(ad_x ad_y) = sum_ab x_a y_b K_ab, brute force: K is the
     adjoint-trace table of so(n)'s integer generator rows."""
     x._check(y)
     table, index = _so_killing_table(x.n), {p: k for k, p in enumerate(so_pairs(x.n))}
     return sum((u * v * table[index[p]][index[q]] for p, u in x.coeffs.items()
-                for q, v in y.coeffs.items()), QS_ZERO)
+                for q, v in y.coeffs.items()), 0)
 
 
 def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
@@ -244,7 +244,7 @@ def _ad_trace(ax, ay, zero):
                 if v and ay[j][i]), zero)
 
 
-def killing_adjoint_in_basis(basis: Sequence[Rows], x: Rows, y: Rows) -> QuadScalar:
+def killing_adjoint_in_basis(basis: Sequence[Rows], x: Rows, y: Rows) -> RationalLike:
     """tr(ad_x ad_y) = sum_ab x_a y_b K_ab over an explicit closed matrix basis.
 
     x and y must lie in span(basis) and all brackets must stay inside the

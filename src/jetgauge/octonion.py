@@ -17,12 +17,11 @@ once from `_TABLE`.  Coefficients and 7x7 rows are ints wherever they are
 integral (units, the g2 and ad bases), Fractions otherwise; `integral()`
 gives the integer positive multiple of a rational element, for checks
 whose verdict a positive scale keeps.  so7_decompose solves through one
-integer inverse over a common denominator.  A function that takes a
-matrix also accepts an ExactMatrix and converts it once.  ad_matrix(a) is
-the matrix of v -> a x v in columns (the quoted display lists its
-transpose, a global sign for antisymmetric matrices).  The bracket,
-structure constants and Killing table of subalgebras are liealg's kernel,
-shared with so(1,3).
+integer inverse over a common denominator.  Matrices are 7x7 rows.
+ad_matrix(a) is the matrix of v -> a x v in columns (the quoted display
+lists its transpose, a global sign for antisymmetric matrices).  The
+bracket, structure constants and Killing table of subalgebras are
+liealg's kernel, shared with so(1,3).
 
 The fourteen g2 basis elements A_1..A_7, G_1..G_7 are read off the two
 quoted parameterized displays, with the b-coefficient signs of the G
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import ExactMatrix, Solver, _frac, nullspace_exact, rref
+from .exactnum import Solver, _frac, nullspace_exact, rref
 from .liealg import Rows, bracket, killing_table_in_basis
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
@@ -181,10 +180,8 @@ _CROSS = [[(0, 0) if i == j else (_TABLE[i + 1][j][0], _TABLE[i + 1][j][1] - 1)
            for j in range(7)] for i in range(7)]
 
 
-def _rows(m) -> Rows:
-    """m as 7x7 rows; an ExactMatrix is converted to Fractions once."""
-    if isinstance(m, ExactMatrix):
-        m = [[x.as_fraction() for x in row] for row in m.rows]
+def _rows(m: Rows) -> Rows:
+    """m, checked to be 7x7 rows."""
     if len(m) != 7 or any(len(row) != 7 for row in m):
         raise ValueError("need a 7x7 matrix")
     return m

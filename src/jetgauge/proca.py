@@ -9,11 +9,12 @@ Canonical global index order (1-based) of the reduced jet space:
   16-28  3-jet spacelike monomials (d^ttx, ..., d^zzz), h = +1
 
 h is integral, so the table and the censuses are integers from H_INTS:
-tr(h X_ij X_ij) = -(h_ii + h_jj).  QuadScalar enters with the 1/sqrt2 of
-the (2,3) isotropic basis: Grams, the hypercharge variation and
-proca_table use the coefficient formula tr(h X Y) = -sum_{i<j}
-(h_i + h_j) x_ij y_ij on LieElements.  Realized 28x28 matrices contracted
-with trace_metric are the independent test oracle.
+tr(h X_ij X_ij) = -(h_ii + h_jj).  Grams and the hypercharge variation
+use the coefficient formula tr(h X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij
+on LieElements with H_INTS, so the (3,3) and (1,3) Grams are integers;
+QuadScalar enters only with the 1/sqrt2 of the (2,3) isotropic basis.
+Realized 28x28 matrices contracted with trace_metric are the independent
+test oracle.
 
 The (2,3) block census computed from h is (21 positive, 13 negative, 46
 zero).  The quoted signature "(7,39)" for the same block disagrees with
@@ -33,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exactnum import QuadScalar, QS_INV_SQRT2, QS_ZERO, qs
+from .exactnum import QS_INV_SQRT2
 from .liealg import LieElement
 
 DIM = 28
@@ -45,24 +46,10 @@ SectorLabel = tuple[int, int]
 
 
 H_INTS = (0, 0, 0, 0, 1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
-_H_DIAG = tuple(qs(v) for v in H_INTS)
 
 
-def _self_trace(h, i: int, j: int) -> QuadScalar:
-    g = LieElement.generator(DIM, min(i, j), max(i, j))
-    return g.trace_form(h, g)
-
-
-def proca_table() -> list[list[QuadScalar]]:
-    """28x28 table of tr(h X_ij X_ij) over QuadScalar, zero diagonal."""
-    return [
-        [QS_ZERO if i == j else _self_trace(_H_DIAG, i, j) for j in range(1, DIM + 1)]
-        for i in range(1, DIM + 1)
-    ]
-
-
-def proca_table_ints() -> list[list[int]]:
-    """The same table in integers: entry (i,j) = -(h_ii + h_jj) off the diagonal."""
+def proca_table() -> list[list[int]]:
+    """28x28 table of tr(h X_ij X_ij) = -(h_ii + h_jj), zero diagonal."""
     return [[0 if i == j else -(hi + hj) for j, hj in enumerate(H_INTS)]
             for i, hi in enumerate(H_INTS)]
 
@@ -109,9 +96,9 @@ class IsotropicBasis:
         return len(self.vectors)
 
 
-def gram_matrix(basis: IsotropicBasis) -> list[list[QuadScalar]]:
+def gram_matrix(basis: IsotropicBasis) -> list[list]:
     vecs = basis.vectors
-    return [[a.trace_form(_H_DIAG, b) for b in vecs] for a in vecs]
+    return [[a.trace_form(H_INTS, b) for b in vecs] for a in vecs]
 
 
 def is_totally_isotropic(basis: IsotropicBasis) -> bool:
@@ -178,14 +165,14 @@ def isotropic_13_basis() -> IsotropicBasis:
 U1Y_GENERATOR_PAIR = (6, 7)  # the residual electromagnetic rotation plane
 
 
-def u1y_first_order_variation(basis: IsotropicBasis) -> list[list[QuadScalar]]:
+def u1y_first_order_variation(basis: IsotropicBasis) -> list[list]:
     """d/dtheta of the Gram matrix at theta = 0 under the (6,7) rotation."""
     g = LieElement.generator(DIM, *U1Y_GENERATOR_PAIR)
     vecs = basis.vectors
     brs = [g.bracket(v) for v in vecs]
     n = len(vecs)
     return [
-        [brs[i].trace_form(_H_DIAG, vecs[j]) + vecs[i].trace_form(_H_DIAG, brs[j])
+        [brs[i].trace_form(H_INTS, vecs[j]) + vecs[i].trace_form(H_INTS, brs[j])
          for j in range(n)]
         for i in range(n)
     ]
@@ -195,8 +182,6 @@ def _antisymmetric(n: int, coeffs: Mapping[tuple[int, int], float]) -> np.ndarra
     """Float matrix sum c_ij X_ij from coefficients over pairs 1 <= i < j <= n."""
     a = np.zeros((n, n))
     for (i, j), v in coeffs.items():
-        if not (1 <= i < j <= n):
-            raise ValueError(f"bad pair ({i},{j}) for so({n})")
         a[i - 1, j - 1] = v
         a[j - 1, i - 1] = -v
     return a
@@ -218,7 +203,7 @@ def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
     hvec = np.array(H_INTS, dtype=float)
     r = _givens(DIM, *U1Y_GENERATOR_PAIR, theta)
     vecs = [
-        _antisymmetric(DIM, {k: c.to_float() for k, c in v.coeffs.items()})
+        _antisymmetric(DIM, {k: float(c) for k, c in v.coeffs.items()})
         for v in basis.vectors
     ]
     rot = [r @ v @ r.T for v in vecs]

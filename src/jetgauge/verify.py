@@ -93,7 +93,7 @@ def suite_killing(s: Suite) -> None:
 
 
 def suite_proca_table(s: Suite) -> None:
-    table = proca.proca_table_ints()
+    table = proca.proca_table()
     s.check("28x28 table matches the quoted display entry-for-entry",
             table == PROCA_TABLE_REFERENCE)
     # X_ij lives on rows and columns {i, j}, so its trace against h is the

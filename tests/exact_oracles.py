@@ -21,6 +21,11 @@ def is_antisymmetric(m) -> bool:
     return all(rows[i][j] == -rows[j][i] for i in range(len(rows)) for j in range(i, len(rows)))
 
 
+def rational_rows(m: ExactMatrix) -> list[list]:
+    """m's entries as Fraction rows, the matrix format of the octonion module."""
+    return [[x.as_fraction() for x in row] for row in m.rows]
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """AB - BA."""
     return a @ b - b @ a

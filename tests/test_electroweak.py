@@ -176,7 +176,7 @@ def test_mass_spectrum_follows_the_couplings(gp, g, ratio_sq, ratio):
     assert spec["m2_w"] == qs(g * g)
     assert spec["ratio_sq"] == ratio_sq
     assert spec["ratio"] == ratio
-    assert spec["ratio_float"] == ratio.to_float()
+    assert spec["ratio_float"] == float(ratio)
 
 
 def test_jacobi_oracle_examples():

@@ -69,9 +69,9 @@ def test_division_roundtrip(x, y):
 
 
 def test_to_float():
-    assert qs(F(1, 2)).to_float() == 0.5
-    assert qs(0).to_float() == 0.0
-    assert qs(0, 0, F(1, 5)).to_float() == 0.4472135954999579
+    assert float(qs(F(1, 2))) == 0.5
+    assert float(qs(0)) == 0.0
+    assert float(qs(0, 0, F(1, 5))) == 0.4472135954999579
 
 
 def test_sqrt_rational():

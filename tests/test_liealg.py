@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jetgauge.exactnum import (
     QS_INV_SQRT2,
-    QS_INV_SQRT5,
     QS_SQRT10,
     QS_SQRT5,
     ExactMatrix,
@@ -46,7 +45,7 @@ def lie_elements(n):
 
 # Q(sqrt2, sqrt5): the named radicals plus general a + b sqrt2 + c sqrt5 + d sqrt10
 quads = st.one_of(
-    st.sampled_from([QS_INV_SQRT2, -QS_INV_SQRT2, QS_SQRT5, QS_INV_SQRT5, QS_SQRT10]),
+    st.sampled_from([QS_INV_SQRT2, -QS_INV_SQRT2, QS_SQRT5, qs(0, 0, F(1, 5)), QS_SQRT10]),
     st.builds(qs, fractions, fractions, fractions, fractions),
 )
 

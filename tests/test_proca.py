@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from jetgauge import proca, verify
-from jetgauge.exactnum import QS_INV_SQRT2, qs, trace_metric
-from jetgauge.liealg import LieElement, so_generator, so_pairs
+from jetgauge.exactnum import QS_INV_SQRT2, QuadScalar, qs, trace_metric
+from jetgauge.liealg import LieElement, killing_adjoint, so_generator, so_pairs
 from jetgauge.proca import (
     H_INTS,
     U1Y_GENERATOR_PAIR,
@@ -21,7 +21,6 @@ from jetgauge.proca import (
     is_totally_isotropic,
     mode_census,
     proca_table,
-    proca_table_ints,
     sector_generator_pairs,
     u1y_finite_rotation_residual,
     u1y_first_order_variation,
@@ -38,22 +37,23 @@ def test_h_metric_entries():
 
 def test_proca_trace_examples():
     t = proca_table()
-    assert t[0][4] == qs(-1)
-    assert t[8][9] == qs(2)
-    assert t[15][16] == qs(-2)
+    assert t[0][4] == -1
+    assert t[8][9] == 2
+    assert t[15][16] == -2
 
 
 def test_proca_trace_shortcut_oracle_all_pairs():
     """tr(h X_ij X_ij) = -(h_ii + h_jj), all 378 unordered pairs, from the
-    coefficient-formula table and from the integer table, and the same
-    value from trace_metric on the realized 28x28 generator."""
-    table, ints = proca_table(), proca_table_ints()
+    integer table, from the coefficient formula on LieElements, and from
+    trace_metric on the realized 28x28 generator."""
+    table = proca_table()
     for i, j in so_pairs(28):
         got = table[i - 1][j - 1]
-        assert got.as_fraction() == -(H_INTS[i - 1] + H_INTS[j - 1]), (i, j)
+        assert got == -(H_INTS[i - 1] + H_INTS[j - 1]), (i, j)
+        x = LieElement.generator(28, i, j)
         g = so_generator(28, i, j)
         dense = trace_metric(H_INTS, g, g)
-        assert got == table[j - 1][i - 1] == dense == ints[i - 1][j - 1] == ints[j - 1][i - 1], (i, j)
+        assert got == table[j - 1][i - 1] == x.trace_form(H_INTS, x) == dense, (i, j)
 
 
 PROCA_ROW = "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"
@@ -71,25 +71,23 @@ def test_verify_proca_row_passes():
 
 # a sign error on each side of the row: the integer table, then the dense oracle
 NEGATED = {
-    "proca_table_ints": lambda original: lambda: [[-v for v in row] for row in original()],
+    "proca_table": lambda original: lambda: [[-v for v in row] for row in original()],
     "trace_metric": lambda original: lambda *args: -original(*args),
 }
 
 
-@pytest.mark.parametrize("owner, name", [(proca, "proca_table_ints"), (verify, "trace_metric")])
+@pytest.mark.parametrize("owner, name", [(proca, "proca_table"), (verify, "trace_metric")])
 def test_verify_proca_row_fails_when_a_side_is_broken(monkeypatch, owner, name):
     monkeypatch.setattr(owner, name, NEGATED[name](getattr(owner, name)))
     assert _proca_row_status() == FAIL
 
 
 def test_proca_table_matches_reference_display():
-    assert proca_table_ints() == PROCA_TABLE_REFERENCE
-    # the coefficient-formula table over QuadScalar is the same table
-    assert proca_table() == [[qs(v) for v in row] for row in PROCA_TABLE_REFERENCE]
+    assert proca_table() == PROCA_TABLE_REFERENCE
 
 
 def test_proca_table_spot_rows():
-    t = proca_table_ints()
+    t = proca_table()
     assert t[0][:4] == [0, 0, 0, 0]
     assert t[4][15:] == [-2] * 13
     assert t[4][5:15] == [0] * 10
@@ -197,6 +195,22 @@ def test_gram_matrix_matches_dense_oracle_off_isotropy():
     got = gram_matrix(IsotropicBasis((2, 3), vecs))
     assert got == _dense_gram(mats, mats)
     assert any(x for row in got for x in row)
+
+
+def test_quadscalar_enters_only_with_the_radical():
+    """Integral data computes in ints: the table and the (3,3) and (1,3)
+    Grams; the so(4) Killing form is rational.  Only the (2,3) basis carries 1/sqrt2, so
+    only its self-pairings are QuadScalar, and they are still exactly 0."""
+    assert all(type(v) is int for row in proca_table() for v in row)
+    for make in (isotropic_33_basis, isotropic_13_basis):
+        assert all(type(v) is int for row in gram_matrix(make()) for v in row)
+    gens = [LieElement.generator(4, *p) for p in so_pairs(4)]
+    assert not any(isinstance(killing_adjoint(x, y), QuadScalar) for x in gens for y in gens)
+    b23 = isotropic_23_basis()
+    assert {type(c) for v in b23.vectors for c in v.coeffs.values()} == {int, QuadScalar}
+    gram = gram_matrix(b23)
+    assert all(type(gram[i][i]) is QuadScalar for i in range(len(b23)))
+    assert not any(x for row in gram for x in row)
 
 
 def test_gram_matrix_shape():
@@ -347,8 +361,3 @@ def test_rotation_invariant_configurations():
     coeffs = {(1, 2): 1.0, (9, 10): 0.5, (3, 4): -0.25}
     vals = [rotated_proca_value(coeffs, t) for t in (0.0, 0.2, 0.9, 1.7, 3.0)]
     assert max(vals) - min(vals) < 1e-12
-
-
-def test_rotated_value_bad_pair():
-    with pytest.raises(ValueError):
-        rotated_proca_value({(0, 5): 1.0}, 0.1)

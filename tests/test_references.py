@@ -3,7 +3,8 @@
 Uses are read from the syntax trees of the Python files under src/, tests/,
 scripts/ and perfbench/, so words in docstrings and comments do not count.
 A function or class counts as used through a name (a call, a reference or
-an import of it) or an attribute access such as `dynamics.field_strength_em`.
+an import of it) or an attribute access such as `dynamics.field_strength_em`;
+so does a public module-level constant such as `proca.H_INTS`.
 A method counts only through an attribute access (`m.label(4)`), or through
 a perfbench span string such as "LieElement.bracket".  Dunder methods are
 exempt: Python calls them.  A name that fails here is used nowhere and can go.
@@ -26,7 +27,8 @@ def syntax_trees(top):
 
 
 def definitions():
-    """(module, name, is_method) for every non-dunder def and class."""
+    """(module, name, is_method) for every non-dunder def and class, and
+    every public name a module-level assignment binds."""
     package = os.path.join(ROOT, "src", "jetgauge")
     for module in sorted(os.listdir(package)):
         if not module.endswith(".py"):
@@ -43,15 +45,22 @@ def definitions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
                     yield module, methods.get(node, node.name), node in methods
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield module, target.id, False
 
 
 def references(searched):
-    """Names and imported names, attribute names, and perfbench strings."""
+    """Names read or imported (not assigned), attribute names, and perfbench
+    strings."""
     names, attributes, spans = set(), set(), set()
     for top in searched:
         for tree in syntax_trees(top):
             for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     names.add(node.id)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.rpartition(".")[2])

@@ -1,8 +1,8 @@
 """Every row of the structural suites can fail.
 
 For each row of "so(4) structure", "Killing forms", "Proca trace table",
-"totally isotropic subspaces" and "octonion algebra and su(3) reduction",
-one targeted perturbation of the row's *computed* side (a sign, an entry,
+"totally isotropic subspaces", "electroweak breaking" and "octonion
+algebra and su(3) reduction", one targeted perturbation of the row's *computed* side (a sign, an entry,
 a reverted transcription correction, a degenerate input to the kernel)
 must turn the row from pass to fail.  A row that compares a value with
 itself would stay at pass.  Perturbations live here only; the program is
@@ -11,9 +11,9 @@ unchanged.
 
 import pytest
 
-from jetgauge import liealg, octonion, proca, verify
+from jetgauge import electroweak, liealg, octonion, proca, verify
 from jetgauge.cli import main
-from jetgauge.exactnum import Solver, qs
+from jetgauge.exactnum import ExactMatrix, Solver
 from jetgauge.liealg import LieElement, bracket, generator_rows, so_pairs
 from jetgauge.octonion import G2Element, ImOctonion, cross
 from jetgauge.report import FAIL, PASS, Suite
@@ -23,6 +23,7 @@ SUITES = {
     "killing": verify.suite_killing,
     "proca_table": verify.suite_proca_table,
     "isotropy": verify.suite_isotropy,
+    "electroweak": verify.suite_electroweak,
     "octonions": verify.suite_octonions,
 }
 
@@ -56,14 +57,14 @@ def so13_without_eta(mp):
 
 
 def proca_entry(mp):
-    original = proca.proca_table_ints
+    original = proca.proca_table
 
     def table():
         t = original()
         t[4][15] = -t[4][15]
         return t
 
-    mp.setattr(proca, "proca_table_ints", table)
+    mp.setattr(proca, "proca_table", table)
 
 
 def with_last_vector(builder, *replacement):
@@ -91,9 +92,9 @@ def non_isotropic(builder, pair):
 
 def h7_unlike_h6(mp):
     # the hypercharge invariance rests on h_6 == h_7
-    h = list(proca._H_DIAG)
-    h[6] = qs(1)
-    mp.setattr(proca, "_H_DIAG", tuple(h))
+    h = list(proca.H_INTS)
+    h[6] = 1
+    mp.setattr(proca, "H_INTS", tuple(h))
 
 
 def non_orthogonal_givens(mp):
@@ -107,6 +108,58 @@ def non_orthogonal_givens(mp):
         return r
 
     mp.setattr(proca, "_givens", sheared)
+
+
+def mass_matrix_entry(mp):
+    original = electroweak.mass_matrix
+
+    def perturbed(gp, g):
+        m = original(gp, g)
+        m.rows[3][3] = m.rows[3][3] + 1
+        return m
+
+    mp.setattr(electroweak, "mass_matrix", perturbed)
+
+
+def swapped_couplings(mp):
+    original = electroweak.weinberg_angle
+    mp.setattr(electroweak, "weinberg_angle", lambda gp, g: original(g, gp))
+
+
+def transposed_mixing(mp):
+    # R^T M R: the rotation by -theta, which does not diagonalize M
+    original = electroweak.apply_mixing
+    mp.setattr(electroweak, "apply_mixing", lambda c, s, m: original(c, -s, m))
+
+
+def z_and_w_swapped(mp):
+    original = electroweak.mass_spectrum
+
+    def spectrum(doubled):
+        rows = [list(row) for row in doubled.rows]
+        rows[1][1], rows[2][2] = rows[2][2], rows[1][1]
+        return original(ExactMatrix(rows))
+
+    mp.setattr(electroweak, "mass_spectrum", spectrum)
+
+
+def jacobi_without_sweeps(mp):
+    original = electroweak.jacobi_eigenvalues
+    mp.setattr(electroweak, "jacobi_eigenvalues", lambda a, sweeps=60: original(a, sweeps=0))
+
+
+def flipped_cross_term(mp):
+    # e12 with -(g'^2 - g^2) c s: the block minus twice that term, under the 1/2
+    original = electroweak.mixed_block_closed_form
+
+    def block(gp, g, c, s):
+        m = original(gp, g, c, s)
+        term = (gp * gp - g * g) * c * s
+        m.rows[0][1] = m.rows[0][1] - term
+        m.rows[1][0] = m.rows[1][0] - term
+        return m
+
+    mp.setattr(electroweak, "mixed_block_closed_form", block)
 
 
 def uncorrected_e3e7(mp):
@@ -226,6 +279,12 @@ FLIPS = {
     ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.0"): non_orthogonal_givens,
     ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.1"): non_orthogonal_givens,
     ("isotropy", "(2,3) Gram preserved under finite rotation theta=0.7"): non_orthogonal_givens,
+    ("electroweak", "mass matrix (g'=1, g=2)"): mass_matrix_entry,
+    ("electroweak", "sin^2(theta_W) = 1/5"): swapped_couplings,
+    ("electroweak", "mixed matrix = (1/2) diag(0,5,4,4) exactly"): transposed_mixing,
+    ("electroweak", "mass ratio squared = 5/4"): z_and_w_swapped,
+    ("electroweak", "float Jacobi eigenvalues [0,4,4,5]"): jacobi_without_sweeps,
+    ("electroweak", "closed-form mixed block matches conjugation"): flipped_cross_term,
     ("octonions", "table: e_i e_j = -e_j e_i (i != j), e_i^2 = -1"): uncorrected_e3e7,
     ("octonions", "cross(a,b) = Im(ab), <a,b> restores the scalar part (49 + 100 pairs)"):
         uncorrected_cross,
