@@ -32,9 +32,12 @@ bit-identical to that loop (tests/test_dynamics.py keeps it as the oracle);
 einsum, tensordot and @ leave their summation order to the library.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
-floats, which keeps runs deterministic and golden files meaningful.  Its
-order is pinned too: du/dlam = qm M u, with M = F or Wong's charge-contracted
-F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order
+floats, which keeps runs deterministic and golden files meaningful.  The
+field is called at each stage position as a tuple of four floats, and
+integrate_lorentz converts F to rows once per distinct F object returned, so
+a uniform field converts once per run.  The RK4 order is pinned too:
+du/dlam = qm M u, with M = F or Wong's charge-contracted F, takes row a of
+M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order
 that numpy's F @ u showed on the OpenBLAS build the golden files came from;
 stages are y + (h/2) k and y + h k, and a step is
 y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).  tests/test_dynamics.py keeps a numpy
@@ -159,7 +162,7 @@ def grid_field_strength_evaluator(grid: GridMetricField):
     Caches and summation order are described in the module docstring."""
     nodes: dict[tuple[int, ...], np.ndarray] = {}
     cells: dict[tuple[int, ...], np.ndarray] = {}
-    shape = grid.grid.shape[1:]
+    shape, origin = grid.grid.shape[1:], grid.origin.tolist()
 
     def f_at_node(idx: tuple[int, ...]) -> np.ndarray:
         if idx not in nodes:
@@ -175,7 +178,7 @@ def grid_field_strength_evaluator(grid: GridMetricField):
         return np.stack([f_at_node(tuple(idx)) for idx in (base + corners).tolist()])
 
     def evaluate(x) -> np.ndarray:
-        rel = ((np.asarray(x, dtype=float) - grid.origin) / grid.spacing).tolist()
+        rel = [(xi - oi) / grid.spacing for xi, oi in zip(map(float, x), origin)]
         if not all(map(math.isfinite, rel)):
             raise GridBoundaryError(f"query {rel} is not a finite grid position")
         base = [math.floor(r) for r in rel]
@@ -287,16 +290,16 @@ class Trajectory:
 
 def _integrate(state: ParticleState, rows_at, dlam: float, nsteps: int, law: str) -> Trajectory:
     """RK4 on dx/dlam = u, du/dlam = (q/m) M(x) u, where rows_at(x) gives the
-    rows of M as lists of floats.  The state is eight Python floats; stage k
-    has dx/dlam = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  Arithmetic
-    order: see the module docstring."""
+    rows of M as lists of floats at x, a tuple of four floats.  The state is
+    eight Python floats; stage k has dx/dlam = (u, v, w, z)[k] and du/dlam =
+    (p, q, r, s)[k].  Arithmetic order: see the module docstring."""
     if not (dlam > 0 and math.isfinite(dlam)):
         raise ValueError("step must be positive and finite")
     qm = state.q / state.m
     h2, h6 = 0.5 * dlam, dlam / 6.0
 
     def accel(x, u0, u1, u2, u3):
-        rows = rows_at(np.array(x))
+        rows = rows_at(x)
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
         return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
                 qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
@@ -337,10 +340,16 @@ def _integrate(state: ParticleState, rows_at, dlam: float, nsteps: int, law: str
 
 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
-    """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> (4, 4)."""
+    """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> (4, 4), x a tuple
+    of four floats.  F is converted to rows once per distinct object returned,
+    so f_eval must not mutate an F it has already returned."""
+    last = [None, None]  # the last F returned, and its rows
 
     def rows_at(x):
-        return np.asarray(f_eval(x), dtype=float).tolist()
+        f = f_eval(x)
+        if f is not last[0]:
+            last[:] = f, np.asarray(f, dtype=float).tolist()
+        return last[1]
 
     return _integrate(state, rows_at, dlam, nsteps, "lorentz")
 
@@ -361,7 +370,7 @@ def integrate_wong(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Tr
     if charge is None:
         raise ValueError("Wong integration needs a charge vector")
     charge = np.asarray(charge, dtype=float)
-    probe = np.asarray(f_eval(state.x), dtype=float)
+    probe = np.asarray(f_eval(tuple(state.x.tolist())), dtype=float)
     if probe.shape[2:] != charge.shape:
         raise ValueError(
             f"charge dimension {charge.shape} does not match field {probe.shape[2:]}"

@@ -28,6 +28,7 @@ prefactors (which the reference displays quote inconsistently, 1/4 versus
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -46,6 +47,7 @@ SectorLabel = tuple[int, int]
 
 
 H_INTS = (0, 0, 0, 0, 1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
+_H_FLOAT = np.array(H_INTS, dtype=float)
 
 
 def proca_table() -> list[list[int]]:
@@ -94,6 +96,13 @@ class IsotropicBasis:
 
     def __len__(self):
         return len(self.vectors)
+
+    @functools.cached_property
+    def _float_gram(self) -> tuple[list[np.ndarray], list[list]]:
+        """The vectors as float 28x28 matrices, and their Gram products."""
+        vecs = [_antisymmetric(DIM, {k: float(c) for k, c in v.coeffs.items()})
+                for v in self.vectors]
+        return vecs, [[np.sum(_H_FLOAT * np.diag(a @ b)) for b in vecs] for a in vecs]
 
 
 def gram_matrix(basis: IsotropicBasis) -> list[list]:
@@ -199,21 +208,13 @@ def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
 
 
 def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
-    """Max |Gram(conjugated) - Gram| over all pairs, float arithmetic."""
-    hvec = np.array(H_INTS, dtype=float)
+    """Max |Gram(conjugated) - Gram| over all pairs, float arithmetic; the
+    unrotated float Gram is built once per basis."""
+    vecs, before = basis._float_gram
     r = _givens(DIM, *U1Y_GENERATOR_PAIR, theta)
-    vecs = [
-        _antisymmetric(DIM, {k: float(c) for k, c in v.coeffs.items()})
-        for v in basis.vectors
-    ]
     rot = [r @ v @ r.T for v in vecs]
-    worst = 0.0
-    for i in range(len(vecs)):
-        for j in range(len(vecs)):
-            before = np.sum(hvec * np.diag(vecs[i] @ vecs[j]))
-            after = np.sum(hvec * np.diag(rot[i] @ rot[j]))
-            worst = max(worst, abs(after - before))
-    return worst
+    after = [[np.sum(_H_FLOAT * np.diag(a @ b)) for b in rot] for a in rot]
+    return max(0.0, *(abs(x - y) for ra, rb in zip(after, before) for x, y in zip(ra, rb)))
 
 
 # -- reference-data flags ------------------------------------------------------

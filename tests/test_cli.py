@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from jetgauge import cli
 from jetgauge.cli import main
 from jetgauge.report import FLAGGED, VerificationReport
 
@@ -466,16 +467,64 @@ GRID_JSON_SHA256 = {
     "lorentz": "e5458ab2ada80b045b87d6ece65303e3e3c803998c09cfac6dcd6bd51d090d2f",
     "wong": "cea851695770d8fb74f9c02d11ad59ca1814299a501c360050cb3a9544cf0429",
 }
+# the constant-field runs: field kind and law -> sha256 of the CSV
+CONSTANT_CSV_SHA256 = {
+    ("uniform_B", "lorentz"): UNIFORM_CSV_SHA256,
+    ("uniform_E", "lorentz"): "f912d1bd3a768169f835fa8ba2f2d9df7d07ed9ee88bbb3b9e757b77a77fa68a",
+    ("uniform_B", "wong"): "07c0febb4be3c9b47d4f9287f580fcd69ed5bb14225557f2be5cc971f791c71d",
+}
+CONSTANT_FIELDS = {
+    "uniform_B": {"kind": "uniform_B", "params": {"B": [0.3, -0.7, 1.1]}},
+    "uniform_E": {"kind": "uniform_E", "params": {"E": [0.4, 0.2, -0.9]}},
+}
+
+
+def constant_field_config(tmp_path, kind, law):
+    """200 steps of one particle in a constant field, written as CSV."""
+    particle = {"x0": [0.1, -0.2, 0.3, 0.05], "u0": [1.2, 0.3, -0.4, 0.5], "m": 0.9, "q": 1.3}
+    if law == "wong":
+        particle["I"] = {"dim": 3, "pair": [1, 3], "value": 0.7}
+    return _simulate_config(tmp_path, CONSTANT_FIELDS[kind], particle, 0.01, 200)
+
+
+def written_csv_sha256(tmp_path):
+    data = (tmp_path / "traj.csv").read_bytes()
+    assert data.count(b"\r\n") == 202  # header + 201 samples
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_simulate_uniform_csv_bytes_pinned(tmp_path, capsys):
-    particle = {"x0": [0.1, -0.2, 0.3, 0.05], "u0": [1.2, 0.3, -0.4, 0.5], "m": 0.9, "q": 1.3}
-    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0.3, -0.7, 1.1]}},
-                           particle, 0.01, 200)
+    cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
     assert main(["simulate", "--config", cfg]) == 0
-    data = (tmp_path / "traj.csv").read_bytes()
-    assert data.count(b"\r\n") == 202  # header + 201 samples
-    assert hashlib.sha256(data).hexdigest() == UNIFORM_CSV_SHA256
+    assert written_csv_sha256(tmp_path) == UNIFORM_CSV_SHA256
+
+
+@pytest.mark.parametrize("kind, law", [("uniform_E", "lorentz"), ("uniform_B", "wong")])
+def test_simulate_constant_field_csv_bytes_pinned(tmp_path, capsys, kind, law):
+    assert main(["simulate", "--config", constant_field_config(tmp_path, kind, law)]) == 0
+    assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256[kind, law]
+
+
+@pytest.mark.parametrize("kind, law", sorted(CONSTANT_CSV_SHA256))
+def test_simulate_through_a_wrapped_field_evaluator(tmp_path, capsys, monkeypatch, kind, law):
+    """Run tracing (perfbench/instrument.py) replaces cli._field_from_config
+    by a function that wraps each evaluator it returns in a pass-through
+    callable; the integrator takes that callable and writes the same bytes."""
+    build, calls = cli._field_from_config, []
+
+    def wrapped(cfg):
+        f_eval = build(cfg)
+
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return f_eval(*args, **kwargs)
+
+        return traced
+
+    monkeypatch.setattr(cli, "_field_from_config", wrapped)
+    assert main(["simulate", "--config", constant_field_config(tmp_path, kind, law)]) == 0
+    assert len(calls) == 4 * 200 + (law == "wong")  # Wong probes the field once
+    assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256[kind, law]
 
 
 def small_grid_npz(path):

@@ -195,18 +195,21 @@ _point = st.lists(_coord, min_size=4, max_size=4)
 @example(0, True, [[4.0, 4.0, 4.0, 4.0], [2.0, 2.0, 2.0, 2.0], [4.5, 3.0, 3.0, 3.0]])
 @example(0, False, [[2.5, 2.5, 2.5, 2.5], [2.5, 2.5, 2.5, 3.5], [3.5, 2.5, 2.5, 2.5]])
 def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
-    """One evaluator answers every point, so its caches carry across cells."""
+    """One evaluator answers every point, so its caches carry across cells.
+    It takes the point as an ndarray and as the tuple the integrator passes."""
     grid = random_grid(seed, dyadic)
     fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
     for coords in points + points[::-1]:
         x = grid.origin + grid.spacing * np.array(coords)
+        queries = (x, tuple(x.tolist()))
         try:
             want = slow(x)
         except GridBoundaryError:
-            with pytest.raises(GridBoundaryError):
-                fast(x)
+            for query in queries:
+                with pytest.raises(GridBoundaryError):
+                    fast(query)
             continue
-        assert same_bits(fast(x), want)
+        assert all(same_bits(fast(query), want) for query in queries)
 
 
 def test_grid_evaluator_on_last_safe_layer():
@@ -616,6 +619,41 @@ def test_scalar_rk4_matches_numpy_oracle_on_uniform_fields(f):
     traj = integrate_lorentz(state, lambda x: f, 0.01, 500)
     assert np.array_equal(traj.table, numpy_integrate(state, lambda x: f, 0.01, 500))
     assert np.array_equal(traj.xs, traj.table[:, 1:5]) and len(traj) == 501
+    # F is converted once per object: the same array every call and a fresh
+    # copy every call give the same bytes
+    fresh = integrate_lorentz(state, lambda x: f.copy(), 0.01, 500)
+    assert fresh.table.tobytes() == traj.table.tobytes()
+
+
+def test_field_is_called_with_a_tuple_of_four_floats():
+    f, seen = uniform_magnetic_f([0.3, -0.7, 1.1]), []
+
+    def recording(x):
+        seen.append(x)
+        return f
+
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
+                          charge_vector=0.7 * x12(2))
+    integrate_lorentz(state, recording, 0.01, 5)
+    assert len(seen) == 4 * 5
+    integrate_wong(state, lambda x: recording(x)[:, :, None, None] * x12(2), 0.01, 5)
+    assert len(seen) == 2 * 4 * 5 + 1  # Wong probes the field once first
+    assert all(type(x) is tuple and len(x) == 4 and all(type(c) is float for c in x)
+               for x in seen)
+
+
+def test_a_new_field_object_is_converted_again():
+    """Each distinct F object is read afresh, so a field that changes along
+    the path is never served the rows of an earlier F."""
+    e, b = uniform_electric_f([0.4, 0.2, -0.9]), uniform_magnetic_f([0.3, -0.7, 1.1])
+
+    def switching(x):  # E before x0 = 0.2, then B
+        return e if x[0] < 0.2 else b
+
+    state = ParticleState([0.0, 0.1, -0.2, 0.3], [1.1, 0.3, -0.4, 0.5], 0.9, 1.3)
+    traj = integrate_lorentz(state, switching, 0.01, 100)
+    want = numpy_integrate(state, switching, 0.01, 100)
+    assert traj.table.tobytes() == want.tobytes()
 
 
 def oracle_grid(seed):
