@@ -294,6 +294,22 @@ def _charge_generator(cfg: dict) -> tuple[np.ndarray, float]:
     return gen, float(value)
 
 
+# one sample in dump_json's layout (indent 2, sorted keys), over the row
+# [lambda, u0..u3, x0..x3]; %r of a finite float is json's float text
+_JSON_VEC = "[\n" + ",\n".join(["        %r"] * 4) + "\n      ]"
+_JSON_SAMPLE = '    {\n      "lambda": %r,\n      "u": ' + _JSON_VEC + ',\n      "x": ' + _JSON_VEC + "\n    }"
+
+
+def _trajectory_json(traj, full_precision: bool) -> str:
+    """dump_json of {"meta", "samples": [{"lambda", "x", "u"}, ...]}; the samples are finite."""
+    rows = traj.table[:, [0, 5, 6, 7, 8, 1, 2, 3, 4]].tolist()
+    if not full_precision:
+        rows = [[fmt_float(v) for v in r] for r in rows]
+    samples = ",\n".join([_JSON_SAMPLE % tuple(r) for r in rows])
+    head = dump_json({"meta": traj.meta}, full_precision)[:-2]  # without the closing "\n}"
+    return f'{head},\n  "samples": [\n{samples}\n  ]\n}}'
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -328,26 +344,15 @@ def cmd_simulate(args) -> int:
         # a blow-up is reported once, by the integrator's finite-state check
         with np.errstate(over="ignore", invalid="ignore"):
             if gen is not None:
-
-                def algebra_f(x, _g=gen, _f=f_eval):
-                    return np.asarray(_f(x))[:, :, None, None] * _g[None, None, :, :]
-
-                traj = dynamics.integrate_wong(state, algebra_f, dlam, steps)
+                traj = dynamics.integrate_wong(state, f_eval, gen, dlam, steps)
             else:
                 traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps)
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
     if fmt == "json":
-        payload = {
-            "meta": traj.meta,
-            "samples": [
-                {"lambda": r[0], "x": r[1:5], "u": r[5:9]}
-                for r in map(np.ndarray.tolist, traj.table)
-            ],
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload, args.full_precision))
+            fh.write(_trajectory_json(traj, args.full_precision))
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("lambda,x0,x1,x2,x3,u0,u1,u2,u3\r\n")

@@ -33,10 +33,11 @@ einsum, tensordot and @ leave their summation order to the library.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
 floats, which keeps runs deterministic and golden files meaningful.  The
-field is called at each stage position as a tuple of four floats, and
-integrate_lorentz converts F to rows once per distinct F object returned, so
-a uniform field converts once per run.  The RK4 order is pinned too:
-du/dlam = qm M u, with M = F or Wong's charge-contracted F, takes row a of
+field is called at each stage position as a tuple of four floats, and the
+one rows memo both force laws share converts kappa F to rows once per
+distinct F object returned, so a uniform field converts once per run; kappa
+is 1 for Lorentz and Wong's charge pairing, contracted once per run.  The
+RK4 order is pinned too: du/dlam = qm M u, with M = kappa F, takes row a of
 M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order
 that numpy's F @ u showed on the OpenBLAS build the golden files came from;
 stages are y + (h/2) k and y + h k, and a step is
@@ -288,19 +289,24 @@ class Trajectory:
         return float(np.max(np.abs(norms - norms[0])))
 
 
-def _integrate(state: ParticleState, rows_at, dlam: float, nsteps: int, law: str) -> Trajectory:
-    """RK4 on dx/dlam = u, du/dlam = (q/m) M(x) u, where rows_at(x) gives the
-    rows of M as lists of floats at x, a tuple of four floats.  The state is
-    eight Python floats; stage k has dx/dlam = (u, v, w, z)[k] and du/dlam =
-    (p, q, r, s)[k].  Arithmetic order: see the module docstring."""
+def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: int,
+               law: str) -> Trajectory:
+    """RK4 on dx/dlam = u, du/dlam = (q/m) kappa F(x) u, f_eval as in
+    integrate_lorentz.  The state is eight Python floats; stage k has dx/dlam
+    = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  Arithmetic order: see
+    the module docstring."""
     if not (dlam > 0 and math.isfinite(dlam)):
         raise ValueError("step must be positive and finite")
     qm = state.q / state.m
     h2, h6 = 0.5 * dlam, dlam / 6.0
+    last = [None, None]  # the last F returned, and the rows of kappa F
 
     def accel(x, u0, u1, u2, u3):
-        rows = rows_at(x)
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        f = f_eval(x)
+        if f is not last[0]:
+            m = np.asarray(f, dtype=float)
+            last[:] = f, (m if kappa == 1.0 else kappa * m).tolist()  # 1.0 m is m
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = last[1]
         return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
                 qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
                 qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
@@ -343,44 +349,31 @@ def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) ->
     """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> (4, 4), x a tuple
     of four floats.  F is converted to rows once per distinct object returned,
     so f_eval must not mutate an F it has already returned."""
-    last = [None, None]  # the last F returned, and its rows
-
-    def rows_at(x):
-        f = f_eval(x)
-        if f is not last[0]:
-            last[:] = f, np.asarray(f, dtype=float).tolist()
-        return last[1]
-
-    return _integrate(state, rows_at, dlam, nsteps, "lorentz")
+    return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz")
 
 
-def integrate_wong(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
-    """RK4 on du^mu/dlam = (q/m)(F^mu_nu . I) u^nu.
+def integrate_wong(state: ParticleState, f_eval, gen, dlam: float, nsteps: int) -> Trajectory:
+    """RK4 on du^mu/dlam = (q/m)(F^mu_nu gen . I) u^nu for the strength F (x) gen:
+    f_eval is as in integrate_lorentz, gen in so(d), I the charge vector.
 
-    f_eval(x) returns the algebra-valued strength, shape (4, 4, d, d); the
-    gauge indices contract against the particle's charge vector I through
-    the normalized trace pairing -tr(F I)/2, which is 1 on a generator
-    paired with itself.  So for strengths valued in a one-dimensional
-    abelian subalgebra this reduces exactly to integrate_lorentz.  (The
+    The gauge indices contract once per run, through the normalized trace
+    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji, which is 1 on a
+    generator paired with itself and exactly value for I = value gen = value
+    X_ij; the run is integrate_lorentz on kappa F, bit for bit.  (The
     adjoint-trace Killing form is proportional to this pairing on a simple
     so(n) but vanishes identically for n = 2, so the defining-representation
     trace form is the usable avatar of the Killing pairing here.)
     """
-    charge = state.charge_vector
-    if charge is None:
+    if state.charge_vector is None:
         raise ValueError("Wong integration needs a charge vector")
-    charge = np.asarray(charge, dtype=float)
-    probe = np.asarray(f_eval(tuple(state.x.tolist())), dtype=float)
-    if probe.shape[2:] != charge.shape:
-        raise ValueError(
-            f"charge dimension {charge.shape} does not match field {probe.shape[2:]}"
-        )
-
-    def rows_at(x):
-        f = np.asarray(f_eval(x), dtype=float)
-        return (-0.5 * np.einsum("mnij,ji->mn", f, charge)).tolist()
-
-    return _integrate(state, rows_at, dlam, nsteps, "wong")
+    gen, charge = np.asarray(gen, dtype=float), np.asarray(state.charge_vector, dtype=float)
+    if gen.shape != charge.shape:
+        raise ValueError(f"charge dimension {charge.shape} does not match generator {gen.shape}")
+    if not (np.array_equal(gen, -gen.T) and np.array_equal(charge, -charge.T)):
+        raise ValueError("generator and charge vector must be antisymmetric")
+    upper = np.triu_indices(len(gen), 1)
+    kappa = -float(np.sum(gen[upper] * charge.T[upper]))
+    return _integrate(state, f_eval, kappa, dlam, nsteps, "wong")
 
 
 # -- ready-made uniform fields ---------------------------------------------------

@@ -246,9 +246,7 @@ def test_criterion_9_dynamics():
     i0 = 0.7
     sw = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q,
                        charge_vector=i0 * gen)
-    tw = integrate_wong(
-        sw, lambda x: f[:, :, None, None] * gen[None, None, :, :], 0.01, 1000
-    )
+    tw = integrate_wong(sw, lambda x: f, gen, 0.01, 1000)
     sl = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q * i0)
     tl = integrate_lorentz(sl, lambda x: f, 0.01, 1000)
     assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12

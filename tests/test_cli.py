@@ -6,10 +6,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetgauge import cli
 from jetgauge.cli import main
-from jetgauge.report import FLAGGED, VerificationReport
+from jetgauge.dynamics import Trajectory
+from jetgauge.report import FLAGGED, VerificationReport, dump_json
 
 
 def run_cli(*argv, capsys=None):
@@ -346,6 +349,19 @@ def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("bz, value", [(1.5e308, 0.7), (1.0, 1e308)])
+def test_simulate_wong_at_rest_in_a_huge_field_exits_0(tmp_path, capsys, bz, value):
+    """The Wong force is that of value F, finite here though 2 value F is
+    not; a particle at rest in a magnetic field feels none of it."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0, 0, 0], "m": 1.0, "q": 1.0,
+                "I": {"dim": 3, "pair": [1, 2], "value": value}}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, bz]}},
+                           particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = list(csv.reader((tmp_path / "traj.csv").read_text().splitlines()))
+    assert rows[-1] == ["0.05", "0.05", "0.0", "0.0", "0.0", "1.0", "0.0", "0.0", "0.0"]
+
+
 NAN, INF = float("nan"), float("inf")
 BAD_VALUES = [
     ("integrator.dlambda", NAN), ("integrator.dlambda", INF),
@@ -467,6 +483,11 @@ GRID_JSON_SHA256 = {
     "lorentz": "e5458ab2ada80b045b87d6ece65303e3e3c803998c09cfac6dcd6bd51d090d2f",
     "wong": "cea851695770d8fb74f9c02d11ad59ca1814299a501c360050cb3a9544cf0429",
 }
+# the same runs without --full-precision
+GRID_ROUNDED_JSON_SHA256 = {
+    "lorentz": "818d352a2f9edbd298a70538cfde9d879bdf57ca72e00513f4be021fada739b1",
+    "wong": "72df577e16495215a3e7b9eabe5e321cd2b1f900c8ea8dcf145bcf7e6062db03",
+}
 # the constant-field runs: field kind and law -> sha256 of the CSV
 CONSTANT_CSV_SHA256 = {
     ("uniform_B", "lorentz"): UNIFORM_CSV_SHA256,
@@ -523,7 +544,7 @@ def test_simulate_through_a_wrapped_field_evaluator(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(cli, "_field_from_config", wrapped)
     assert main(["simulate", "--config", constant_field_config(tmp_path, kind, law)]) == 0
-    assert len(calls) == 4 * 200 + (law == "wong")  # Wong probes the field once
+    assert len(calls) == 4 * 200
     assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256[kind, law]
 
 
@@ -543,8 +564,8 @@ def small_grid_npz(path):
     return origin, h
 
 
-@pytest.mark.parametrize("law", ["lorentz", "wong"])
-def test_simulate_grid_json_bytes_pinned(tmp_path, capsys, law):
+def grid_json(tmp_path, law, *flags):
+    """The JSON bytes of 200 steps on small_grid_npz."""
     origin, h = small_grid_npz(tmp_path / "grid.npz")
     x0 = origin + h * np.array([2.5, 3.5, 3.5, 3.5])
     particle = {"x0": x0.tolist(), "u0": [1.1, 0.3, -0.2, 0.25], "m": 0.8, "q": 1.2}
@@ -557,7 +578,65 @@ def test_simulate_grid_json_bytes_pinned(tmp_path, capsys, law):
         "output": {"path": str(tmp_path / "traj.json"), "format": "json"},
     }
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), "--full-precision"]) == 0
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), *flags]) == 0
     data = (tmp_path / "traj.json").read_bytes()
     assert len(json.loads(data)["samples"]) == 201
+    return data
+
+
+@pytest.mark.parametrize("law", ["lorentz", "wong"])
+def test_simulate_grid_json_bytes_pinned(tmp_path, capsys, law):
+    data = grid_json(tmp_path, law, "--full-precision")
     assert hashlib.sha256(data).hexdigest() == GRID_JSON_SHA256[law]
+
+
+@pytest.mark.parametrize("law", ["lorentz", "wong"])
+def test_simulate_grid_rounded_json_bytes_pinned(tmp_path, capsys, law):
+    """Without --full-precision every float is rounded to 6 digits first."""
+    data = grid_json(tmp_path, law)
+    assert hashlib.sha256(data).hexdigest() == GRID_ROUNDED_JSON_SHA256[law]
+
+
+@pytest.mark.parametrize("law", ["lorentz", "wong"])
+def test_simulate_zero_steps_never_evaluates_the_field(tmp_path, capsys, law):
+    """x0 on the grid's corner node, where the stencil leaves the grid: with
+    no step taken, neither law reads the field."""
+    origin, _ = small_grid_npz(tmp_path / "grid.npz")
+    particle = {"x0": origin.tolist(), "u0": [1.0, 0, 0, 0], "m": 1.0, "q": 1.0}
+    if law == "wong":
+        particle["I"] = {"dim": 3, "pair": [1, 3], "value": 0.7}
+    field = {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}}
+    cfg = _simulate_config(tmp_path, field, particle, 0.01, 0)
+    assert main(["simulate", "--config", cfg]) == 0
+    assert (tmp_path / "traj.csv").read_bytes().count(b"\r\n") == 2
+
+
+def reference_trajectory_json(traj, full_precision):
+    """One dict per sample through dump_json: the oracle of cli._trajectory_json."""
+    payload = {
+        "meta": traj.meta,
+        "samples": [
+            {"lambda": r[0], "x": r[1:5], "u": r[5:9]}
+            for r in map(np.ndarray.tolist, traj.table)
+        ],
+    }
+    return dump_json(payload, full_precision)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# repr changes form at 1e-4 / 1e-5 and 1e16; 5e-324 and 1e308 are the extremes
+EDGES = [-0.0, 5e-324, 1e308, 1e-5, 1e-4, 9999999999999998.0, 1e16, -1.7976931348623157e308, 0.1]
+
+
+@given(st.lists(st.lists(FINITE, min_size=9, max_size=9), min_size=1, max_size=5),
+       FINITE, st.booleans())
+@example([EDGES], 5e-324, True)
+@example([EDGES], 1e16, False)
+@example([[0.0] * 9], 0.0, True)  # steps = 0: one sample
+@example([[0.0] * 9], -0.0, False)
+@settings(max_examples=200, deadline=None)
+def test_trajectory_json_matches_dump_json(rows, drift, full_precision):
+    traj = Trajectory(np.array(rows, dtype=float), {"law": "wong", "dlam": 0.01, "eta_drift": drift})
+    assert cli._trajectory_json(traj, full_precision) == reference_trajectory_json(
+        traj, full_precision
+    )

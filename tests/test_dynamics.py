@@ -525,63 +525,96 @@ def test_wong_reduces_to_lorentz_for_abelian_embedding():
     gen = x12(2)
     f_scalar = uniform_magnetic_f([0.0, 0.0, 1.0])
     i0 = 0.7
-
-    def algebra_f(x):
-        return f_scalar[:, :, None, None] * gen[None, None, :, :]
-
     v = 0.01
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
     sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=i0 * gen)
     sl = ParticleState(np.zeros(4), u0, 1.0, 1.0 * i0)
-    tw = integrate_wong(sw, algebra_f, 0.01, 1500)
+    tw = integrate_wong(sw, lambda x: f_scalar, gen, 0.01, 1500)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1500)
     assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12
     assert np.max(np.abs(tw.us - tl.us)) <= 1e-12
 
 
 def test_wong_zero_charge_is_geodesic():
-    gen = x12(3)
-
-    def algebra_f(x):
-        return uniform_magnetic_f([0, 0, 1.0])[:, :, None, None] * gen
-
+    f = uniform_magnetic_f([0, 0, 1.0])
     state = ParticleState(
         np.zeros(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0, 1.0,
         charge_vector=np.zeros((3, 3)),
     )
-    traj = integrate_wong(state, algebra_f, 0.05, 100)
+    traj = integrate_wong(state, lambda x: f, x12(3), 0.05, 100)
     assert np.allclose(traj.xs[-1], state.u * traj.lambdas[-1], atol=1e-12)
 
 
 def test_wong_commuting_field_effective_charge():
     gen = x12(3)  # embed an so(2) inside so(3)
     f_scalar = uniform_magnetic_f([0.0, 0.0, 2.0])
-
-    def algebra_f(x):
-        return f_scalar[:, :, None, None] * gen[None, None, :, :]
-
     i0 = 0.5
     v = 0.02
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
     sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=i0 * gen)
-    tw = integrate_wong(sw, algebra_f, 0.01, 1000)
+    tw = integrate_wong(sw, lambda x: f_scalar, gen, 0.01, 1000)
     sl = ParticleState(np.zeros(4), u0, 1.0, i0)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1000)
     assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12
 
 
 def test_wong_dimension_mismatch():
-    gen = x12(2)
-
-    def algebra_f(x):
-        return np.zeros((4, 4, 3, 3))
-
     state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
-                          charge_vector=gen)
-    with pytest.raises(ValueError):
-        integrate_wong(state, algebra_f, 0.1, 5)
+                          charge_vector=x12(2))
+    with pytest.raises(ValueError, match="dimension"):
+        integrate_wong(state, lambda x: np.zeros((4, 4)), x12(3), 0.1, 5)
+
+
+@pytest.mark.parametrize("gen, charge", [(np.eye(2), x12(2)), (x12(2), np.eye(2))],
+                         ids=["generator", "charge"])
+def test_wong_rejects_what_is_not_in_so_d(gen, charge):
+    """kappa sums gen_ij I_ji over i < j only, which is -tr(gen I)/2 for
+    antisymmetric matrices alone."""
+    state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
+                          charge_vector=charge)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        integrate_wong(state, lambda x: np.zeros((4, 4)), gen, 0.1, 5)
+
+
+@pytest.mark.parametrize("value", [0.7, -0.7, 5e-324, 1e308, -1e308])
+def test_wong_charge_contracts_to_its_value_exactly(value):
+    """I = value X_31 pairs with X_31 to kappa = value exactly, also past
+    half the largest float, where -tr(gen I)/2 summed over all i, j would
+    overflow: the force is that of the Lorentz law in value F, bit for bit."""
+    f = uniform_magnetic_f([0.3, -0.7, 0.5])
+    gen = np.zeros((3, 3))
+    gen[2, 0], gen[0, 2] = 1.0, -1.0  # its entry above the diagonal is -1
+    for u0 in ([1.2, 0.3, -0.4, 0.5], [-0.0, -0.0, 0.3, -0.0]):  # zeros keep their sign
+        state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, -min(1.3, 1.3 / abs(value)),
+                              charge_vector=value * gen)
+        want = numpy_integrate(state, lambda x: value * f, 0.01, 20)
+        got = integrate_wong(state, lambda x: f, gen, 0.01, 20)
+        assert got.table.tobytes() == want.tobytes()
+
+
+class CountingArray:
+    """A field value that counts how often it is read as an array."""
+
+    def __init__(self, f):
+        self.f, self.reads = f, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return self.f
+
+
+def test_a_uniform_field_is_converted_once_per_run():
+    f = uniform_magnetic_f([0.3, -0.7, 1.1])
+    counting = CountingArray(f)
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
+                          charge_vector=0.7 * x12(3))
+    for integrate, args in ((integrate_lorentz, ()), (integrate_wong, (x12(3),))):
+        counting.reads = 0
+        traj = integrate(state, lambda x: counting, *args, 0.01, 50)
+        assert counting.reads == 1
+        assert traj.table.tobytes() == integrate(state, lambda x: f, *args, 0.01, 50).table.tobytes()
 
 
 # -- the scalar RK4 kernel against a numpy oracle -----------------------------------
@@ -636,8 +669,8 @@ def test_field_is_called_with_a_tuple_of_four_floats():
                           charge_vector=0.7 * x12(2))
     integrate_lorentz(state, recording, 0.01, 5)
     assert len(seen) == 4 * 5
-    integrate_wong(state, lambda x: recording(x)[:, :, None, None] * x12(2), 0.01, 5)
-    assert len(seen) == 2 * 4 * 5 + 1  # Wong probes the field once first
+    integrate_wong(state, recording, x12(2), 0.01, 5)
+    assert len(seen) == 2 * 4 * 5
     assert all(type(x) is tuple and len(x) == 4 and all(type(c) is float for c in x)
                for x in seen)
 
@@ -678,12 +711,9 @@ def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
     assert np.array_equal(integrate_lorentz(state, f_eval, dlam, n).table, want)
     gen, i0 = x12(3), 0.7
 
-    def algebra_f(x):
-        return f_eval(x)[:, :, None, None] * gen
-
-    def feff(x):
-        return -0.5 * np.einsum("mnij,ji->mn", algebra_f(x), i0 * gen)
+    def feff(x):  # the 4-index contraction of F (x) gen against I = i0 gen
+        return -0.5 * np.einsum("mnij,ji->mn", f_eval(x)[:, :, None, None] * gen, i0 * gen)
 
     sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=i0 * gen)
-    assert np.array_equal(integrate_wong(sw, algebra_f, dlam, n).table,
+    assert np.array_equal(integrate_wong(sw, f_eval, gen, dlam, n).table,
                           numpy_integrate(sw, feff, dlam, n))
