@@ -11,15 +11,15 @@ which is how the reference displays quote the result (the 1/2 sits outside
 the displayed quadratic form).
 
 A hand-rolled cyclic-Jacobi eigensolver provides the independent float
-cross-check of the exact diagonalization.
+cross-check of the exact diagonalization, on Python floats in a written-down
+operation order with no BLAS, so its output is the same on every machine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
 
@@ -111,40 +111,34 @@ def mass_spectrum(doubled: ExactMatrix) -> dict:
     }
 
 
-def jacobi_eigenvalues(a: np.ndarray, sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
+def jacobi_eigenvalues(rows, sweeps: int = 60) -> list[float]:
+    """Eigenvalues, ascending, of a symmetric matrix given as rows of numbers,
+    by cyclic Jacobi rotations in plain floats; rejects non-symmetric input."""
+    a = [[float(x) for x in row] for row in rows]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("need a square matrix")
+    if any(abs(a[i][j] - a[j][i]) > 1e-12 for i in range(n) for j in range(i)):
+        raise ValueError("matrix is not symmetric within 1e-12")
     for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off < 1e-15 * max(1.0, np.max(np.abs(np.diag(a)))):
+        off = math.hypot(*(a[i][j] for i in range(n) for j in range(i)))
+        if off < 1e-15 * max([1.0] + [abs(a[k][k]) for k in range(n)]):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) < 1e-300:
+                if abs(a[p][q]) < 1e-300:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = 1.0 if theta == 0.0 else (
+                    math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0)))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
-def float_eigen_crosscheck(m: np.ndarray) -> np.ndarray:
-    """Jacobi eigenvalues, ascending; rejects non-symmetric input."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("need a square matrix")
-    if np.max(np.abs(m - m.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    return jacobi_eigenvalues(m)
+                # a <- R^T a R, R the identity but for R_pp = R_qq = c, R_pq = -R_qp = s
+                a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                              [s * x + c * y for x, y in zip(a[p], a[q])])
+                for row in a:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+    return sorted(a[k][k] for k in range(n))
 
 
 def breaking_report() -> dict:
@@ -156,7 +150,7 @@ def breaking_report() -> dict:
     mixed = apply_mixing(ang.cos, ang.sin, m)
     doubled = mixed.scale(2)
     spectrum = mass_spectrum(doubled)
-    eigs = float_eigen_crosscheck(m.scale(2).to_float())
+    eigs = jacobi_eigenvalues(m.scale(2))
     return {
         "couplings": {"g_prime": str(gp), "g": str(gg)},
         "mass_matrix_halved": [[str(x) for x in row] for row in m.rows],
@@ -174,7 +168,7 @@ def breaking_report() -> dict:
             "mass_ratio_squared": str(spectrum["ratio_sq"]),
             "mass_ratio_float": spectrum["ratio_float"],
         },
-        "float_jacobi_eigenvalues": [float(x) for x in eigs],
+        "float_jacobi_eigenvalues": eigs,
         "weinberg_comparison": {
             "sin2_theory": 0.2,
             "sin2_experiment": 0.23120,

@@ -19,7 +19,8 @@ their native exact type.  QuadScalar enters only with a radical: the
 data.  ExactMatrix, a dense square matrix over QuadScalar, is what the
 electroweak module and the test oracles compute with (products,
 determinants).  trace_metric takes rows of any exact type, ExactMatrix
-included.  Every exact scalar converts with float().
+included.  Every exact scalar converts with float(); the module imports no
+numpy, so nothing here depends on a BLAS kernel.
 
 All exact linear algebra runs through one Gauss-Jordan kernel, rref,
 which works over whatever field its entries belong to.  ExactMatrix.det,
@@ -35,8 +36,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 RationalLike = Union[int, Fraction, "QuadScalar"]
 
@@ -256,46 +255,21 @@ class ExactMatrix:
             raise ValueError("matrix must be square")
 
     @staticmethod
-    def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * n for _ in range(n)])
-
-    @staticmethod
     def diagonal(entries: Sequence[RationalLike]) -> "ExactMatrix":
-        n = len(entries)
-        m = ExactMatrix.zeros(n)
-        for i, e in enumerate(entries):
-            m.rows[i][i] = QuadScalar.coerce(e)
-        return m
+        return ExactMatrix([[e if i == j else 0 for j in range(len(entries))]
+                            for i, e in enumerate(entries)])
 
     def __iter__(self):
         return iter(self.rows)
-
-    def _check_dim(self, other: "ExactMatrix"):
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other):
-        self._check_dim(other)
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other):
-        self._check_dim(other)
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return ExactMatrix([[-x for x in row] for row in self.rows])
 
     def scale(self, c: RationalLike) -> "ExactMatrix":
         c = QuadScalar.coerce(c)
         return ExactMatrix([[c * x for x in row] for row in self.rows])
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_dim(other)
         n = self.n
+        if n != other.n:
+            raise ValueError(f"dimension mismatch: {n} vs {other.n}")
         out = [[_ZERO] * n for _ in range(n)]
         orows = other.rows
         for i, row in enumerate(self.rows):
@@ -320,9 +294,6 @@ class ExactMatrix:
     def det(self) -> QuadScalar:
         _, pivots, signed = rref(self.rows, self.n)
         return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
-
-    def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows], dtype=float)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)

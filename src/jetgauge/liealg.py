@@ -108,11 +108,6 @@ class LieElement:
                 total = total + hij * x * y
         return -total
 
-    def __eq__(self, other):
-        if not isinstance(other, LieElement):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
     def _check(self, other: "LieElement"):
         if self.n != other.n:
             raise ValueError(f"ambient dimension mismatch: {self.n} vs {other.n}")

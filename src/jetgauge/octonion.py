@@ -64,7 +64,7 @@ def unit_product(i: int, j: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """A fixed-length tuple of rational coefficients, added componentwise."""
+    """A fixed-length tuple of rational coefficients."""
 
     coeffs: tuple[Fraction, ...]
     _size, _noun = 0, ""
@@ -78,9 +78,6 @@ class _Coefficients:
         """Pads the given ints or Fractions with zeros."""
         cs = tuple(_frac(c) for c in cs)
         return cls(cs + (Fraction(0),) * (cls._size - len(cs)))
-
-    def __add__(self, other):
-        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         return type(self)(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
@@ -148,10 +145,6 @@ class ImOctonion(_Coefficients):
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def scale(self, c) -> "ImOctonion":
-        c = _frac(c)
-        return ImOctonion(tuple(c * a for a in self.coeffs))
 
 
 def inner(a: ImOctonion, b: ImOctonion) -> Fraction:

@@ -14,7 +14,9 @@ use the coefficient formula tr(h X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij
 on LieElements with H_INTS, so the (3,3) and (1,3) Grams are integers;
 QuadScalar enters only with the 1/sqrt2 of the (2,3) isotropic basis.
 Realized 28x28 matrices contracted with trace_metric are the independent
-test oracle.
+test oracle.  The finite hypercharge rotation is the one float computation
+here: it conjugates sparse float matrices in a pinned arithmetic order,
+without numpy or BLAS, so its printed residual is the same on every machine.
 
 The (2,3) block census computed from h is (21 positive, 13 negative, 46
 zero).  The quoted signature "(7,39)" for the same block disagrees with
@@ -30,10 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
 
 from .exactnum import QS_INV_SQRT2
 from .liealg import LieElement
@@ -44,10 +44,10 @@ DIM = 28
 ORDER_BLOCKS = {1: (1, 4), 2: (5, 8), 3: (9, 28)}
 
 SectorLabel = tuple[int, int]
+SparseRows = dict[int, dict[int, float]]  # 0-based, each row's columns ascending
 
 
 H_INTS = (0, 0, 0, 0, 1, -1, -1, -1) + (-1,) * 7 + (1,) * 13
-_H_FLOAT = np.array(H_INTS, dtype=float)
 
 
 def proca_table() -> list[list[int]]:
@@ -98,11 +98,12 @@ class IsotropicBasis:
         return len(self.vectors)
 
     @functools.cached_property
-    def _float_gram(self) -> tuple[list[np.ndarray], list[list]]:
-        """The vectors as float 28x28 matrices, and their Gram products."""
-        vecs = [_antisymmetric(DIM, {k: float(c) for k, c in v.coeffs.items()})
+    def _float_gram(self) -> tuple[list[SparseRows], list[list[float]]]:
+        """The vectors sum c_ij X_ij as float matrices, and their float Gram."""
+        vecs = [_sparse(e for (i, j), c in v.coeffs.items()
+                        for e in (((i - 1, j - 1), float(c)), ((j - 1, i - 1), -float(c))))
                 for v in self.vectors]
-        return vecs, [[np.sum(_H_FLOAT * np.diag(a @ b)) for b in vecs] for a in vecs]
+        return vecs, [[_trace_h(a, b) for b in vecs] for a in vecs]
 
 
 def gram_matrix(basis: IsotropicBasis) -> list[list]:
@@ -187,33 +188,77 @@ def u1y_first_order_variation(basis: IsotropicBasis) -> list[list]:
     ]
 
 
-def _antisymmetric(n: int, coeffs: Mapping[tuple[int, int], float]) -> np.ndarray:
-    """Float matrix sum c_ij X_ij from coefficients over pairs 1 <= i < j <= n."""
-    a = np.zeros((n, n))
-    for (i, j), v in coeffs.items():
-        a[i - 1, j - 1] = v
-        a[j - 1, i - 1] = -v
-    return a
+# The float arithmetic order of the residual: a product entry is a chain
+# of correctly rounded fused multiply-adds over ascending k from 0.0, over
+# the nonzero terms only, and an h-weighted diagonal is summed in numpy's
+# pairwise order, the bits of np.sum(h * np.diag(a @ b)) on an FMA kernel.
 
 
-def _givens(n: int, i: int, j: int, theta: float) -> np.ndarray:
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once: one exact ratio of ints, divided with correct
+    rounding.  An exact zero comes out +0.0, where an FMA unit may give -0.0."""
+    (p, q), (r, s), (u, v) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (p * r * v + u * q * s) / (q * s * v)
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """numpy's sum of 8 to 127 floats: eight running sums, then the rest in
+    sequence, added to 0.0 (so a zero sum is +0.0)."""
+    n = len(xs) - len(xs) % 8
+    r = xs[:8]
+    for i in range(8, n, 8):
+        r = list(map(operator.add, r, xs[i:i + 8]))
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + functools.reduce(operator.add, xs[n:], tree)
+
+
+def _sparse(entries) -> SparseRows:
+    """Rows from ((row, col), x) pairs, each row's columns sorted once."""
+    rows: SparseRows = {}
+    for (i, j), x in entries:
+        rows.setdefault(i, {})[j] = x
+    return {i: dict(sorted(row.items())) for i, row in rows.items()}
+
+
+def _givens(n: int, i: int, j: int, theta: float) -> SparseRows:
     """exp(theta * X_ij) as a float rotation (1-based plane indices)."""
-    r = np.eye(n)
     c, s = math.cos(theta), math.sin(theta)
-    r[i - 1, i - 1] = c
-    r[j - 1, j - 1] = c
-    r[i - 1, j - 1] = s
-    r[j - 1, i - 1] = -s
+    r = {k: {k: 1.0} for k in range(n)}
+    r[i - 1], r[j - 1] = {i - 1: c, j - 1: s}, {i - 1: -s, j - 1: c}
     return r
 
 
+def _product(a: SparseRows, b: SparseRows) -> SparseRows:
+    """a b; a's rows are read in column order, so each chain runs over ascending k."""
+    out = {}
+    for i, row in a.items():
+        acc: dict[int, float] = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = _fma(x, y, acc.get(j, 0.0))
+        if acc:
+            out[i] = dict(sorted(acc.items()))
+    return out
+
+
+def _trace_h(a: SparseRows, b: SparseRows) -> float:
+    """sum_k h_k (a b)_kk, from the diagonal of a b alone."""
+    diag = [0.0] * DIM
+    for k, row in a.items():
+        for j, x in row.items():
+            if k in b.get(j, ()):
+                diag[k] = _fma(x, b[j][k], diag[k])
+    return _pairwise_sum(list(map(operator.mul, H_INTS, diag)))
+
+
 def u1y_finite_rotation_residual(basis: IsotropicBasis, theta: float) -> float:
-    """Max |Gram(conjugated) - Gram| over all pairs, float arithmetic; the
-    unrotated float Gram is built once per basis."""
+    """Max |Gram(r v r^T) - Gram(v)| over all pairs, r the (6,7) rotation by
+    theta, in plain floats; the unrotated float Gram is built once per basis."""
     vecs, before = basis._float_gram
     r = _givens(DIM, *U1Y_GENERATOR_PAIR, theta)
-    rot = [r @ v @ r.T for v in vecs]
-    after = [[np.sum(_H_FLOAT * np.diag(a @ b)) for b in rot] for a in rot]
+    rt = _sparse(((j, i), x) for i, row in r.items() for j, x in row.items())
+    rot = [_product(_product(r, v), rt) for v in vecs]
+    after = [[_trace_h(a, b) for b in rot] for a in rot]
     return max(0.0, *(abs(x - y) for ra, rb in zip(after, before) for x, y in zip(ra, rb)))
 
 

@@ -1,10 +1,15 @@
-"""Dense QuadScalar helpers that only the tests need.
+"""Dense QuadScalar helpers, and the sums the program never forms, that only
+the tests need.
 
 The program computes its structural claims on integer rows; these build
 and inspect ExactMatrix oracles for the tests that check it.
 """
 
 from jetgauge.exactnum import ExactMatrix, qs
+
+
+def zeros(n: int) -> ExactMatrix:
+    return ExactMatrix([[0] * n for _ in range(n)])
 
 
 def identity(n: int) -> ExactMatrix:
@@ -26,6 +31,16 @@ def rational_rows(m: ExactMatrix) -> list[list]:
     return [[x.as_fraction() for x in row] for row in m.rows]
 
 
+def add(a: ExactMatrix, b: ExactMatrix, c=1) -> ExactMatrix:
+    """A + c B, entrywise."""
+    return ExactMatrix([[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+
+
+def scaled(v, c):
+    """c * v for an (Im)Octonion."""
+    return type(v)(tuple(c * x for x in v.coeffs))
+
+
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """AB - BA."""
-    return a @ b - b @ a
+    return add(a @ b, b @ a, -1)

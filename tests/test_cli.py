@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jetgauge
 from jetgauge import cli
 from jetgauge.cli import main
 from jetgauge.dynamics import Trajectory
@@ -201,6 +203,37 @@ def test_exact_output_bytes_pinned(capsys, argv):
     main(list(argv))
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == EXACT_OUTPUT_SHA256[argv]
+
+
+def _child(argv, **env):
+    """Run python with argv in a child process that imports this jetgauge."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetgauge.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run([sys.executable, *argv], capture_output=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path), **env))
+
+
+@pytest.mark.parametrize("argv", [("verify-all", "--format", "json"),
+                                  ("isotropic", "--sector", "23", "--format", "json")],
+                         ids=" ".join)
+def test_pinned_bytes_hold_on_a_non_fma_blas_kernel(argv):
+    # OpenBLAS's Sandybridge kernels multiply and add in separate roundings;
+    # the float rows print the same bits because no BLAS computes them
+    out = _child(["-m", "jetgauge.cli", *argv], OPENBLAS_CORETYPE="Sandybridge").stdout
+    digest = {**EXACT_OUTPUT_SHA256, ("verify-all", "--format", "json"): VERIFY_ALL_SHA256}[argv]
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_exact_layer_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "from jetgauge import electroweak, proca, verify\n"
+        "verify.build_report()\n"
+        "electroweak.breaking_report()\n"
+        "proca.u1y_finite_rotation_residual(proca.isotropic_23_basis(), 0.7)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert _child(["-c", code]).stdout == b"False\n"
 
 
 # sha256 of `pheno <what> --format <format>` stdout with the default constants

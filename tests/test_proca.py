@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from jetgauge import proca, verify
 from jetgauge.exactnum import QS_INV_SQRT2, QuadScalar, qs, trace_metric
@@ -265,6 +267,152 @@ def test_u1y_invariance_is_structural():
     assert H_INTS[5] == H_INTS[6]  # h_6 == h_7
 
 
+# -- the plain-float kernel of the finite rotation --------------------------------
+
+
+def _antisymmetric(n, coeffs):
+    """Dense float matrix sum c_ij X_ij from coefficients over pairs 1 <= i < j <= n."""
+    a = np.zeros((n, n))
+    for (i, j), v in coeffs.items():
+        a[i - 1, j - 1] = v
+        a[j - 1, i - 1] = -v
+    return a
+
+
+def _givens(n, i, j, theta):
+    """exp(theta * X_ij) as a dense float rotation (1-based plane indices)."""
+    r = np.eye(n)
+    c, s = math.cos(theta), math.sin(theta)
+    r[i - 1, i - 1] = c
+    r[j - 1, j - 1] = c
+    r[i - 1, j - 1] = s
+    r[j - 1, i - 1] = -s
+    return r
+
+
+def _dense(rows, n=28):
+    return [[rows.get(i, {}).get(j, 0.0) for j in range(n)] for i in range(n)]
+
+
+def _transposed(rows):
+    return proca._sparse(((j, i), x) for i, row in rows.items() for j, x in row.items())
+
+
+def _fma_product(a, b):
+    """Dense a b with proca._fma over every k, the zero terms included."""
+    n = len(a)
+    out = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = proca._fma(a[i][k], b[k][j], out[i][j])
+    return out
+
+
+def _exact_fma(a, b, c):
+    return float(F(a) * F(b) + F(c))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite_floats, finite_floats, finite_floats)
+@example(0.1, 10.0, -1.0)  # the rounding error of 0.1 * 10
+@example(5e-324, 0.5, 0.0)  # half the smallest subnormal: a tie, to even 0.0
+@example(-5e-324, 0.5, -0.0)
+@example(1.7976931348623157e308, 2.0, -1.7976931348623157e308)  # a*b alone overflows
+@example(-0.0, 1.0, -0.0)  # an exact zero: +0.0, where an FMA unit gives -0.0
+@example(1e308, 10.0, 0.0)  # the result overflows
+@settings(max_examples=300)
+def test_fma_is_correctly_rounded(a, b, c):
+    try:
+        want = _exact_fma(a, b, c)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            proca._fma(a, b, c)
+        return
+    assert proca._fma(a, b, c).hex() == want.hex()
+
+
+@given(finite_floats, finite_floats)
+@settings(max_examples=300)
+def test_fma_cancellation_leaves_the_product_rounding_error(a, b):
+    p = a * b
+    assume(math.isfinite(p))
+    assert proca._fma(a, b, -p).hex() == _exact_fma(a, b, -p).hex()
+
+
+@given(st.lists(st.floats(-1e200, 1e200) | st.sampled_from([0.0, -0.0]), min_size=8,
+                max_size=127))
+@example([-0.0] * 28)
+def test_pairwise_sum_is_numpy_sum(xs):
+    assert proca._pairwise_sum(xs).hex() == float(np.sum(np.array(xs))).hex()
+
+
+_N = 9
+_cells = st.dictionaries(
+    st.tuples(st.integers(0, _N - 1), st.integers(0, _N - 1)),
+    st.floats(-1e3, 1e3) | st.sampled_from([1.0, -1.0, 0.0]),
+    max_size=25,
+)
+
+
+@given(_cells, _cells)
+@settings(max_examples=60, deadline=None)
+def test_sparse_product_matches_dense_fma_loop(a, b):
+    # skipping the zero terms may change the sign of a zero entry, nothing else
+    sa, sb = proca._sparse(a.items()), proca._sparse(b.items())
+    prod = proca._product(sa, sb)
+    assert _dense(prod, _N) == _fma_product(_dense(sa, _N), _dense(sb, _N))
+    assert all(list(row) == sorted(row) for row in prod.values())
+
+
+def test_rotation_kernel_matches_dense_fma_loop():
+    """One rotated (2,3) vector and one h-trace on the 28x28 data: against
+    the dense fma loop, and against np.sum over the same diagonal."""
+    v, w = isotropic_23_basis()._float_gram[0][:2]
+    r = proca._givens(28, *U1Y_GENERATOR_PAIR, 0.7)
+    assert _dense(r) == _givens(28, *U1Y_GENERATOR_PAIR, 0.7).tolist()
+    rv = proca._product(proca._product(r, v), _transposed(r))
+    dense = _fma_product(_fma_product(_dense(r), _dense(v)), _dense(_transposed(r)))
+    assert _dense(rv) == dense
+    diag = np.diag(np.array(_fma_product(dense, _dense(w))))
+    want = float(np.sum(np.array(H_INTS, dtype=float) * diag))
+    assert proca._trace_h(rv, w) == want
+
+
+def _dense_residual(basis, theta):
+    """The residual by dense numpy conjugation, equal up to its rounding."""
+    h = np.array(H_INTS, dtype=float)
+    vecs = [_antisymmetric(28, {k: float(c) for k, c in v.coeffs.items()})
+            for v in basis.vectors]
+    r = _givens(28, *U1Y_GENERATOR_PAIR, theta)
+
+    def gram(ms):
+        return [[np.sum(h * np.diag(a @ b)) for b in ms] for a in ms]
+
+    pairs = zip(gram([r @ v @ r.T for v in vecs]), gram(vecs))
+    return max(abs(x - y) for after, before in pairs for x, y in zip(after, before))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.1, 0.7, 1.3, -2.5])
+def test_residual_matches_dense_conjugation(theta):
+    off_isotropy = IsotropicBasis((2, 3), (
+        LieElement(28, {(6, 9): 1, (5, 16): QS_INV_SQRT2}),
+        LieElement(28, {(6, 9): qs(0, 0, 1), (7, 9): 1, (9, 10): F(1, 3)}),
+    ))
+    for basis in (isotropic_23_basis(), off_isotropy):
+        got = u1y_finite_rotation_residual(basis, theta)
+        assert abs(got - _dense_residual(basis, theta)) <= 1e-15
+
+
+def test_residual_bits_are_pinned():
+    # verify-all prints this rounding noise, so the bits must not move
+    b = isotropic_23_basis()
+    got = [u1y_finite_rotation_residual(b, t) for t in (0.0, 0.1, 0.7)]
+    assert got == [0.0, 1.6653345369377348e-16, 4.518954654919582e-16]
+
+
 # -- rotated quadratic form ------------------------------------------------------
 
 # local (3,3) indices 1..20 map to global 9..28; local h is (-1)^7 (+1)^13,
@@ -285,8 +433,8 @@ def rotated_proca_value(coeffs, theta: float) -> float:
     7 + 13).  Computed by direct conjugation of the realized matrix: the
     oracle of rotated_proca_closed_form.
     """
-    a = proca._antisymmetric(_LOCAL_DIM, coeffs)
-    r = proca._givens(_LOCAL_DIM, 7, 8, -theta)
+    a = _antisymmetric(_LOCAL_DIM, coeffs)
+    r = _givens(_LOCAL_DIM, 7, 8, -theta)
     ap = r @ a @ r.T
     return 0.5 * float(np.sum(_LOCAL_H * np.diag(ap @ ap)))
 

@@ -104,7 +104,7 @@ def non_orthogonal_givens(mp):
         # adds row 6 into row 1, where h differs: no basis change can flip
         # the theta = 0 row, but a rotation that is not orthogonal does
         r = original(n, i, j, theta)
-        r[0, 5] += 1.0
+        r[0] = {**r[0], 5: r[0].get(5, 0.0) + 1.0}
         return r
 
     mp.setattr(proca, "_givens", sheared)
