@@ -14,11 +14,9 @@ import math
 
 import numpy as np
 
+from jetgauge.curvature import GaugePotentialField, MetricField, bianchi_residual
 from jetgauge.dynamics import (
-    GaugePotentialField,
-    MetricField,
     ParticleState,
-    bianchi_residual,
     field_strength_em,
     integrate_lorentz,
     uniform_magnetic_f,
@@ -36,11 +34,11 @@ def rk4_study(levels: int) -> None:
         n = 125 * 2**k
         state = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q)
         traj = integrate_lorentz(state, lambda x: f, period / n, n)
-        lam = traj.lambdas[-1]
+        lam, *x = np.asarray(traj.table)[-1, :5]
         exact = np.array(
             [gamma * lam, gamma * v * math.sin(lam), gamma * v * (math.cos(lam) - 1), 0.0]
         )
-        err = np.max(np.abs(traj.xs[-1] - exact))
+        err = np.max(np.abs(x - exact))
         note = f"  order {math.log2(prev / err):5.2f}" if prev else ""
         print(f"  n={n:6d}  err={err:.3e}{note}")
         prev = err

@@ -7,9 +7,9 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
-
-import numpy as np
+from fractions import Fraction
 
 from . import dynamics, electroweak, jetspace, octonion, pheno, proca, verify
 from .octonion import ImOctonion
@@ -181,9 +181,14 @@ def _parse_im(text: str) -> ImOctonion:
     text = text.strip()
     if text.startswith("e") and text[1:].isdigit():
         return ImOctonion.unit(int(text[1:]))
-    from fractions import Fraction
 
-    parts = [Fraction(t) for t in text.split(",")]
+    def rational(t: str) -> Fraction:
+        try:
+            return Fraction(t)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--fix {text!r}: {t!r} is not a rational number") from None
+
+    parts = [rational(t) for t in text.split(",")]
     if len(parts) != 7:
         raise ValueError(
             f"--fix {text!r}: expected a unit like e4 or 7 comma-separated rationals"
@@ -257,8 +262,13 @@ def _field_from_config(cfg: dict):
         f = dynamics.uniform_magnetic_f(b)
         return lambda x: f
     if kind == "grid":
-        data = np.load(_require(cfg, "params.npz", "field."))
-        grid = dynamics.GridMetricField(data["g"], data["origin"], float(data["spacing"]))
+        path = _require(cfg, "params.npz", "field.")
+        try:
+            if not isinstance(path, str):
+                raise ValueError(f"expected a path, got {path!r}")
+            grid = dynamics.GridMetricField.from_npz(path)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"field.params.npz: {exc}") from exc
         return dynamics.grid_field_strength_evaluator(grid)
     raise ValueError(f"unknown field kind {kind!r}")
 
@@ -275,7 +285,7 @@ def _vector(value, path: str, n: int) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _charge_generator(cfg: dict) -> tuple[np.ndarray, float]:
+def _charge_generator(cfg: dict) -> tuple[dynamics.SoElement, float]:
     """(X_ij in so(dim), charge value) from particle.I = {dim, pair, value}."""
     dim = _require(cfg, "particle.I.dim")
     pair = _require(cfg, "particle.I.pair")
@@ -288,24 +298,22 @@ def _charge_generator(cfg: dict) -> tuple[np.ndarray, float]:
     ):
         raise ValueError(f"particle.I.pair must be two distinct indices in 1..{dim}")
     i, j = pair
-    gen = np.zeros((dim, dim))
-    gen[i - 1, j - 1] = 1.0
-    gen[j - 1, i - 1] = -1.0
-    return gen, float(value)
+    return dynamics.SoElement(dim, {(i - 1, j - 1): 1.0, (j - 1, i - 1): -1.0}), float(value)
 
 
 # one sample in dump_json's layout (indent 2, sorted keys), over the row
 # [lambda, u0..u3, x0..x3]; %r of a finite float is json's float text
 _JSON_VEC = "[\n" + ",\n".join(["        %r"] * 4) + "\n      ]"
 _JSON_SAMPLE = '    {\n      "lambda": %r,\n      "u": ' + _JSON_VEC + ',\n      "x": ' + _JSON_VEC + "\n    }"
+_JSON_ORDER = operator.itemgetter(0, 5, 6, 7, 8, 1, 2, 3, 4)
 
 
 def _trajectory_json(traj, full_precision: bool) -> str:
     """dump_json of {"meta", "samples": [{"lambda", "x", "u"}, ...]}; the samples are finite."""
-    rows = traj.table[:, [0, 5, 6, 7, 8, 1, 2, 3, 4]].tolist()
+    rows = map(_JSON_ORDER, traj.rows())
     if not full_precision:
-        rows = [[fmt_float(v) for v in r] for r in rows]
-    samples = ",\n".join([_JSON_SAMPLE % tuple(r) for r in rows])
+        rows = (tuple(map(fmt_float, r)) for r in rows)
+    samples = ",\n".join([_JSON_SAMPLE % r for r in rows])
     head = dump_json({"meta": traj.meta}, full_precision)[:-2]  # without the closing "\n}"
     return f'{head},\n  "samples": [\n{samples}\n  ]\n}}'
 
@@ -322,7 +330,7 @@ def cmd_simulate(args) -> int:
         gen = charge = None
         if cfg["particle"].get("I"):
             gen, value = _charge_generator(cfg)
-            charge = value * gen
+            charge = dynamics.SoElement(gen.dim, {k: value * x for k, x in gen.entries.items()})
         state = dynamics.ParticleState(x0, u0, m, q, charge)
         dlam = _number(_require(cfg, "integrator.dlambda"), "integrator.dlambda")
         if dlam <= 0:
@@ -341,12 +349,10 @@ def cmd_simulate(args) -> int:
         print(f"bad simulate config: {exc}", file=sys.stderr)
         return 2
     try:
-        # a blow-up is reported once, by the integrator's finite-state check
-        with np.errstate(over="ignore", invalid="ignore"):
-            if gen is not None:
-                traj = dynamics.integrate_wong(state, f_eval, gen, dlam, steps)
-            else:
-                traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps)
+        if gen is not None:
+            traj = dynamics.integrate_wong(state, f_eval, gen, dlam, steps)
+        else:
+            traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps)
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
@@ -356,7 +362,7 @@ def cmd_simulate(args) -> int:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("lambda,x0,x1,x2,x3,u0,u1,u2,u3\r\n")
-            fh.writelines(",".join(map(repr, r.tolist())) + "\r\n" for r in traj.table)
+            fh.writelines(",".join(map(repr, r)) + "\r\n" for r in traj.rows())
     print(
         f"integrated {len(traj) - 1} steps ({traj.meta['law']}); "
         f"eta(u,u) drift {traj.meta['eta_drift']:.3e}; wrote {path}"

@@ -1,4 +1,4 @@
-"""Weak-field field strength, discrete curvature, and force-law integration.
+"""Weak-field field strength and force-law integration, on Python floats.
 
 Conventions.  Indices are raised and lowered with eta = diag(-1, 1, 1, 1).
 The electromagnetic-type field strength built from the metric components
@@ -8,53 +8,73 @@ g_mu := g_{mu,00} is
 
 antisymmetric after lowering both indices.  The 1/2 that would accompany
 the connection coefficients is absorbed into this definition (the nu,00
-and 00,nu orderings are summed over once).
-
-The non-abelian field strength is F_{mu nu} = d_mu A_nu - d_nu A_mu +
-[A_mu, A_nu]; the commutator term vanishes identically for commuting
-potentials.
+and 00,nu orderings are summed over once).  F is four rows of four floats,
+row mu holding F^mu_nu; raising the first index multiplies row 0 by -1.0,
+which also flips the sign of its zeros.
 
 Every first derivative is _stencil(sample, h), the one 4th-order central
 difference: it adds w sample(off) over _STENCIL4 in offset order -2, -1, 1,
 2, starting from 0.0, and divides by 12 h.  A grid-sampled metric gives F at
 the nodes by it (GridMetricField.jacobian steps node indices) and between
-them by multilinear interpolation over the 16 corners of the
-enclosing cell.  grid_field_strength_evaluator fills two lazy caches: F per
-node, computed through the module-level field_strength_em when a node is
-first needed, and per cell the (16, 4, 4) stack of its corner values, so a
-query inside a known cell is one dict lookup and one numpy reduction.  Only
-cells and nodes a trajectory visits are computed; a whole-grid precompute
-would cost more memory than the grid itself.  The reduction order is
-pinned: weights are the products ((w0 w1) w2) w3, and np.add.reduce adds the
-weighted corners one by one in np.ndindex order from 0.0, skipping zero
-weights, which is what a plain corner loop does.  So samples are
-bit-identical to that loop (tests/test_dynamics.py keeps it as the oracle);
-einsum, tensordot and @ leave their summation order to the library.
+them by multilinear interpolation over the 16 corners of the enclosing
+cell.  grid_field_strength_evaluator fills two lazy caches: per node, the
+six independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3,
+computed through the module-level field_strength_em when a node is first
+needed, and per cell those six at its 16 corners, so a query inside a known
+cell is one dict lookup and one pass over the corners.  Only cells and
+nodes a trajectory visits are computed; a whole-grid precompute would cost
+more memory than the grid itself.
+
+The interpolation order is pinned: weights are the products ((w0 w1) w2) w3
+over the corners in itertools.product order, and each of the six components
+is summed from 0.0, one weighted corner after the other in that order,
+skipping zero weights.  That is what np.add.reduce over the (16, 4, 4) stack
+of corner values and a plain corner loop both do, so samples are
+bit-identical to them (tests/test_dynamics.py keeps both as oracles).  The
+other ten entries need no arithmetic.  At a node F^j_0 = F^0_j up to the
+sign of a zero, F^j_i = -F^i_j for spatial i, j except that two zeros are
+both +0.0, and the diagonal holds signed zeros.  In round-to-nearest a sum
+that starts from +0.0 never yields -0.0, and a zero term never changes a
+nonzero partial sum; so the interpolated F^j_0 is the sum s of the F^0_j,
+F^j_i is -s, or +0.0 when s is 0, and the diagonal is +0.0.  An infinite
+d_mu g_mu would make a diagonal NaN instead, so a node whose F is not
+finite is an error.
+
+A grid .npz is read in place: read_npz parses each .npy header itself and
+views native float64 data through memoryview.cast('d'), with no copy;
+float32 and integer arrays are converted.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
 floats, which keeps runs deterministic and golden files meaningful.  The
 field is called at each stage position as a tuple of four floats, and the
-one rows memo both force laws share converts kappa F to rows once per
-distinct F object returned, so a uniform field converts once per run; kappa
-is 1 for Lorentz and Wong's charge pairing, contracted once per run.  The
-RK4 order is pinned too: du/dlam = qm M u, with M = kappa F, takes row a of
-M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order
-that numpy's F @ u showed on the OpenBLAS build the golden files came from;
-stages are y + (h/2) k and y + h k, and a step is
+one rows memo both force laws share forms kappa F once per distinct F
+object returned; kappa is 1 for Lorentz and Wong's charge pairing,
+contracted once per run.  The RK4 order is pinned too: du/dlam = qm M u,
+with M = kappa F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)),
+the order that numpy's F @ u showed on the OpenBLAS build the golden files
+came from; stages are y + (h/2) k and y + h k, and a step is
 y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).  tests/test_dynamics.py keeps a numpy
-RK4 with that column order as the oracle.
+RK4 with that column order as the oracle.  The loop also tracks the eta
+drift max_k |eta(u_k, u_k) - eta(u_0, u_0)|, with eta(u, u) =
+((u1 u1 + u2 u2) + u3 u3) - u0 u0, NaN once any term is NaN, as np.max
+gives it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import re
+import sys
+import zipfile
+import zlib
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
+from .proca import _pairwise_sum
 
-ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
+ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
 
 _STENCIL4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
 
@@ -67,119 +87,188 @@ def _stencil(sample, h: float):
     return acc / (12.0 * h)
 
 
+def _raise_first_index(f_lower) -> tuple:
+    """F^mu_nu = eta^mu f_lower[mu][nu], row by row."""
+    return tuple(tuple(eta * v for v in row) for eta, row in zip(ETA_DIAG, f_lower))
+
+
 class GridBoundaryError(ValueError):
     """Raised when a stencil would reach outside the sampled grid."""
 
 
-class MetricField:
-    """Evaluator of the four metric components g_mu(x) := g_{mu,00}(x)."""
+# -- grid input --------------------------------------------------------------------
 
-    def __init__(self, func, step: float = 1e-3):
-        self._func = func
-        self.step = step
-
-    def values(self, x) -> np.ndarray:
-        return np.asarray(self._func(np.asarray(x, dtype=float)), dtype=float)
-
-    def derivative(self, x, mu: int) -> np.ndarray:
-        """d_mu of values() at x by the 4th-order stencil."""
-        x = np.asarray(x, dtype=float)
-
-        def sample(off):
-            xp = x.copy()
-            xp[mu] += off * self.step
-            return self.values(xp)
-
-        return _stencil(sample, self.step)
-
-    def jacobian(self, x) -> np.ndarray:
-        """J[mu, nu] = d_mu g_nu."""
-        return np.stack([self.derivative(x, mu) for mu in range(4)])
+# .npy dtype codes read as floats: float64, float32 and the integers
+_NPY_TYPECODES = {"f8": "d", "f4": "f", "i1": "b", "u1": "B", "i2": "h", "u2": "H",
+                  "i4": "i", "u4": "I", "i8": "q", "u8": "Q"}
+_FOREIGN_ORDER = ">" if sys.byteorder == "little" else "<"
 
 
-class GridMetricField(MetricField):
-    """g_mu sampled on a regular 4d grid; queries resolve to grid nodes."""
+def _read_npy(data: bytes, name: str):
+    """(values, shape, fortran_order) of one .npy file; values is flat, in
+    file order."""
+    if data[:6] != b"\x93NUMPY" or len(data) < 12 or data[6] not in (1, 2, 3):
+        raise ValueError(f"array {name!r} is not in .npy format")
+    start = 10 if data[6] == 1 else 12  # the header length takes 2 bytes in version 1, else 4
+    end = start + int.from_bytes(data[8:start], "little")
+    header = data[start:end].decode("latin-1")
+    descr = re.search(r"'descr':\s*'([<>|=]?)(\w+)'", header)
+    order = re.search(r"'fortran_order':\s*(True|False)", header)
+    dims = re.search(r"'shape':\s*\(([\d,\s]*)\)", header)
+    if not (descr and order and dims):
+        raise ValueError(f"array {name!r} has an unreadable .npy header")
+    byteorder, code = descr.groups()
+    typecode = _NPY_TYPECODES.get(code)
+    if typecode is None:
+        raise ValueError(f"array {name!r} has dtype {byteorder + code!r}; "
+                         "expected float64, float32 or an integer type")
+    shape = tuple(int(n) for n in dims.group(1).split(",") if n.strip())
+    body = memoryview(data)[end:]
+    nbytes = math.prod(shape) * int(code[1:])
+    if len(body) != nbytes:
+        raise ValueError(f"array {name!r} of shape {shape} holds {len(body)} data bytes, "
+                         f"expected {nbytes}")
+    fortran = order.group(1) == "True"
+    if typecode == "d" and byteorder != _FOREIGN_ORDER:
+        return body.cast("d"), shape, fortran
+    values = array(typecode)
+    values.frombytes(body)
+    if byteorder == _FOREIGN_ORDER:
+        values.byteswap()
+    return (values if typecode == "d" else array("d", values)), shape, fortran
 
-    def __init__(self, values: np.ndarray, origin, spacing: float):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 5 or values.shape[0] != 4:
-            raise ValueError("grid values must have shape (4, n0, n1, n2, n3)")
-        self.grid = values
-        self.origin = np.asarray(origin, dtype=float)
-        self.spacing = float(spacing)
-        super().__init__(self._node_values, spacing)
+
+def read_npz(path: str, names) -> dict:
+    """{name: (values, shape, fortran_order)} for the named arrays of an .npz
+    archive as np.savez or np.savez_compressed write it.  values is flat in
+    file order: a copy-free memoryview of native float64 data, or float32
+    and integer data converted to float."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            members = set(zf.namelist())
+            arrays = {}
+            for name in names:
+                if f"{name}.npy" not in members:
+                    raise ValueError(f"missing array {name!r}")
+                arrays[name] = _read_npy(zf.read(f"{name}.npy"), name)
+    # a damaged archive, a corrupt deflate stream, an encrypted member
+    # (RuntimeError) or an unknown compression method (NotImplementedError)
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, NotImplementedError) as exc:
+        raise ValueError(f"not a readable .npz archive ({exc})") from exc
+    return arrays
+
+
+class GridMetricField:
+    """g_mu sampled on a regular 4d grid with nodes at origin + spacing * idx.
+
+    values holds the (4, n0, n1, n2, n3) samples flat, in C order or, with
+    fortran_order, in Fortran order, so a .npy body is read in place."""
+
+    def __init__(self, values, shape, origin, spacing: float, fortran_order: bool = False):
+        shape = tuple(shape)
+        if len(shape) != 5 or shape[0] != 4:
+            raise ValueError(f"grid values must have shape (4, n0, n1, n2, n3), got {shape}")
+        if len(values) != math.prod(shape):
+            raise ValueError(f"{len(values)} grid values for shape {shape}")
+        origin = tuple(map(float, origin))
+        if len(origin) != 4 or not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin must be 4 finite numbers, got {list(origin)}")
+        spacing = float(spacing)
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
+        self.values, self.shape, self.origin, self.spacing = values, shape, origin, spacing
+        self.strides = [math.prod(shape[:k]) if fortran_order else math.prod(shape[k + 1:])
+                        for k in range(5)]
+
+    @classmethod
+    def from_npz(cls, path: str) -> GridMetricField:
+        """The grid of an .npz holding g of shape (4, n0, n1, n2, n3), origin
+        of shape (4,) and a single-number spacing, each float64, float32 or
+        integer, in either byte order and C or Fortran order."""
+        arrays = read_npz(path, ("g", "origin", "spacing"))
+        g, shape, fortran = arrays["g"]
+        origin, origin_shape, _ = arrays["origin"]
+        spacing, spacing_shape, _ = arrays["spacing"]
+        if origin_shape != (4,):
+            raise ValueError(f"origin must be 4 finite numbers, got an array of shape {origin_shape}")
+        if len(spacing) != 1:
+            raise ValueError(f"spacing must be one number, got an array of shape {spacing_shape}")
+        return cls(g, shape, origin, spacing[0], fortran)
 
     def _index(self, x) -> tuple[int, ...]:
-        rel = (np.asarray(x, dtype=float) - self.origin) / self.spacing
-        idx = np.rint(rel).astype(int)
-        if np.max(np.abs(rel - idx)) > 1e-9:
+        rel = [(xi - oi) / self.spacing for xi, oi in zip(x, self.origin)]
+        idx = tuple(map(round, rel))
+        if max(abs(r - i) for r, i in zip(rel, idx)) > 1e-9:
             raise ValueError("grid fields can only be queried at grid nodes")
-        return tuple(idx)
+        return idx
 
-    def _node_values(self, x) -> np.ndarray:
+    def jacobian(self, x) -> list[list[float]]:
+        """J[mu][nu] = d_mu g_nu at the node x, the stencil stepping node indices."""
         idx = self._index(x)
-        shape = self.grid.shape[1:]
-        if any(i < 0 or i >= s for i, s in zip(idx, shape)):
-            raise GridBoundaryError(f"node {idx} outside grid of shape {shape}")
-        return self.grid[(slice(None),) + idx]
-
-    def jacobian(self, x) -> np.ndarray:
-        idx = self._index(x)
-        shape = self.grid.shape[1:]
-        if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
+        nodes = self.shape[1:]
+        if any(i < 2 or i >= s - 2 for i, s in zip(idx, nodes)):
             raise GridBoundaryError(
-                f"4th-order stencil at node {idx} leaves grid of shape {shape}"
+                f"4th-order stencil at node {idx} leaves grid of shape {nodes}"
             )
-        # step along the node index directly, without an _index per sample
-        def row(mu):
-            def sample(off):
-                nidx = list(idx)
-                nidx[mu] += off
-                return self.grid[(slice(None),) + tuple(nidx)]
-
-            return _stencil(sample, self.spacing)
-
-        return np.stack([row(mu) for mu in range(4)])
+        vals, (comp, *steps) = self.values, self.strides
+        at = sum(map(operator.mul, idx, steps))
+        return [[_stencil(lambda off: vals[at + nu * comp + off * step], self.spacing)
+                 for nu in range(4)] for step in steps]
 
 
-def field_strength_em(g: MetricField, x) -> np.ndarray:
-    """F^mu_nu = eta^{mu d}(d_d g_nu - d_nu g_d) at x."""
+def field_strength_em(g, x) -> tuple:
+    """F^mu_nu = eta^{mu d}(d_d g_nu - d_nu g_d) at x, from g.jacobian(x), the
+    rows J[mu][nu] = d_mu g_nu."""
     jac = g.jacobian(x)
-    f_lower = jac - jac.T  # d_mu g_nu - d_nu g_mu, exactly antisymmetric
-    return ETA_DIAG[:, None] * f_lower
+    return _raise_first_index([[jac[mu][nu] - jac[nu][mu] for nu in range(4)] for mu in range(4)])
 
 
-_CORNERS = np.array(list(np.ndindex((2,) * 4)))  # (16, 4), ndindex order
+_CORNERS = tuple(itertools.product((0, 1), repeat=4))  # np.ndindex order
+_UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # the six components kept
 
 
-def _weighted_sum(wt: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """sum_k wt[k] blk[k], added in k order starting from 0.0."""
-    return np.add.reduce(wt[:, None, None] * blk, axis=0, initial=0.0)
+def _interpolate(weights, corners) -> tuple:
+    """F from sum_k weights[k] corners[k] over the six components of each
+    corner, each added in k order from 0.0; the other entries as in the
+    module docstring."""
+    s01 = s02 = s03 = s12 = s13 = s23 = 0.0
+    for w, (a, b, c, d, e, f) in zip(weights, corners):
+        s01 += w * a
+        s02 += w * b
+        s03 += w * c
+        s12 += w * d
+        s13 += w * e
+        s23 += w * f
+    return ((0.0, s01, s02, s03),
+            (s01, 0.0, s12, s13),
+            (s02, -s12 if s12 else 0.0, 0.0, s23),
+            (s03, -s13 if s13 else 0.0, -s23 if s23 else 0.0, 0.0))
 
 
 def grid_field_strength_evaluator(grid: GridMetricField):
     """Continuous F evaluator from a grid metric: node values by stencil,
     multilinear interpolation between nodes (trajectories move off-node).
     Caches and summation order are described in the module docstring."""
-    nodes: dict[tuple[int, ...], np.ndarray] = {}
-    cells: dict[tuple[int, ...], np.ndarray] = {}
-    shape, origin = grid.grid.shape[1:], grid.origin.tolist()
+    nodes: dict[tuple[int, ...], tuple] = {}
+    cells: dict[tuple[int, ...], list] = {}
+    shape, origin, spacing = grid.shape[1:], grid.origin, grid.spacing
 
-    def f_at_node(idx: tuple[int, ...]) -> np.ndarray:
-        if idx not in nodes:
+    def components(base, corner) -> tuple:
+        idx = tuple(map(operator.add, base, corner))
+        comps = nodes.get(idx)
+        if comps is None:
             if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
                 raise GridBoundaryError(
                     f"stencil at node {idx} leaves grid of shape {shape}"
                 )
-            x_node = grid.origin + grid.spacing * np.array(idx, dtype=float)
-            nodes[idx] = field_strength_em(grid, x_node)
-        return nodes[idx]
+            f = field_strength_em(grid, tuple(o + spacing * i for o, i in zip(origin, idx)))
+            if not all(math.isfinite(v) for row in f for v in row):
+                raise ValueError(f"field strength at grid node {idx} is not finite")
+            comps = nodes[idx] = tuple(f[a][b] for a, b in _UPPER)
+        return comps
 
-    def stack(base: list[int], corners: np.ndarray) -> np.ndarray:
-        return np.stack([f_at_node(tuple(idx)) for idx in (base + corners).tolist()])
-
-    def evaluate(x) -> np.ndarray:
-        rel = [(xi - oi) / grid.spacing for xi, oi in zip(map(float, x), origin)]
+    def evaluate(x) -> tuple:
+        rel = [(xi - oi) / spacing for xi, oi in zip(x, origin)]
         if not all(map(math.isfinite, rel)):
             raise GridBoundaryError(f"query {rel} is not a finite grid position")
         base = [math.floor(r) for r in rel]
@@ -190,103 +279,96 @@ def grid_field_strength_evaluator(grid: GridMetricField):
         if 0.0 in wt:
             # on a node layer: corners of zero weight may lie past the
             # stencil-safe range, so only the others are evaluated
-            live = np.flatnonzero(wt)
-            return _weighted_sum(np.array(wt)[live], stack(base, _CORNERS[live]))
+            live = [(w, c) for w, c in zip(wt, _CORNERS) if w]
+            return _interpolate([w for w, _ in live], [components(base, c) for _, c in live])
         key = tuple(base)
-        blk = cells.get(key)
-        if blk is None:
-            blk = cells[key] = stack(base, _CORNERS)
-        return _weighted_sum(np.array(wt), blk)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = [components(base, c) for c in _CORNERS]
+        return _interpolate(wt, cell)
 
     return evaluate
-
-
-class GaugePotentialField(MetricField):
-    """Evaluator of four algebra-valued potentials A_mu(x), shape (4, d, d);
-    derivative(x, mu) is d_mu A, shape (4, d, d)."""
-
-    def values(self, x) -> np.ndarray:
-        a = super().values(x)
-        if a.ndim != 3 or a.shape[0] != 4 or a.shape[1] != a.shape[2]:
-            raise ValueError("potential evaluator must return shape (4, d, d)")
-        return a
-
-
-def _field_strength_all(a: GaugePotentialField, x) -> np.ndarray:
-    vals = a.values(x)
-    derivs = [a.derivative(x, mu) for mu in range(4)]
-    d = vals.shape[1]
-    f = np.zeros((4, 4, d, d))
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            fmn = derivs[mu][nu] - derivs[nu][mu] + vals[mu] @ vals[nu] - vals[nu] @ vals[mu]
-            f[mu, nu] = fmn
-            f[nu, mu] = -fmn
-    return f
-
-
-def bianchi_residual(a: GaugePotentialField, x) -> float:
-    """max over index triples of || cyclic( d_l F_{mn} + [A_l, F_{mn}] ) ||.
-
-    Outer derivatives of F use 2nd-order central differences at the
-    potential's step, so for smooth fields the residual decreases as
-    O(step^2), plus terms cubic in A.
-    """
-    x = np.asarray(x, dtype=float)
-    h = a.step
-    vals = a.values(x)
-
-    dfs = []
-    for lam in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[lam] += h
-        xm[lam] -= h
-        dfs.append((_field_strength_all(a, xp) - _field_strength_all(a, xm)) / (2.0 * h))
-    f0 = _field_strength_all(a, x)
-    worst = 0.0
-    for lam, mu, nu in itertools.combinations(range(4), 3):
-        total = None
-        for (l, m, n) in ((lam, mu, nu), (mu, nu, lam), (nu, lam, mu)):
-            term = dfs[l][m, n] + vals[l] @ f0[m, n] - f0[m, n] @ vals[l]
-            total = term if total is None else total + term
-        worst = max(worst, float(np.max(np.abs(total))))
-    return worst
 
 
 # -- trajectories ---------------------------------------------------------------
 
 
 @dataclass
+class SoElement:
+    """An element of so(dim) by its listed entries {(i, j): x}, 0-based; every
+    entry not listed is 0.0, so a generator X_ij is two entries at any dim."""
+
+    dim: int
+    entries: dict
+
+    def is_antisymmetric(self) -> bool:
+        e, n = self.entries, self.dim
+        return all(0 <= i < n and 0 <= j < n and e.get((j, i), 0.0) == -x
+                   for (i, j), x in e.items())
+
+
+def _sparse_pairwise_sum(terms: dict, lo: int, n: int) -> float:
+    """np.sum's order over the n terms at positions lo.. (a term not in terms
+    is 0.0): blocks of up to 128 go to proca._pairwise_sum, and a longer
+    range splits at half its length rounded down to a multiple of 8.  A zero
+    term never changes a nonzero partial sum, so a range holding at most one
+    term of terms sums to that term up to the sign of a zero, which the
+    caller's 0.0 + drops, and only ranges holding two or more are split."""
+    live = [p for p in terms if lo <= p < lo + n]
+    while n > 128 and len(live) > 1:
+        half = n // 2 - n // 2 % 8
+        if max(live) < lo + half:
+            n = half
+        elif min(live) >= lo + half:
+            lo, n = lo + half, n - half
+        else:
+            return (_sparse_pairwise_sum(terms, lo, half)
+                    + _sparse_pairwise_sum(terms, lo + half, n - half))
+    if len(live) < 2:
+        return terms[live[0]] if live else 0.0
+    return _pairwise_sum([terms.get(p, 0.0) for p in range(lo, lo + n)])
+
+
+def charge_pairing(gen: SoElement, charge: SoElement) -> float:
+    """kappa = -sum_{i<j} gen_ij I_ji, the bits of numpy's
+    -np.sum(gen[upper] * I.T[upper]) over the upper triangle in row-major
+    order, from the listed entries alone."""
+    n, g, c = gen.dim, gen.entries, charge.entries
+    terms = {i * n - i * (i + 1) // 2 + j - i - 1: g.get((i, j), 0.0) * c.get((j, i), 0.0)
+             for i, j in {*g, *((j, i) for i, j in c)} if i < j}
+    return -(0.0 + _sparse_pairwise_sum(terms, 0, n * (n - 1) // 2))
+
+
+@dataclass
 class ParticleState:
-    x: np.ndarray
-    u: np.ndarray
+    x: tuple
+    u: tuple
     m: float
     q: float
-    charge_vector: np.ndarray | None = None  # algebra-valued charge for Wong runs
+    charge_vector: SoElement | None = None  # algebra-valued charge for Wong runs
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
+        self.x, self.u = tuple(map(float, self.x)), tuple(map(float, self.u))
         if self.m <= 0:
             raise ValueError("rest mass must be positive")
-        if self.x.shape != (4,) or self.u.shape != (4,):
+        if len(self.x) != 4 or len(self.u) != 4:
             raise ValueError("x and u must be 4-vectors")
 
 
 class Trajectory:
-    """Samples as one (n + 1, 9) table of rows [lambda, x0..x3, u0..u3];
-    lambdas, xs and us are views of it."""
+    """Samples as one (n + 1, 9) table of rows [lambda, x0..x3, u0..u3]: a
+    2-D memoryview of doubles, which np.asarray reads without a copy."""
 
-    def __init__(self, table: np.ndarray, meta: dict):
+    def __init__(self, table: memoryview, meta: dict):
         self.table, self.meta = table, meta
-        self.lambdas, self.xs, self.us = table[:, 0], table[:, 1:5], table[:, 5:]
 
     def __len__(self):
         return len(self.table)
 
-    def eta_drift(self) -> float:
-        norms = -self.us[:, 0] ** 2 + np.sum(self.us[:, 1:] ** 2, axis=1)
-        return float(np.max(np.abs(norms - norms[0])))
+    def rows(self):
+        """The samples as tuples of nine floats, in order."""
+        flat = iter(self.table.cast("B").cast("d"))
+        return zip(*[flat] * 9)
 
 
 def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: int,
@@ -304,18 +386,19 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     def accel(x, u0, u1, u2, u3):
         f = f_eval(x)
         if f is not last[0]:
-            m = np.asarray(f, dtype=float)
-            last[:] = f, (m if kappa == 1.0 else kappa * m).tolist()  # 1.0 m is m
+            last[:] = f, (f if kappa == 1.0 else [[kappa * v for v in row] for row in f])
         (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = last[1]
         return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
                 qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
                 qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
                 qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3)))
 
-    y = state.x.tolist() + state.u.tolist()
+    y = state.x + state.u
     out = array("d", [0.0])
     out.extend(y)
     x0, x1, x2, x3, u0, u1, u2, u3 = y
+    norm0 = u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0
+    drift = abs(norm0 - norm0)
     for k in range(nsteps):
         p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
         v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
@@ -340,59 +423,59 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
         x0, x1, x2, x3, u0, u1, u2, u3 = y
         out.append((k + 1) * dlam)
         out.extend(y)
-    traj = Trajectory(np.frombuffer(out).reshape(nsteps + 1, 9), {"law": law, "dlam": dlam})
-    traj.meta["eta_drift"] = traj.eta_drift()
-    return traj
+        d = abs(u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0 - norm0)
+        if d > drift:
+            drift = d
+        elif d != d:  # NaN, which np.max would return
+            drift = d
+    table = memoryview(out).cast("B").cast("d", [nsteps + 1, 9])
+    return Trajectory(table, {"law": law, "dlam": dlam, "eta_drift": drift})
 
 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
-    """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> (4, 4), x a tuple
-    of four floats.  F is converted to rows once per distinct object returned,
-    so f_eval must not mutate an F it has already returned."""
+    """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> F as four rows of
+    four floats, x a tuple of four floats.  kappa F is formed once per
+    distinct object returned, so f_eval must not mutate an F it has already
+    returned."""
     return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz")
 
 
-def integrate_wong(state: ParticleState, f_eval, gen, dlam: float, nsteps: int) -> Trajectory:
+def integrate_wong(state: ParticleState, f_eval, gen: SoElement, dlam: float,
+                   nsteps: int) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m)(F^mu_nu gen . I) u^nu for the strength F (x) gen:
     f_eval is as in integrate_lorentz, gen in so(d), I the charge vector.
 
     The gauge indices contract once per run, through the normalized trace
-    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji, which is 1 on a
-    generator paired with itself and exactly value for I = value gen = value
-    X_ij; the run is integrate_lorentz on kappa F, bit for bit.  (The
-    adjoint-trace Killing form is proportional to this pairing on a simple
-    so(n) but vanishes identically for n = 2, so the defining-representation
-    trace form is the usable avatar of the Killing pairing here.)
+    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji (charge_pairing),
+    which is 1 on a generator paired with itself and exactly value for
+    I = value gen = value X_ij; the run is integrate_lorentz on kappa F, bit
+    for bit.  (The adjoint-trace Killing form is proportional to this
+    pairing on a simple so(n) but vanishes identically for n = 2, so the
+    defining-representation trace form is the usable avatar of the Killing
+    pairing here.)
     """
-    if state.charge_vector is None:
+    charge = state.charge_vector
+    if charge is None:
         raise ValueError("Wong integration needs a charge vector")
-    gen, charge = np.asarray(gen, dtype=float), np.asarray(state.charge_vector, dtype=float)
-    if gen.shape != charge.shape:
-        raise ValueError(f"charge dimension {charge.shape} does not match generator {gen.shape}")
-    if not (np.array_equal(gen, -gen.T) and np.array_equal(charge, -charge.T)):
+    if gen.dim != charge.dim:
+        raise ValueError(f"charge dimension {charge.dim} does not match generator {gen.dim}")
+    if not (gen.is_antisymmetric() and charge.is_antisymmetric()):
         raise ValueError("generator and charge vector must be antisymmetric")
-    upper = np.triu_indices(len(gen), 1)
-    kappa = -float(np.sum(gen[upper] * charge.T[upper]))
-    return _integrate(state, f_eval, kappa, dlam, nsteps, "wong")
+    return _integrate(state, f_eval, charge_pairing(gen, charge), dlam, nsteps, "wong")
 
 
 # -- ready-made uniform fields ---------------------------------------------------
 
 
-def uniform_electric_f(e_vec) -> np.ndarray:
+def uniform_electric_f(e_vec) -> tuple:
     """Constant electric-type F^mu_nu with F^i_0 = E_i."""
-    e_vec = np.asarray(e_vec, dtype=float)
-    f_lower = np.zeros((4, 4))
-    f_lower[1:, 0] = e_vec
-    f_lower[0, 1:] = -e_vec
-    return ETA_DIAG[:, None] * f_lower
+    ex, ey, ez = map(float, e_vec)
+    return _raise_first_index(((0.0, -ex, -ey, -ez), (ex, 0.0, 0.0, 0.0),
+                               (ey, 0.0, 0.0, 0.0), (ez, 0.0, 0.0, 0.0)))
 
 
-def uniform_magnetic_f(b_vec) -> np.ndarray:
+def uniform_magnetic_f(b_vec) -> tuple:
     """Constant magnetic-type F^mu_nu with F^i_j = eps_{ijk} B_k."""
-    bx, by, bz = np.asarray(b_vec, dtype=float)
-    f_lower = np.zeros((4, 4))
-    f_lower[1, 2], f_lower[2, 1] = bz, -bz
-    f_lower[2, 3], f_lower[3, 2] = bx, -bx
-    f_lower[3, 1], f_lower[1, 3] = by, -by
-    return ETA_DIAG[:, None] * f_lower
+    bx, by, bz = map(float, b_vec)
+    return _raise_first_index(((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, bz, -by),
+                               (0.0, -bz, 0.0, bx), (0.0, by, -bx, 0.0)))

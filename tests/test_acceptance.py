@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from jetgauge import electroweak, jetspace, octonion, pheno, proca
+from jetgauge.curvature import GaugePotentialField, bianchi_residual
 from jetgauge.dynamics import (
-    GaugePotentialField,
     ParticleState,
-    bianchi_residual,
+    SoElement,
     integrate_lorentz,
     integrate_wong,
     uniform_electric_f,
@@ -215,14 +215,15 @@ def test_criterion_9_dynamics():
     period = 2.0 * math.pi * m / (q * b)
     state = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q)
     traj = integrate_lorentz(state, lambda x: f, period / 1000.0, 1000)
-    radius = (traj.xs[:, 1].max() - traj.xs[:, 1].min()) / 2.0
+    x1 = np.asarray(traj.table)[:, 2]
+    radius = (x1.max() - x1.min()) / 2.0
     assert abs(radius - m * v / (q * b)) / (m * v / (q * b)) < 1e-3
 
     # RK4 convergence exponent 4.0 +- 0.3
     errs = []
     for nsteps in (250, 500):
         tr = integrate_lorentz(state, lambda x: f, period / nsteps, nsteps)
-        lam = tr.lambdas[-1]
+        lam, *x = np.asarray(tr.table)[-1, :5]
         exact = np.array(
             [
                 gamma * lam,
@@ -231,7 +232,7 @@ def test_criterion_9_dynamics():
                 0.0,
             ]
         )
-        errs.append(np.max(np.abs(tr.xs[-1] - exact)))
+        errs.append(np.max(np.abs(x - exact)))
     order = math.log2(errs[0] / errs[1])
     assert 3.7 <= order <= 4.3
 
@@ -239,18 +240,19 @@ def test_criterion_9_dynamics():
     fe = uniform_electric_f([0.5, 0.0, 0.0])
     se = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0)
     te = integrate_lorentz(se, lambda x: fe, 1e-3, 10_000)
-    assert te.eta_drift() <= 1e-9
+    assert te.meta["eta_drift"] <= 1e-9
 
     # Wong-abelian reduction within 1e-12
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
     i0 = 0.7
+    x12 = SoElement(2, {(0, 1): 1.0, (1, 0): -1.0})
     sw = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q,
-                       charge_vector=i0 * gen)
-    tw = integrate_wong(sw, lambda x: f, gen, 0.01, 1000)
+                       charge_vector=SoElement(2, {k: i0 * x for k, x in x12.entries.items()}))
+    tw = integrate_wong(sw, lambda x: f, x12, 0.01, 1000)
     sl = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q * i0)
     tl = integrate_lorentz(sl, lambda x: f, 0.01, 1000)
-    assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12
-    assert np.max(np.abs(tw.us - tl.us)) <= 1e-12
+    assert np.max(np.abs(np.asarray(tw.table)[:, 1:5] - np.asarray(tl.table)[:, 1:5])) <= 1e-12
+    assert np.max(np.abs(np.asarray(tw.table)[:, 5:] - np.asarray(tl.table)[:, 5:])) <= 1e-12
 
     # Bianchi residual halving ratio ~ 4 (+- 20%)
     def a_func(x):

@@ -509,6 +509,13 @@ def test_su3_malformed_fix_exits_2(capsys):
     assert "--fix" in one_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("fix", ["1/0,0,0,0,0,0,0", "0/0,0,0,0,0,0,1"], ids=["1/0", "0/0"])
+def test_su3_fix_with_a_zero_denominator_exits_2(capsys, fix):
+    assert main(["su3", "--fix", fix]) == 2
+    captured = capsys.readouterr()
+    assert one_line(captured.err).startswith("error: --fix") and captured.out == ""
+
+
 # sha256 of the bytes `simulate` writes: a change to the RK4 arithmetic order,
 # the float formatting or the CSV/JSON layout shows here.
 UNIFORM_CSV_SHA256 = "ab42bb685b92227000f17f1c8660f0a607d3d8da35dca92ba76ca65b8c1377d0"
@@ -597,8 +604,8 @@ def small_grid_npz(path):
     return origin, h
 
 
-def grid_json(tmp_path, law, *flags):
-    """The JSON bytes of 200 steps on small_grid_npz."""
+def grid_config(tmp_path, law):
+    """A config of 200 steps on small_grid_npz, written as JSON."""
     origin, h = small_grid_npz(tmp_path / "grid.npz")
     x0 = origin + h * np.array([2.5, 3.5, 3.5, 3.5])
     particle = {"x0": x0.tolist(), "u0": [1.1, 0.3, -0.2, 0.25], "m": 0.8, "q": 1.2}
@@ -611,7 +618,12 @@ def grid_json(tmp_path, law, *flags):
         "output": {"path": str(tmp_path / "traj.json"), "format": "json"},
     }
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["simulate", "--config", str(tmp_path / "cfg.json"), *flags]) == 0
+    return str(tmp_path / "cfg.json")
+
+
+def grid_json(tmp_path, law, *flags):
+    """The JSON bytes of 200 steps on small_grid_npz."""
+    assert main(["simulate", "--config", grid_config(tmp_path, law), *flags]) == 0
     data = (tmp_path / "traj.json").read_bytes()
     assert len(json.loads(data)["samples"]) == 201
     return data
@@ -644,13 +656,154 @@ def test_simulate_zero_steps_never_evaluates_the_field(tmp_path, capsys, law):
     assert (tmp_path / "traj.csv").read_bytes().count(b"\r\n") == 2
 
 
+def small_grid_arrays(tmp_path):
+    """The arrays of small_grid_npz, read back."""
+    small_grid_npz(tmp_path / "grid.npz")
+    with np.load(tmp_path / "grid.npz") as data:
+        return {name: data[name] for name in data.files}
+
+
+def simulate_on_arrays(tmp_path, save=np.savez, **arrays):
+    """Exit code and output of grid_config's run with the .npz holding these arrays."""
+    cfg = grid_config(tmp_path, "lorentz")
+    (tmp_path / "grid.npz").unlink()
+    save(tmp_path / "grid.npz", **arrays)
+    code = main(["simulate", "--config", cfg, "--full-precision"])
+    out = tmp_path / "traj.json"
+    return code, out.read_bytes() if out.exists() else None
+
+
+def changed(arrays, name, value):
+    arrays = dict(arrays)
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    return arrays
+
+
+BAD_GRID_ARRAYS = {
+    "zero-spacing": ("spacing", 0.0, "spacing must be positive and finite"),
+    "negative-spacing": ("spacing", -0.125, "spacing must be positive and finite"),
+    "nan-spacing": ("spacing", NAN, "spacing must be positive and finite"),
+    "inf-spacing": ("spacing", INF, "spacing must be positive and finite"),
+    "two-spacings": ("spacing", [0.125, 0.125], "spacing must be one number"),
+    "origin-of-3": ("origin", [-0.5, -0.25, 0.0], "origin must be 4 finite numbers"),
+    "nan-origin": ("origin", [-0.5, NAN, 0.0, 0.0], "origin must be 4 finite numbers"),
+    "g-of-3-components": ("g", lambda g: g[:3], "grid values must have shape (4, n0"),
+    "g-of-4-axes": ("g", lambda g: g[..., 0], "grid values must have shape (4, n0"),
+    "missing-g": ("g", None, "missing array 'g'"),
+    "missing-origin": ("origin", None, "missing array 'origin'"),
+    "missing-spacing": ("spacing", None, "missing array 'spacing'"),
+    "complex-g": ("g", lambda g: g.astype(complex), "dtype '<c16'"),
+    "float16-g": ("g", lambda g: g.astype(np.float16), "dtype '<f2'"),
+    "bool-g": ("g", lambda g: g > 0, "dtype '|b1'"),
+    "text-spacing": ("spacing", np.array("0.125"), "dtype '<U5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRID_ARRAYS))
+def test_simulate_rejects_a_bad_grid_npz(tmp_path, capsys, case):
+    name, value, message = BAD_GRID_ARRAYS[case]
+    arrays = small_grid_arrays(tmp_path)
+    if callable(value):
+        value = value(arrays[name])
+    code, out = simulate_on_arrays(tmp_path, **changed(arrays, name, value))
+    assert code == 2 and out is None
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("bad simulate config: field.params.npz: ") and message in line
+
+
+def central_headers_changed(data, offset, bits):
+    """The archive with these bits set in byte `offset` of each central
+    directory header."""
+    data, i = bytearray(data), 0
+    while (i := data.find(b"PK\x01\x02", i)) >= 0:
+        data[i + offset] |= bits
+        i += 4
+    return bytes(data)
+
+
+@pytest.mark.parametrize("content", [
+    b"not a zip archive",
+    b"\x93NUMPY\x01\x00",
+    lambda npz: npz[: len(npz) // 2],
+    lambda npz: central_headers_changed(npz, 8, 1),  # the encrypted flag
+    lambda npz: central_headers_changed(npz, 10, 99),  # compression method 0 -> 99
+], ids=["text", "npy-not-npz", "truncated", "encrypted", "unknown-compression"])
+def test_simulate_rejects_a_grid_file_that_is_no_npz(tmp_path, capsys, content):
+    cfg = grid_config(tmp_path, "lorentz")
+    npz = (tmp_path / "grid.npz").read_bytes()
+    (tmp_path / "grid.npz").write_bytes(content(npz) if callable(content) else content)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("bad simulate config: field.params.npz: not a readable .npz archive")
+
+
+def test_simulate_reads_every_accepted_grid_layout(tmp_path, capsys):
+    """float32, big-endian, Fortran-order and compressed arrays read as the
+    float64 values they hold (every dtype: test_read_npz_matches_np_load)."""
+    arrays = small_grid_arrays(tmp_path)
+    g32 = arrays["g"].astype("<f4")
+    code, want = simulate_on_arrays(tmp_path, **dict(arrays, g=g32.astype(float)))
+    assert code == 0
+    for save, layout in ((np.savez, dict(arrays, g=g32)),
+                         (np.savez_compressed, dict(
+                             g=np.asfortranarray(g32.astype(">f8")),
+                             origin=arrays["origin"].astype(">f4"),
+                             spacing=arrays["spacing"].astype(">f8")))):
+        assert simulate_on_arrays(tmp_path, save=save, **layout) == (0, want)
+
+
+def test_simulate_stops_at_a_node_whose_field_is_not_finite(tmp_path, capsys):
+    arrays = small_grid_arrays(tmp_path)
+    g = arrays["g"].copy()
+    g[0, 2, 3, 3, 5] = INF  # d_3 g_0 at node (2, 3, 3, 3), a corner of the start cell
+    assert simulate_on_arrays(tmp_path, **dict(arrays, g=g)) == (2, None)
+    line = one_line(capsys.readouterr().err)
+    assert line == "error: field strength at grid node (2, 3, 3, 3) is not finite"
+
+
+def test_simulate_wong_in_a_huge_so_dim(tmp_path, capsys):
+    """X_13 and I = 0.7 X_13 list two entries each at any dim, and pair to 0.7."""
+    cfg = constant_field_config(tmp_path, "uniform_B", "wong")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["particle"]["I"]["dim"] = 10**9
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
+
+
+def test_cli_requests_import_no_numpy(tmp_path):
+    """import jetgauge.cli, verify-all and simulate leave numpy unimported."""
+    argvs = [["verify-all", "--format", "json", "--out", str(tmp_path / "report.json")]]
+    for kind, law in sorted(CONSTANT_CSV_SHA256):
+        (tmp_path / f"{kind}-{law}").mkdir()
+        argvs.append(["simulate", "--config",
+                      constant_field_config(tmp_path / f"{kind}-{law}", kind, law)])
+    for law in ("lorentz", "wong"):
+        (tmp_path / f"grid-{law}").mkdir()
+        argvs.append(["simulate", "--config", grid_config(tmp_path / f"grid-{law}", law)])
+    code = (
+        "import json, sys\n"
+        "import jetgauge.cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    seen.append([jetgauge.cli.main(argv), 'numpy' in sys.modules])\n"
+        "print(json.dumps(seen))\n"
+    )
+    out = _child(["-c", code, json.dumps(argvs)]).stdout.decode().splitlines()[-1]
+    assert json.loads(out) == [False] + [[0, False]] * len(argvs)  # exit code, numpy loaded
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+
+
 def reference_trajectory_json(traj, full_precision):
     """One dict per sample through dump_json: the oracle of cli._trajectory_json."""
     payload = {
         "meta": traj.meta,
         "samples": [
             {"lambda": r[0], "x": r[1:5], "u": r[5:9]}
-            for r in map(np.ndarray.tolist, traj.table)
+            for r in np.asarray(traj.table).tolist()
         ],
     }
     return dump_json(payload, full_precision)
@@ -669,7 +822,8 @@ EDGES = [-0.0, 5e-324, 1e308, 1e-5, 1e-4, 9999999999999998.0, 1e16, -1.797693134
 @example([[0.0] * 9], -0.0, False)
 @settings(max_examples=200, deadline=None)
 def test_trajectory_json_matches_dump_json(rows, drift, full_precision):
-    traj = Trajectory(np.array(rows, dtype=float), {"law": "wong", "dlam": 0.01, "eta_drift": drift})
+    table = memoryview(np.array(rows, dtype=float))
+    traj = Trajectory(table, {"law": "wong", "dlam": 0.01, "eta_drift": drift})
     assert cli._trajectory_json(traj, full_precision) == reference_trajectory_json(
         traj, full_precision
     )

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,24 +6,46 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetgauge import dynamics
-from jetgauge.dynamics import (
+from jetgauge import cli, dynamics
+from jetgauge.curvature import (
     GaugePotentialField,
-    GridBoundaryError,
-    GridMetricField,
     MetricField,
-    ParticleState,
     _field_strength_all,
     bianchi_residual,
+)
+from jetgauge.dynamics import (
+    GridBoundaryError,
+    GridMetricField,
+    ParticleState,
+    SoElement,
+    charge_pairing,
     field_strength_em,
     grid_field_strength_evaluator,
     integrate_lorentz,
     integrate_wong,
+    read_npz,
     uniform_electric_f,
     uniform_magnetic_f,
 )
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+def grid_field(vals, origin, spacing):
+    """A GridMetricField over a numpy array of shape (4, n0, n1, n2, n3)."""
+    vals = np.ascontiguousarray(vals, dtype=float)
+    return GridMetricField(vals.ravel().tolist(), vals.shape, origin, spacing)
+
+
+def so(matrix):
+    """The SoElement listing every entry of a dense square matrix."""
+    return SoElement(len(matrix), {(i, j): float(x) for i, row in enumerate(matrix)
+                                   for j, x in enumerate(row)})
+
+
+def table(traj):
+    """The trajectory's samples as an (n + 1, 9) array, without a copy."""
+    return np.asarray(traj.table)
 
 
 def so3_generators():
@@ -104,7 +127,7 @@ def test_grid_metric_field_matches_closed_form():
     for idx in np.ndindex(shape):
         x = np.array([grid_axes[k][idx[k]] for k in range(4)])
         vals[(slice(None),) + idx] = [0.3 * x[1] ** 2, 0.0, 0.1 * x[0], 0.0]
-    grid = GridMetricField(vals, origin=[-0.5] * 4, spacing=spacing)
+    grid = grid_field(vals, [-0.5] * 4, spacing)
     x0 = np.zeros(4)
     f = field_strength_em(grid, x0)
     # analytic: d_1 g_0 = 0.6 x1 = 0 at origin; d_0 g_2 = 0.1
@@ -123,7 +146,7 @@ def test_grid_field_strength_evaluator_interpolates():
     for idx in np.ndindex((n,) * 4):
         x = np.array([axes[k] for k in idx])
         vals[(slice(None),) + idx] = [e_vec @ x[1:], 0.0, 0.0, 0.0]
-    grid = GridMetricField(vals, origin=[-2.5] * 4, spacing=spacing)
+    grid = grid_field(vals, [-2.5] * 4, spacing)
     f_eval = grid_field_strength_evaluator(grid)
     want = uniform_electric_f(e_vec)
     for x in (np.zeros(4), np.array([0.13, -0.4, 0.77, 0.21])):
@@ -136,14 +159,14 @@ def loop_field_strength_evaluator(grid):
     """Slow oracle for grid_field_strength_evaluator: one Python pass over
     the 16 corners per query, computing only corners of nonzero weight."""
     cache = {}
-    shape = grid.grid.shape[1:]
+    shape = grid.shape[1:]
 
     def f_at_node(idx):
         if idx not in cache:
             if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
                 raise GridBoundaryError(f"stencil at node {idx} leaves grid")
             x_node = grid.origin + grid.spacing * np.array(idx, dtype=float)
-            cache[idx] = field_strength_em(grid, x_node)
+            cache[idx] = np.asarray(field_strength_em(grid, x_node))
         return cache[idx]
 
     def evaluate(x):
@@ -162,20 +185,56 @@ def loop_field_strength_evaluator(grid):
     return evaluate
 
 
-def random_grid(seed, dyadic, n=7):
-    """A grid of non-polynomial values, so every corner weight matters.
+def numpy_field_strength_evaluator(grid):
+    """The numpy evaluator the scalar one replaced, a second oracle: each
+    query sums the (16, 4, 4) stack of corner F with np.add.reduce from 0.0,
+    over the corners of nonzero weight."""
+    nodes = {}
+    shape = grid.shape[1:]
+    corners = np.array(list(np.ndindex((2,) * 4)))
+
+    def f_at_node(idx):
+        if idx not in nodes:
+            if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
+                raise GridBoundaryError(f"stencil at node {idx} leaves grid")
+            x_node = np.asarray(grid.origin) + grid.spacing * np.array(idx, dtype=float)
+            nodes[idx] = np.asarray(field_strength_em(grid, x_node))
+        return nodes[idx]
+
+    def evaluate(x):
+        rel = [(xi - oi) / grid.spacing for xi, oi in zip(map(float, x), grid.origin)]
+        base = [math.floor(r) for r in rel]
+        wt = [1.0]
+        for r, b in zip(rel, base):
+            frac = r - b
+            wt = [w * v for w in wt for v in (1.0 - frac, frac)]
+        live = np.flatnonzero(wt)
+        blk = np.stack([f_at_node(tuple(idx)) for idx in (base + corners[live]).tolist()])
+        return np.add.reduce(np.array(wt)[live][:, None, None] * blk, axis=0, initial=0.0)
+
+    return evaluate
+
+
+def random_grid_arrays(seed, dyadic, n=7):
+    """(values, origin, spacing) of a grid of non-polynomial values, so every
+    corner weight matters.
 
     With `dyadic`, origin and spacing are exact binary fractions, so a
     query built on a node resolves to that node exactly."""
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((4, n, n, n, n)) + np.sin(7.0 * rng.random((4, n, n, n, n)))
     if dyadic:
-        return GridMetricField(vals, rng.integers(-24, 24, 4) / 8.0, 2.0 ** rng.integers(-3, 2))
-    return GridMetricField(vals, rng.uniform(-3, 3, 4), rng.uniform(0.05, 2.0))
+        return vals, rng.integers(-24, 24, 4) / 8.0, float(2.0 ** rng.integers(-3, 2))
+    return vals, rng.uniform(-3, 3, 4), float(rng.uniform(0.05, 2.0))
+
+
+def random_grid(seed, dyadic, n=7):
+    return grid_field(*random_grid_arrays(seed, dyadic, n))
 
 
 def same_bits(a, b):
-    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # index-space coordinates from just outside to just inside the stencil-safe
@@ -199,6 +258,7 @@ def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
     It takes the point as an ndarray and as the tuple the integrator passes."""
     grid = random_grid(seed, dyadic)
     fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    reduce = numpy_field_strength_evaluator(grid)
     for coords in points + points[::-1]:
         x = grid.origin + grid.spacing * np.array(coords)
         queries = (x, tuple(x.tolist()))
@@ -209,7 +269,21 @@ def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
                 with pytest.raises(GridBoundaryError):
                     fast(query)
             continue
+        assert same_bits(reduce(x), want)
         assert all(same_bits(fast(query), want) for query in queries)
+
+
+@pytest.mark.parametrize("components", [(), (0,), (1, 3)], ids=["zero", "g0", "g1-g3"])
+def test_grid_evaluator_keeps_the_signs_of_zeros(components):
+    """Where only some g_mu vary, whole blocks of F are zero at every node;
+    the interpolated zeros have the bits of the oracles' +0.0 sums."""
+    vals, origin, spacing = random_grid_arrays(7, True)
+    vals[[mu for mu in range(4) if mu not in components]] = 0.0
+    grid = grid_field(vals, origin, spacing)
+    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    for coords in ([2.5, 3.25, 2.75, 3.5], [3.0, 2.5, 3.5, 2.25], [4.0, 4.0, 2.0, 3.0]):
+        x = grid.origin + grid.spacing * np.array(coords)
+        assert same_bits(fast(x), slow(x))
 
 
 def test_grid_evaluator_on_last_safe_layer():
@@ -253,22 +327,85 @@ def test_grid_evaluator_computes_each_node_once(monkeypatch):
 
 
 def test_grid_boundary_error():
-    vals = np.zeros((4, 6, 6, 6, 6))
-    grid = GridMetricField(vals, origin=[0.0] * 4, spacing=0.5)
+    grid = grid_field(np.zeros((4, 6, 6, 6, 6)), [0.0] * 4, 0.5)
     with pytest.raises(GridBoundaryError):
         grid.jacobian(np.array([0.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(ValueError):
-        grid.values(np.array([0.26, 1.0, 1.0, 1.0]))  # off-node query
+    with pytest.raises(ValueError, match="grid nodes"):
+        grid.jacobian(np.array([1.26, 1.0, 1.0, 1.0]))  # off-node query
+
+
+def node_values(vals, origin, spacing):
+    """g at the grid node x, an oracle of GridMetricField's node lookup."""
+
+    def values(x):
+        rel = (np.asarray(x, dtype=float) - origin) / spacing
+        idx = np.rint(rel).astype(int)
+        assert np.max(np.abs(rel - idx)) <= 1e-9
+        return vals[(slice(None),) + tuple(idx)]
+
+    return values
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.tuples(*[st.integers(2, 4)] * 4))
 @settings(max_examples=60, deadline=None)
 def test_grid_jacobian_bit_equal_to_generic_stencil(seed, dyadic, node):
-    # the node-index override against MetricField.jacobian, which steps x and
-    # resolves every sample through GridMetricField.values
-    grid = random_grid(seed, dyadic)
-    x = grid.origin + grid.spacing * np.array(node, dtype=float)
-    assert same_bits(grid.jacobian(x), MetricField.jacobian(grid, x))
+    # the node-index stencil against MetricField.jacobian, which steps x and
+    # resolves every sample to a node of the numpy grid
+    vals, origin, spacing = random_grid_arrays(seed, dyadic)
+    x = origin + spacing * np.array(node, dtype=float)
+    generic = MetricField(node_values(vals, origin, spacing), step=spacing)
+    assert same_bits(grid_field(vals, origin, spacing).jacobian(x), generic.jacobian(x))
+
+
+def test_grid_layout_c_and_fortran_give_the_same_jacobian():
+    vals, origin, spacing = random_grid_arrays(3, True)
+    c_order = grid_field(vals, origin, spacing)
+    fortran = GridMetricField(vals.ravel(order="F").tolist(), vals.shape, origin, spacing, True)
+    for node in ((2, 2, 2, 2), (4, 3, 2, 4), (3, 4, 4, 2)):
+        x = origin + spacing * np.array(node, dtype=float)
+        assert same_bits(fortran.jacobian(x), c_order.jacobian(x))
+
+
+def npy_values(rng, dtype, shape):
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        return (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=shape, endpoint=True,
+                        dtype=dtype.newbyteorder("=")).astype(dtype)
+
+
+@given(st.sampled_from(["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|u1"]),
+       st.sampled_from(["<f8", ">f4", "<i4", "|u1"]), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_read_npz_matches_np_load(dtype, spacing_dtype, fortran, compressed, seed, shape):
+    rng = np.random.default_rng(seed)
+    g = npy_values(rng, dtype, shape)
+    arrays = {"g": np.asfortranarray(g) if fortran else g,
+              "spacing": npy_values(rng, spacing_dtype, ())}  # 0-d
+    buf = io.BytesIO()
+    (np.savez_compressed if compressed else np.savez)(buf, **arrays, other=np.arange(3))
+    got = read_npz(io.BytesIO(buf.getvalue()), ("spacing", "g"))
+    loaded = np.load(io.BytesIO(buf.getvalue()))
+    assert sorted(got) == ["g", "spacing"]
+    for name, (values, shape_read, fortran_read) in got.items():
+        want = loaded[name]
+        assert shape_read == want.shape
+        read = np.asarray(values, dtype=float).reshape(want.shape, order="F" if fortran_read else "C")
+        assert same_bits(read, want.astype(float))
+    assert isinstance(got["g"][0], memoryview) == (np.dtype(dtype) == np.dtype("=f8"))  # in place
+
+
+def test_a_node_whose_field_is_not_finite_is_an_error():
+    """The diagonal of F at a node is d_mu g_mu - d_mu g_mu, NaN when d_mu g_mu
+    is infinite; the evaluator stops there instead of interpolating it."""
+    vals = np.zeros((4, 7, 7, 7, 7))
+    vals[1, 4, 6, 4, 4] = np.inf  # d_1 g_1 at node (4, 4, 4, 4) is infinite
+    f_eval = grid_field_strength_evaluator(grid_field(vals, [0.0] * 4, 1.0))
+    assert same_bits(f_eval((2.5, 2.5, 2.5, 2.5)), np.zeros((4, 4)))  # a cell away from it
+    with pytest.raises(ValueError, match=r"node \(4, 4, 4, 4\) is not finite"):
+        f_eval((4.0, 4.0, 4.0, 4.0))
 
 
 # -- non-abelian field strength ----------------------------------------------------
@@ -437,9 +574,9 @@ def test_gauge_covariance_rejects_non_orthogonal():
 def test_free_particle_straight_line():
     state = ParticleState(np.zeros(4), np.array([1.0, 0.3, -0.2, 0.1]), 1.0, 1.0)
     traj = integrate_lorentz(state, lambda x: np.zeros((4, 4)), 0.05, 200)
-    lam = traj.lambdas[-1]
-    assert np.allclose(traj.xs[-1], state.u * lam, atol=1e-12)
-    assert traj.eta_drift() == 0.0
+    lam = table(traj)[-1, 0]
+    assert np.allclose(table(traj)[-1, 1:5], np.array(state.u) * lam, atol=1e-12)
+    assert traj.meta["eta_drift"] == 0.0
 
 
 def _cyclotron(dlam_frac=1000, v=0.01, b=1.0, q=1.0, m=1.0, periods=1.0):
@@ -456,7 +593,7 @@ def _cyclotron(dlam_frac=1000, v=0.01, b=1.0, q=1.0, m=1.0, periods=1.0):
 def test_cyclotron_radius():
     traj, gamma, v = _cyclotron()
     # analytic radius m |u_perp| / (q B) = gamma m v; nonrelativistic ~ m v
-    xs = traj.xs[:, 1]
+    xs = table(traj)[:, 2]  # x1
     radius = (xs.max() - xs.min()) / 2.0
     want = 1.0 * gamma * v / 1.0
     assert abs(radius - want) / want < 1e-3
@@ -469,7 +606,7 @@ def test_rk4_fourth_order_convergence():
         traj, gamma, v = _cyclotron(dlam_frac=frac)
         # exact solution: u rotates at omega = qB/m; x traces the circle
         omega = 1.0
-        lam = traj.lambdas[-1]
+        lam = table(traj)[-1, 0]
         exact_x = np.array(
             [
                 gamma * lam,
@@ -478,7 +615,7 @@ def test_rk4_fourth_order_convergence():
                 0.0,
             ]
         )
-        errs.append(np.max(np.abs(traj.xs[-1] - exact_x)))
+        errs.append(np.max(np.abs(table(traj)[-1, 1:5] - exact_x)))
     order = math.log2(errs[0] / errs[1])
     assert 3.7 <= order <= 4.3
 
@@ -487,19 +624,43 @@ def test_eta_norm_conservation_electric():
     f = uniform_electric_f([0.5, 0.0, 0.0])
     state = ParticleState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 1.0, 1.0)
     traj = integrate_lorentz(state, lambda x: f, 1e-3, 10_000)
-    assert traj.eta_drift() <= 1e-9
+    assert traj.meta["eta_drift"] <= 1e-9
     # hyperbolic motion: u0 = cosh(a lam), u1 = sinh(a lam)
-    lam = traj.lambdas[-1]
-    assert abs(traj.us[-1][0] - math.cosh(0.5 * lam)) < 1e-9
-    assert abs(traj.us[-1][1] - math.sinh(0.5 * lam)) < 1e-9
+    lam, u0, u1 = table(traj)[-1, [0, 5, 6]]
+    assert abs(u0 - math.cosh(0.5 * lam)) < 1e-9
+    assert abs(u1 - math.sinh(0.5 * lam)) < 1e-9
+
+
+def numpy_eta_drift(traj):
+    """Trajectory.eta_drift before it moved into the RK4 loop: the oracle."""
+    us = table(traj)[:, 5:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = -us[:, 0] ** 2 + np.sum(us[:, 1:] ** 2, axis=1)
+        return float(np.max(np.abs(norms - norms[0])))
+
+
+@pytest.mark.parametrize("e, u0, steps", [
+    (0.5, [1.0, 0.0, 0.0, 0.0], 2000),
+    (-1.3, [1.2, 0.3, -0.4, 0.5], 500),
+    (0.0, [-0.0, 0.0, -0.0, 0.0], 3),
+    (100.0, [1.0, 0.0, 0.3, 0.0], 400),  # u0 u0 overflows to inf, then u1 u1 too: NaN
+    (0.0, [1e200, 1e200, 0.0, 0.0], 3),  # NaN from the first sample on
+], ids=["electric", "mixed", "zeros", "overflow-midway", "overflow-at-start"])
+def test_eta_drift_matches_the_numpy_formula(e, u0, steps):
+    f = uniform_electric_f([e, 0.2 * e, 0.0])
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, 0.8)
+    traj = integrate_lorentz(state, lambda x: f, 0.01, steps)
+    got, want = traj.meta["eta_drift"], numpy_eta_drift(traj)
+    assert same_bits(got, want) or (math.isnan(got) and math.isnan(want))
+    if e == 100.0:
+        assert math.isnan(got) and np.all(np.isfinite(table(traj)))
 
 
 def test_non_finite_detection():
     state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0)
-    huge = np.full((4, 4), 1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError) as err:
-            integrate_lorentz(state, lambda x: huge, 10.0, 5)
+    huge = [[1e200] * 4] * 4
+    with pytest.raises(FloatingPointError) as err:
+        integrate_lorentz(state, lambda x: huge, 10.0, 5)
     assert "step" in str(err.value)
 
 
@@ -528,22 +689,22 @@ def test_wong_reduces_to_lorentz_for_abelian_embedding():
     v = 0.01
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
-    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=i0 * gen)
+    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=so(i0 * gen))
     sl = ParticleState(np.zeros(4), u0, 1.0, 1.0 * i0)
-    tw = integrate_wong(sw, lambda x: f_scalar, gen, 0.01, 1500)
+    tw = integrate_wong(sw, lambda x: f_scalar, so(gen), 0.01, 1500)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1500)
-    assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12
-    assert np.max(np.abs(tw.us - tl.us)) <= 1e-12
+    assert np.max(np.abs(table(tw)[:, 1:] - table(tl)[:, 1:])) <= 1e-12
 
 
 def test_wong_zero_charge_is_geodesic():
     f = uniform_magnetic_f([0, 0, 1.0])
     state = ParticleState(
         np.zeros(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0, 1.0,
-        charge_vector=np.zeros((3, 3)),
+        charge_vector=so(np.zeros((3, 3))),
     )
-    traj = integrate_wong(state, lambda x: f, x12(3), 0.05, 100)
-    assert np.allclose(traj.xs[-1], state.u * traj.lambdas[-1], atol=1e-12)
+    traj = integrate_wong(state, lambda x: f, so(x12(3)), 0.05, 100)
+    lam, *x = table(traj)[-1, :5]
+    assert np.allclose(x, np.array(state.u) * lam, atol=1e-12)
 
 
 def test_wong_commuting_field_effective_charge():
@@ -553,18 +714,18 @@ def test_wong_commuting_field_effective_charge():
     v = 0.02
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
-    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=i0 * gen)
-    tw = integrate_wong(sw, lambda x: f_scalar, gen, 0.01, 1000)
+    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=so(i0 * gen))
+    tw = integrate_wong(sw, lambda x: f_scalar, so(gen), 0.01, 1000)
     sl = ParticleState(np.zeros(4), u0, 1.0, i0)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1000)
-    assert np.max(np.abs(tw.xs - tl.xs)) <= 1e-12
+    assert np.max(np.abs(table(tw)[:, 1:5] - table(tl)[:, 1:5])) <= 1e-12
 
 
 def test_wong_dimension_mismatch():
     state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
-                          charge_vector=x12(2))
+                          charge_vector=so(x12(2)))
     with pytest.raises(ValueError, match="dimension"):
-        integrate_wong(state, lambda x: np.zeros((4, 4)), x12(3), 0.1, 5)
+        integrate_wong(state, lambda x: np.zeros((4, 4)), so(x12(3)), 0.1, 5)
 
 
 @pytest.mark.parametrize("gen, charge", [(np.eye(2), x12(2)), (x12(2), np.eye(2))],
@@ -573,9 +734,9 @@ def test_wong_rejects_what_is_not_in_so_d(gen, charge):
     """kappa sums gen_ij I_ji over i < j only, which is -tr(gen I)/2 for
     antisymmetric matrices alone."""
     state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
-                          charge_vector=charge)
+                          charge_vector=so(charge))
     with pytest.raises(ValueError, match="antisymmetric"):
-        integrate_wong(state, lambda x: np.zeros((4, 4)), gen, 0.1, 5)
+        integrate_wong(state, lambda x: np.zeros((4, 4)), so(gen), 0.1, 5)
 
 
 @pytest.mark.parametrize("value", [0.7, -0.7, 5e-324, 1e308, -1e308])
@@ -588,32 +749,128 @@ def test_wong_charge_contracts_to_its_value_exactly(value):
     gen[2, 0], gen[0, 2] = 1.0, -1.0  # its entry above the diagonal is -1
     for u0 in ([1.2, 0.3, -0.4, 0.5], [-0.0, -0.0, 0.3, -0.0]):  # zeros keep their sign
         state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, -min(1.3, 1.3 / abs(value)),
-                              charge_vector=value * gen)
-        want = numpy_integrate(state, lambda x: value * f, 0.01, 20)
-        got = integrate_wong(state, lambda x: f, gen, 0.01, 20)
+                              charge_vector=so(value * gen))
+        want = numpy_integrate(state, lambda x: value * np.asarray(f), 0.01, 20)
+        got = integrate_wong(state, lambda x: f, so(gen), 0.01, 20)
         assert got.table.tobytes() == want.tobytes()
 
 
-class CountingArray:
-    """A field value that counts how often it is read as an array."""
+def numpy_pairing(gen, charge):
+    """kappa as integrate_wong computed it on dense arrays: the oracle."""
+    upper = np.triu_indices(len(gen), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -float(np.sum(gen[upper] * charge.T[upper]))
+
+
+def dense(el):
+    m = np.zeros((el.dim, el.dim))
+    for (i, j), x in el.entries.items():
+        m[i, j] = x
+    return m
+
+
+def antisymmetric(dim, upper):
+    """The so(dim) matrix with these entries above the diagonal, row by row."""
+    m = np.zeros((dim, dim))
+    iu = np.triu_indices(dim, 1)
+    m[iu] = upper
+    m.T[iu] = -np.asarray(upper, dtype=float)
+    return m
+
+
+def same_float(a, b):
+    return same_bits(a, b) or (math.isnan(a) and math.isnan(b))
+
+
+_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(2, 12), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_charge_pairing_of_a_cli_generator_matches_numpy(dim, swap, data):
+    """kappa of the CLI's X_pair, both pair orders, against a general
+    antisymmetric charge and against the CLI's charge value X_pair."""
+    pair = data.draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True))
+    gen, _ = cli._charge_generator(
+        {"particle": {"I": {"dim": dim, "pair": pair[::-1] if swap else pair, "value": 1.0}}})
+    charge = antisymmetric(dim, data.draw(st.lists(_ENTRY, min_size=dim * (dim - 1) // 2,
+                                                   max_size=dim * (dim - 1) // 2)))
+    assert same_float(charge_pairing(gen, so(charge)), numpy_pairing(dense(gen), charge))
+    value = data.draw(_ENTRY)
+    cli_charge = SoElement(dim, {k: value * x for k, x in gen.entries.items()})
+    assert same_float(charge_pairing(gen, cli_charge), numpy_pairing(dense(gen), value * dense(gen)))
+
+
+def sparse_pair(dim, seed, count):
+    """Two elements of so(dim), dense and listing only their nonzero entries,
+    with random values of mixed magnitude at the same count upper positions,
+    so that the order of summation shows in the bits."""
+    rng = np.random.default_rng(seed)
+    n = dim * (dim - 1) // 2
+    positions = rng.choice(n, size=min(n, count), replace=False)
+    iu = np.triu_indices(dim, 1)
+    pair = []
+    for _ in range(2):
+        upper = np.zeros(n)
+        upper[positions] = rng.standard_normal(len(positions)) * 10.0 ** rng.integers(-8, 9, len(positions))
+        m = antisymmetric(dim, upper)
+        listed = {}
+        for p in positions:
+            i, j = int(iu[0][p]), int(iu[1][p])
+            listed[i, j], listed[j, i] = float(m[i, j]), float(m[j, i])
+        pair.append((m, SoElement(dim, listed)))
+    return pair
+
+
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.integers(1, 780))
+@settings(max_examples=200, deadline=None)
+def test_charge_pairing_matches_numpy_on_general_elements(dim, seed, count):
+    """Up to 780 terms in numpy's pairwise order (blocks of up to 128, longer
+    ranges split in halves), from every entry and from the nonzero ones alone."""
+    (g, gen), (c, charge) = sparse_pair(dim, seed, count)
+    want = numpy_pairing(g, c)
+    assert same_float(charge_pairing(gen, charge), want)
+    assert same_float(charge_pairing(so(g), so(c)), want)
+
+
+@given(st.integers(41, 300), st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=50, deadline=None)
+def test_charge_pairing_of_sparse_elements_of_a_larger_so(dim, seed, count):
+    (g, gen), (c, charge) = sparse_pair(dim, seed, count)
+    assert same_float(charge_pairing(gen, charge), numpy_pairing(g, c))
+
+
+def test_charge_pairing_in_a_huge_so_dim_reads_two_entries():
+    gen, value = cli._charge_generator(
+        {"particle": {"I": {"dim": 10**12, "pair": [10**12, 7], "value": -0.7}}})
+    charge = SoElement(gen.dim, {k: value * x for k, x in gen.entries.items()})
+    assert len(gen.entries) == 2 and charge_pairing(gen, charge) == -0.7
+
+
+class CountingRows:
+    """A field value that counts how often its rows are read."""
 
     def __init__(self, f):
         self.f, self.reads = f, 0
 
-    def __array__(self, dtype=None, copy=None):
+    def __iter__(self):
         self.reads += 1
-        return self.f
+        return iter(self.f)
 
 
 def test_a_uniform_field_is_converted_once_per_run():
+    """Wong forms kappa F once per F object; Lorentz (kappa = 1) reads F's
+    rows as they are, at every stage."""
     f = uniform_magnetic_f([0.3, -0.7, 1.1])
-    counting = CountingArray(f)
+    counting = CountingRows(f)
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
-                          charge_vector=0.7 * x12(3))
-    for integrate, args in ((integrate_lorentz, ()), (integrate_wong, (x12(3),))):
+                          charge_vector=so(0.7 * x12(3)))
+    for integrate, args, reads in ((integrate_lorentz, (), 4 * 50),
+                                   (integrate_wong, (so(x12(3)),), 1)):
         counting.reads = 0
         traj = integrate(state, lambda x: counting, *args, 0.01, 50)
-        assert counting.reads == 1
+        assert counting.reads == reads
         assert traj.table.tobytes() == integrate(state, lambda x: f, *args, 0.01, 50).table.tobytes()
 
 
@@ -651,10 +908,10 @@ def test_scalar_rk4_matches_numpy_oracle_on_uniform_fields(f):
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
     traj = integrate_lorentz(state, lambda x: f, 0.01, 500)
     assert np.array_equal(traj.table, numpy_integrate(state, lambda x: f, 0.01, 500))
-    assert np.array_equal(traj.xs, traj.table[:, 1:5]) and len(traj) == 501
-    # F is converted once per object: the same array every call and a fresh
-    # copy every call give the same bytes
-    fresh = integrate_lorentz(state, lambda x: f.copy(), 0.01, 500)
+    assert len(traj) == 501 and table(traj).shape == (501, 9)
+    # F is read once per object: the same rows every call and a fresh copy
+    # every call give the same bytes
+    fresh = integrate_lorentz(state, lambda x: [list(row) for row in f], 0.01, 500)
     assert fresh.table.tobytes() == traj.table.tobytes()
 
 
@@ -666,10 +923,10 @@ def test_field_is_called_with_a_tuple_of_four_floats():
         return f
 
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
-                          charge_vector=0.7 * x12(2))
+                          charge_vector=so(0.7 * x12(2)))
     integrate_lorentz(state, recording, 0.01, 5)
     assert len(seen) == 4 * 5
-    integrate_wong(state, recording, x12(2), 0.01, 5)
+    integrate_wong(state, recording, so(x12(2)), 0.01, 5)
     assert len(seen) == 2 * 4 * 5
     assert all(type(x) is tuple and len(x) == 4 and all(type(c) is float for c in x)
                for x in seen)
@@ -691,8 +948,8 @@ def test_a_new_field_object_is_converted_again():
 
 def oracle_grid(seed):
     """A 9^4 random grid whose F is of order 0.2, and a start in its middle."""
-    g = random_grid(seed, False, 9)
-    grid = GridMetricField(0.2 * g.spacing * g.grid, g.origin, g.spacing)
+    vals, origin, spacing = random_grid_arrays(seed, False, 9)
+    grid = grid_field(0.2 * spacing * vals, origin, spacing)
     rng = np.random.default_rng(seed)
     x0 = grid.origin + grid.spacing * rng.uniform(3.5, 4.5, 4)
     u0 = np.concatenate([[1.0], rng.uniform(-0.3, 0.3, 3)])
@@ -712,8 +969,9 @@ def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
     gen, i0 = x12(3), 0.7
 
     def feff(x):  # the 4-index contraction of F (x) gen against I = i0 gen
-        return -0.5 * np.einsum("mnij,ji->mn", f_eval(x)[:, :, None, None] * gen, i0 * gen)
+        f = np.asarray(f_eval(x))
+        return -0.5 * np.einsum("mnij,ji->mn", f[:, :, None, None] * gen, i0 * gen)
 
-    sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=i0 * gen)
-    assert np.array_equal(integrate_wong(sw, f_eval, gen, dlam, n).table,
+    sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=so(i0 * gen))
+    assert np.array_equal(integrate_wong(sw, f_eval, so(gen), dlam, n).table,
                           numpy_integrate(sw, feff, dlam, n))
