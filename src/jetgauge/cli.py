@@ -177,12 +177,20 @@ def cmd_octonion(args) -> int:
     return _emit_report(rep, args)
 
 
+_FIX_CHARS = 100  # per --fix literal, whose exponent has at most two digits
+
+
 def _parse_im(text: str) -> ImOctonion:
     text = text.strip()
-    if text.startswith("e") and text[1:].isdigit():
+    if text.startswith("e") and text[1:].isdecimal() and len(text) <= _FIX_CHARS:
         return ImOctonion.unit(int(text[1:]))
 
     def rational(t: str) -> Fraction:
+        # capped before Fraction builds 10**exponent or parses a long integer
+        exponent = t.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
+        if len(t) > _FIX_CHARS or len(exponent.lstrip("0")) > 2:
+            raise ValueError(f"--fix {text!r}: {t!r} is longer than {_FIX_CHARS} characters "
+                             "or has an exponent of more than two digits")
         try:
             return Fraction(t)
         except (ValueError, ZeroDivisionError):

@@ -58,10 +58,20 @@ RK4 with that column order as the oracle.  The loop also tracks the eta
 drift max_k |eta(u_k, u_k) - eta(u_0, u_0)|, with eta(u, u) =
 ((u1 u1 + u2 u2) + u3 u3) - u0 u0, NaN once any term is NaN, as np.max
 gives it.
+
+Wong's force is the Lorentz law on kappa F, with kappa the charge pairing
+-sum_{i<j} gen_ij I_ji.  It is one plain sum: the terms of the pairs
+(i, j), i < j, that either element lists, added left to right from 0.0 in
+row-major order by functools.reduce (the builtin sum is compensated on
+Python 3.12 and later).  A pair neither lists would add +0.0, which
+changes no partial sum of a sum from +0.0, so the result is that of the
+sequential sum over the whole upper triangle.  The CLI's charge
+value X_pair gives one term, and kappa is value exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,8 +81,6 @@ import zipfile
 import zlib
 from array import array
 from dataclasses import dataclass
-
-from .proca import _pairwise_sum
 
 ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
 
@@ -307,36 +315,14 @@ class SoElement:
                    for (i, j), x in e.items())
 
 
-def _sparse_pairwise_sum(terms: dict, lo: int, n: int) -> float:
-    """np.sum's order over the n terms at positions lo.. (a term not in terms
-    is 0.0): blocks of up to 128 go to proca._pairwise_sum, and a longer
-    range splits at half its length rounded down to a multiple of 8.  A zero
-    term never changes a nonzero partial sum, so a range holding at most one
-    term of terms sums to that term up to the sign of a zero, which the
-    caller's 0.0 + drops, and only ranges holding two or more are split."""
-    live = [p for p in terms if lo <= p < lo + n]
-    while n > 128 and len(live) > 1:
-        half = n // 2 - n // 2 % 8
-        if max(live) < lo + half:
-            n = half
-        elif min(live) >= lo + half:
-            lo, n = lo + half, n - half
-        else:
-            return (_sparse_pairwise_sum(terms, lo, half)
-                    + _sparse_pairwise_sum(terms, lo + half, n - half))
-    if len(live) < 2:
-        return terms[live[0]] if live else 0.0
-    return _pairwise_sum([terms.get(p, 0.0) for p in range(lo, lo + n)])
-
-
 def charge_pairing(gen: SoElement, charge: SoElement) -> float:
-    """kappa = -sum_{i<j} gen_ij I_ji, the bits of numpy's
-    -np.sum(gen[upper] * I.T[upper]) over the upper triangle in row-major
-    order, from the listed entries alone."""
-    n, g, c = gen.dim, gen.entries, charge.entries
-    terms = {i * n - i * (i + 1) // 2 + j - i - 1: g.get((i, j), 0.0) * c.get((j, i), 0.0)
-             for i, j in {*g, *((j, i) for i, j in c)} if i < j}
-    return -(0.0 + _sparse_pairwise_sum(terms, 0, n * (n - 1) // 2))
+    """kappa = -sum_{i<j} gen_ij I_ji, added left to right from 0.0 over the
+    pairs (i, j) that either element lists, in row-major order; an entry
+    not listed is 0.0."""
+    g, c = gen.entries, charge.entries
+    pairs = sorted(p for p in {*g, *((j, i) for i, j in c)} if p[0] < p[1])
+    return -functools.reduce(operator.add, (g.get((i, j), 0.0) * c.get((j, i), 0.0)
+                                            for i, j in pairs), 0.0)
 
 
 @dataclass
@@ -446,13 +432,13 @@ def integrate_wong(state: ParticleState, f_eval, gen: SoElement, dlam: float,
     f_eval is as in integrate_lorentz, gen in so(d), I the charge vector.
 
     The gauge indices contract once per run, through the normalized trace
-    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji (charge_pairing),
-    which is 1 on a generator paired with itself and exactly value for
-    I = value gen = value X_ij; the run is integrate_lorentz on kappa F, bit
-    for bit.  (The adjoint-trace Killing form is proportional to this
-    pairing on a simple so(n) but vanishes identically for n = 2, so the
-    defining-representation trace form is the usable avatar of the Killing
-    pairing here.)
+    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji (charge_pairing,
+    one plain sum in row-major order), which is 1 on a generator paired
+    with itself and exactly value for I = value gen = value X_ij; the run
+    is integrate_lorentz on kappa F, bit for bit.  (The adjoint-trace
+    Killing form is proportional to this pairing on a simple so(n) but
+    vanishes identically for n = 2, so the defining-representation trace
+    form is the usable avatar of the Killing pairing here.)
     """
     charge = state.charge_vector
     if charge is None:

@@ -261,16 +261,15 @@ def killing_table_in_basis(basis: Sequence[Rows]) -> list[list]:
     return [[_ad_trace(ca, cb, solver.zero) for cb in c] for ca in c]
 
 
-def killing_metric_twisted(x: Rows, y: Rows, eta: Rows | None = None):
-    """2 tr(eta x eta y) for antisymmetric representatives x, y, given as rows.
+def killing_metric_twisted(x: Rows, y: Rows):
+    """2 tr(eta x eta y) for antisymmetric representatives x, y, given as
+    rows, with eta = diag(-1,1,1,1).
 
     The metric enters both contractions: multiplying two index-lowered
     antisymmetric tensors requires raising the middle index, and the
-    trace raises the outer one.  With eta = diag(-1,1,1,1) this equals the
-    adjoint-trace Killing form of so(1,3); with eta = identity it reduces
-    to the plain so(4) value 2 tr(xy).
+    trace raises the outer one.  This equals the adjoint-trace Killing
+    form of so(1,3).
     """
-    if eta is None:
-        eta = minkowski_eta(len(list(x)))
+    eta = minkowski_eta()
     ex, ey = _product(eta, x), _product(eta, y)
     return 2 * sum(u * v for row, col in zip(ex, zip(*ey)) for u, v in zip(row, col))

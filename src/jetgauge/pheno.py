@@ -77,11 +77,9 @@ class Constants:
         return Constants(M_W=80.3790)
 
     @staticmethod
-    def from_json(path_or_dict) -> "Constants":
-        data = path_or_dict
-        if not isinstance(data, dict):
-            with open(path_or_dict, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+    def from_json(path) -> "Constants":
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("constant overrides must be a JSON object")
         known = {f.name for f in fields(Constants)}

@@ -202,11 +202,8 @@ def _fma(a: float, b: float, c: float) -> float:
 
 
 def _pairwise_sum(xs: list[float]) -> float:
-    """numpy's sum of up to 128 floats: under 8 in sequence, else eight
-    running sums and then the rest in sequence; added to 0.0 (so a zero sum
-    is +0.0)."""
-    if len(xs) < 8:
-        return functools.reduce(operator.add, xs, 0.0)
+    """numpy's sum of 8 to 128 floats: eight running sums, then the rest in
+    sequence; added to 0.0 (so a zero sum is +0.0)."""
     n = len(xs) - len(xs) % 8
     r = xs[:8]
     for i in range(8, n, 8):

@@ -22,7 +22,6 @@ from .liealg import (
     killing_adjoint,
     killing_metric_twisted,
     killing_table_in_basis,
-    minkowski_eta,
     so4_bases,
     so13_basis,
     so_pairs,
@@ -86,8 +85,7 @@ def suite_killing(s: Suite) -> None:
     s.check("so(4): tr(ad ad) == 2 tr(XY), 36 pairs", ok_so4)
 
     table = killing_table_in_basis(so13_basis())
-    eta = minkowski_eta()
-    ok_13 = all(table[a][b] == killing_metric_twisted(xa, xb, eta)
+    ok_13 = all(table[a][b] == killing_metric_twisted(xa, xb)
                 for a, xa in enumerate(gens) for b, xb in enumerate(gens))
     s.check("so(1,3): tr(ad ad) == 2 tr(eta X eta Y), 36 pairs", ok_13)
 

@@ -32,7 +32,6 @@ from jetgauge.exactnum import ExactMatrix, qs, trace_metric
 from jetgauge.liealg import (
     killing_metric_twisted,
     killing_table_in_basis,
-    minkowski_eta,
     so13_basis,
     so4_bases,
     so_generator,
@@ -92,13 +91,12 @@ def test_criterion_2_so4_structure():
 
 def test_criterion_3_killing_identity():
     basis = so13_basis()
-    eta = minkowski_eta()
     pairs = so_pairs(4)
     table = killing_table_in_basis(basis)
     for a, pa in enumerate(pairs):
         for b, pb in enumerate(pairs):
             twisted = killing_metric_twisted(
-                so_generator(4, *pa), so_generator(4, *pb), eta
+                so_generator(4, *pa), so_generator(4, *pb)
             )
             assert table[a][b] == twisted
     ok("3 Killing identity", "adjoint trace == 2 tr(eta X eta Y), 36 pairs, exact")

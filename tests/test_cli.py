@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,16 @@ def test_exact_layer_imports_no_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert _child(["-c", code]).stdout == b"False\n"
+
+
+def test_float_layer_imports_no_exact_module():
+    # dynamics and curvature meet the exact layer only in cli
+    code = (
+        "import sys\n"
+        "import jetgauge.curvature, jetgauge.dynamics\n"
+        "print(sorted(m for m in ('proca', 'liealg', 'exactnum') if 'jetgauge.' + m in sys.modules))\n"
+    )
+    assert _child(["-c", code]).stdout == b"[]\n"
 
 
 # sha256 of `pheno <what> --format <format>` stdout with the default constants
@@ -514,6 +525,26 @@ def test_su3_fix_with_a_zero_denominator_exits_2(capsys, fix):
     assert main(["su3", "--fix", fix]) == 2
     captured = capsys.readouterr()
     assert one_line(captured.err).startswith("error: --fix") and captured.out == ""
+
+
+@pytest.mark.parametrize("fix", ["1e4000,0,0,0,0,0,1", "1e2000000,0,0,0,0,0,1",
+                                 "9" * 5000 + ",0,0,0,0,0,1", "e" + "9" * 5000],
+                         ids=["1e4000", "1e2000000", "5000-digit", "e-5000-digit"])
+def test_su3_fix_over_the_literal_cap_exits_2_at_once(capsys, fix):
+    # Fraction would build 10**2000000 and the stabilizer would run on it
+    start = time.perf_counter()
+    assert main(["su3", "--fix", fix]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert one_line(captured.err).startswith("error: --fix") and captured.out == ""
+    assert "longer than 100 characters or has an exponent of more than two digits" in captured.err
+
+
+def test_su3_fix_at_the_literal_cap_is_accepted(capsys):
+    big = "9" * 97 + "e99"  # 100 characters
+    assert len(big) == 100
+    assert main(["su3", "--fix", ",".join([big, "1e-99", "1e+0_99", "0", "0", "0", "1"])]) == 0
+    assert str(10**196 - 10**99) in capsys.readouterr().out
 
 
 # sha256 of the bytes `simulate` writes: a change to the RK4 arithmetic order,

@@ -756,10 +756,12 @@ def test_wong_charge_contracts_to_its_value_exactly(value):
 
 
 def numpy_pairing(gen, charge):
-    """kappa as integrate_wong computed it on dense arrays: the oracle."""
+    """kappa on dense arrays, the upper triangle summed in sequence in
+    row-major order by np.cumsum from 0.0: the oracle."""
     upper = np.triu_indices(len(gen), 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return -float(np.sum(gen[upper] * charge.T[upper]))
+        terms = np.concatenate(([0.0], gen[upper] * charge.T[upper]))
+        return -float(0.0 + np.cumsum(terms)[-1])
 
 
 def dense(el):
@@ -826,8 +828,8 @@ def sparse_pair(dim, seed, count):
 @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.integers(1, 780))
 @settings(max_examples=200, deadline=None)
 def test_charge_pairing_matches_numpy_on_general_elements(dim, seed, count):
-    """Up to 780 terms in numpy's pairwise order (blocks of up to 128, longer
-    ranges split in halves), from every entry and from the nonzero ones alone."""
+    """Up to 780 terms in sequence, from every entry and from the nonzero
+    ones alone."""
     (g, gen), (c, charge) = sparse_pair(dim, seed, count)
     want = numpy_pairing(g, c)
     assert same_float(charge_pairing(gen, charge), want)

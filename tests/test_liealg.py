@@ -215,12 +215,11 @@ def test_so13_twisted_killing_identity():
     """Adjoint-trace Killing form of so(1,3) equals 2 tr(eta X eta Y) on the
     antisymmetric representatives, for all 36 basis pairs."""
     basis = so13_basis()
-    eta = minkowski_eta()
     pairs = so_pairs(4)
     table = killing_table_in_basis(basis)
     for a, pa in enumerate(pairs):
         for b, pb in enumerate(pairs):
-            twisted = killing_metric_twisted(so_generator(4, *pa), so_generator(4, *pb), eta)
+            twisted = killing_metric_twisted(so_generator(4, *pa), so_generator(4, *pb))
             assert table[a][b] == twisted, (pa, pb)
     # boosts have positive norm, rotations negative
     for idx, (i, j) in enumerate(pairs):
@@ -244,11 +243,6 @@ def test_killing_in_basis_rejects_outside_elements():
     basis = so13_basis()
     with pytest.raises(ValueError):
         killing_adjoint_in_basis(basis, identity(4), basis[0])
-
-
-def test_killing_twisted_defaults_to_eta():
-    x = so_generator(4, 2, 3)
-    assert killing_metric_twisted(x, x) == killing_metric_twisted(x, x, minkowski_eta())
 
 
 # -- the structure-constant Killing kernel -------------------------------------

@@ -33,13 +33,15 @@ def test_constants_defaults_pinned():
     assert k.lambda_sq == 2 * k.Lambda
 
 
-def test_constants_validation_and_overrides():
+def test_constants_validation_and_overrides(tmp_path):
     with pytest.raises(ValueError):
         Constants(M_W=-1.0)
     k = replace(Constants.defaults(), M_W=80.4)
     assert k.M_W == 80.4
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"not_a_constant": 1.0}), encoding="utf-8")
     with pytest.raises(ValueError):
-        Constants.from_json({"not_a_constant": 1.0})
+        Constants.from_json(str(path))
 
 
 def test_constants_from_json_file(tmp_path):

@@ -6,8 +6,10 @@ A function or class counts as used through a name (a call, a reference or
 an import of it) or an attribute access such as `dynamics.field_strength_em`;
 so does a public module-level constant such as `proca.H_INTS`.
 A method counts only through an attribute access (`m.label(4)`), or through
-a perfbench span string such as "LieElement.bracket".  Dunder methods are
-exempt: Python calls them.  A name that fails here is used nowhere and can go.
+a perfbench span string such as "LieElement.bracket".  An attribute read
+off a module imported from outside jetgauge (`np.zeros`, `math.isfinite`)
+is no use of a jetgauge name.  Dunder methods are exempt: Python calls
+them.  A name that fails here is used nowhere and can go.
 A name that only tests/ reaches belongs in the test that needs it.
 """
 
@@ -19,22 +21,19 @@ SEARCHED = ("src", "tests", "scripts", "perfbench")
 
 
 def syntax_trees(top):
+    """(file name, syntax tree) of every Python file under top."""
     for dirpath, _, names in os.walk(os.path.join(ROOT, top)):
         for name in sorted(names):
             if name.endswith(".py"):
                 with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
-                    yield ast.parse(fh.read())
+                    yield name, ast.parse(fh.read())
 
 
-def definitions():
+def definitions(modules):
     """(module, name, is_method) for every non-dunder def and class, and
-    every public name a module-level assignment binds."""
-    package = os.path.join(ROOT, "src", "jetgauge")
-    for module in sorted(os.listdir(package)):
-        if not module.endswith(".py"):
-            continue
-        with open(os.path.join(package, module), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    every public name a module-level assignment binds, in the (module,
+    tree) pairs given."""
+    for module, tree in modules:
         methods = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
@@ -53,29 +52,46 @@ def definitions():
                     yield module, target.id, False
 
 
-def references(searched):
-    """Names read or imported (not assigned), attribute names, and perfbench
-    strings."""
+def foreign_modules(tree):
+    """Names that `import` binds to modules outside jetgauge."""
+    return {alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.partition(".")[0] != "jetgauge"}
+
+
+def references(trees):
+    """Names read or imported (not assigned), attribute names not read off
+    a foreign module, and perfbench strings, from (top, tree) pairs."""
     names, attributes, spans = set(), set(), set()
-    for top in searched:
-        for tree in syntax_trees(top):
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    names.add(node.id)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name.rpartition(".")[2])
-                elif isinstance(node, ast.Attribute):
+    for top, tree in trees:
+        foreign = foreign_modules(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in foreign):
                     attributes.add(node.attr)
-                elif top == "perfbench" and isinstance(node, ast.Constant):
-                    if isinstance(node.value, str):
-                        spans.add(node.value)
+            elif top == "perfbench" and isinstance(node, ast.Constant):
+                if isinstance(node.value, str):
+                    spans.add(node.value)
     return names, attributes, spans
 
 
-def unused_definitions(searched=SEARCHED):
-    names, attributes, spans = references(searched)
+def searched_trees(searched):
+    return [(top, tree) for top in searched for _, tree in syntax_trees(top)]
+
+
+def unused_definitions(trees, modules=None):
+    """The definitions of modules (default: src/jetgauge) that the (top,
+    tree) pairs do not reach."""
+    names, attributes, spans = references(trees)
     unused = []
-    for module, name, is_method in definitions():
+    for module, name, is_method in definitions(modules or syntax_trees("src/jetgauge")):
         short = name.rpartition(".")[2]
         used = short in attributes or name in spans
         if not is_method:
@@ -86,7 +102,7 @@ def unused_definitions(searched=SEARCHED):
 
 
 def test_every_defined_name_is_referenced():
-    unused = unused_definitions()
+    unused = unused_definitions(searched_trees(SEARCHED))
     assert not unused, f"defined but referenced nowhere: {unused}"
 
 
@@ -98,5 +114,14 @@ DOCUMENTED = {
 
 def test_no_definition_is_reached_only_by_tests():
     program = tuple(top for top in SEARCHED if top != "tests")
-    test_only = set(unused_definitions(program)) - DOCUMENTED
+    test_only = set(unused_definitions(searched_trees(program))) - DOCUMENTED
     assert not test_only, f"referenced only by tests: {sorted(test_only)}"
+
+
+def test_a_method_read_only_off_a_foreign_module_is_unused():
+    module = ast.parse("class Matrix:\n    def zeros(self):\n        pass\n")
+    foreign = ast.parse("import numpy as np\nimport os.path\nnp.zeros(3)\nos.path.zeros\n")
+    local = ast.parse("from jetgauge import m\nm.Matrix().zeros()\n")
+    assert unused_definitions([("src", foreign)], [("m.py", module)]) == [
+        "m.py: Matrix", "m.py: Matrix.zeros"]
+    assert unused_definitions([("src", local)], [("m.py", module)]) == []
