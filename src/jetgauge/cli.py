@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import operator
+import os
 import sys
 from fractions import Fraction
 
@@ -66,6 +66,8 @@ def cmd_proca_table(args) -> int:
     if args.format == "json":
         _emit(dump_json({"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}), args)
     elif args.format == "csv":
+        import csv  # here, so that no other request imports it
+
         buf = io.StringIO()
         csv.writer(buf).writerows(table)
         _emit(buf.getvalue().rstrip("\n"), args)
@@ -184,24 +186,24 @@ def _parse_im(text: str) -> ImOctonion:
     text = text.strip()
     if text.startswith("e") and text[1:].isdecimal() and len(text) <= _FIX_CHARS:
         return ImOctonion.unit(int(text[1:]))
-
-    def rational(t: str) -> Fraction:
-        # capped before Fraction builds 10**exponent or parses a long integer
+    shown = repr(text[:20]) + ("..." if len(text) > 20 else "")  # keeps the error line short
+    parts = text.split(",")
+    # capped before Fraction builds 10**exponent or parses a long integer
+    for k, t in enumerate(parts, 1):
         exponent = t.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
         if len(t) > _FIX_CHARS or len(exponent.lstrip("0")) > 2:
-            raise ValueError(f"--fix {text!r}: {t!r} is longer than {_FIX_CHARS} characters "
-                             "or has an exponent of more than two digits")
+            raise ValueError(f"--fix {shown}: literal {k} is longer than {_FIX_CHARS} "
+                             "characters or has an exponent of more than two digits")
+    if len(parts) != 7:
+        raise ValueError(f"--fix {shown}: expected a unit like e4 or 7 comma-separated rationals")
+
+    def rational(t: str) -> Fraction:
         try:
             return Fraction(t)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"--fix {text!r}: {t!r} is not a rational number") from None
+            raise ValueError(f"--fix {shown}: {t!r} is not a rational number") from None
 
-    parts = [rational(t) for t in text.split(",")]
-    if len(parts) != 7:
-        raise ValueError(
-            f"--fix {text!r}: expected a unit like e4 or 7 comma-separated rationals"
-        )
-    return ImOctonion(tuple(parts))
+    return ImOctonion(tuple(map(rational, parts)))
 
 
 def cmd_su3(args) -> int:
@@ -314,6 +316,7 @@ def _charge_generator(cfg: dict) -> tuple[dynamics.SoElement, float]:
 _JSON_VEC = "[\n" + ",\n".join(["        %r"] * 4) + "\n      ]"
 _JSON_SAMPLE = '    {\n      "lambda": %r,\n      "u": ' + _JSON_VEC + ',\n      "x": ' + _JSON_VEC + "\n    }"
 _JSON_ORDER = operator.itemgetter(0, 5, 6, 7, 8, 1, 2, 3, 4)
+MAX_STEPS = 5_000_000  # the sample table holds (steps + 1) x 9 doubles: 360 MB at the cap
 
 
 def _trajectory_json(traj, full_precision: bool) -> str:
@@ -346,6 +349,8 @@ def cmd_simulate(args) -> int:
         steps = _require(cfg, "integrator.steps")
         if type(steps) is not int or steps < 0:
             raise ValueError("integrator.steps must be a non-negative integer")
+        if steps > MAX_STEPS:
+            raise ValueError(f"integrator.steps is capped at {MAX_STEPS}")
         out_cfg = _require(cfg, "output")
         path = _require(cfg, "output.path")
         if not isinstance(path, str):
@@ -353,6 +358,13 @@ def cmd_simulate(args) -> int:
         fmt = out_cfg.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ValueError(f"output.format must be \"csv\" or \"json\", got {fmt!r}")
+        created = not os.path.lexists(path)
+        try:  # a path that cannot be written fails here, not after the run
+            open(path, "ab").close()
+        except OSError as exc:
+            raise ValueError(f"output.path: {exc}") from exc
+        if created:
+            os.remove(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad simulate config: {exc}", file=sys.stderr)
         return 2

@@ -80,7 +80,6 @@ import sys
 import zipfile
 import zlib
 from array import array
-from dataclasses import dataclass
 
 ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
 
@@ -301,13 +300,12 @@ def grid_field_strength_evaluator(grid: GridMetricField):
 # -- trajectories ---------------------------------------------------------------
 
 
-@dataclass
 class SoElement:
     """An element of so(dim) by its listed entries {(i, j): x}, 0-based; every
     entry not listed is 0.0, so a generator X_ij is two entries at any dim."""
 
-    dim: int
-    entries: dict
+    def __init__(self, dim: int, entries: dict):
+        self.dim, self.entries = dim, entries
 
     def is_antisymmetric(self) -> bool:
         e, n = self.entries, self.dim
@@ -325,20 +323,15 @@ def charge_pairing(gen: SoElement, charge: SoElement) -> float:
                                             for i, j in pairs), 0.0)
 
 
-@dataclass
 class ParticleState:
-    x: tuple
-    u: tuple
-    m: float
-    q: float
-    charge_vector: SoElement | None = None  # algebra-valued charge for Wong runs
-
-    def __post_init__(self):
-        self.x, self.u = tuple(map(float, self.x)), tuple(map(float, self.u))
-        if self.m <= 0:
+    def __init__(self, x, u, m: float, q: float, charge_vector: SoElement | None = None):
+        self.x, self.u = tuple(map(float, x)), tuple(map(float, u))
+        if m <= 0:
             raise ValueError("rest mass must be positive")
         if len(self.x) != 4 or len(self.u) != 4:
             raise ValueError("x and u must be 4-vectors")
+        self.m, self.q = m, q
+        self.charge_vector = charge_vector  # algebra-valued charge for Wong runs
 
 
 class Trajectory:

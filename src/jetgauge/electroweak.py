@@ -18,7 +18,7 @@ operation order with no BLAS, so its output is the same on every machine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
@@ -40,11 +40,8 @@ def mass_matrix(g_prime, g) -> ExactMatrix:
     return m.scale(half)
 
 
-@dataclass(frozen=True)
-class WeinbergAngle:
-    sin2: Fraction
-    sin: QuadScalar | None  # exact value when expressible in the field
-    cos: QuadScalar | None
+# sin2 a Fraction; sin and cos exact QuadScalars when expressible in the field, else None
+WeinbergAngle = namedtuple("WeinbergAngle", "sin2 sin cos")
 
 
 def weinberg_angle(g_prime, g) -> WeinbergAngle:

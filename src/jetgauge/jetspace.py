@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 _NAMES4 = ("t", "x", "y", "z")
 
@@ -26,19 +25,19 @@ def axis_name(axis: int, n_axes: int) -> str:
     return "t" if axis == 0 else f"x{axis}"
 
 
-@dataclass(frozen=True, order=True)
 class MultiIndex:
     """Ordered multiset of axis indices; axis 0 is the timelike one."""
 
-    axes: tuple[int, ...]
+    __slots__ = ("axes",)
 
-    def __post_init__(self):
-        if len(self.axes) < 1:
+    def __init__(self, axes: tuple[int, ...]):
+        if len(axes) < 1:
             raise ValueError("degree must be at least 1")
-        if any(a < 0 for a in self.axes):
+        if any(a < 0 for a in axes):
             raise ValueError("negative axis index")
-        if tuple(sorted(self.axes)) != self.axes:
+        if tuple(sorted(axes)) != axes:
             raise ValueError("axis indices must be non-decreasing")
+        self.axes = axes
 
     @property
     def degree(self) -> int:
@@ -57,11 +56,9 @@ def is_timelike(m: MultiIndex) -> bool:
     return m.t_count % 2 == 1
 
 
-@dataclass(frozen=True)
 class JetBasis:
-    n_axes: int
-    max_order: int
-    entries: tuple[MultiIndex, ...]
+    def __init__(self, n_axes: int, max_order: int, entries: tuple[MultiIndex, ...]):
+        self.n_axes, self.max_order, self.entries = n_axes, max_order, entries
 
     def __len__(self) -> int:
         return len(self.entries)

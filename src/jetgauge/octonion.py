@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,16 +61,23 @@ def unit_product(i: int, j: int) -> tuple[int, int]:
     return _TABLE[i][j - 1]
 
 
-@dataclass(frozen=True)
 class _Coefficients:
-    """A fixed-length tuple of rational coefficients."""
+    """A fixed-length tuple of rational coefficients, equal when the type and
+    the coefficients are."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
     _size, _noun = 0, ""
 
-    def __post_init__(self):
-        if len(self.coeffs) != self._size:
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != self._size:
             raise ValueError(f"{self._noun} has {self._size} coefficients")
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @classmethod
     def make(cls, *cs):
@@ -94,6 +100,7 @@ class _Coefficients:
 class Octonion(_Coefficients):
     """Rational octonion c0 + c1 e1 + ... + c7 e7."""
 
+    __slots__ = ()
     _size, _noun = 8, "an octonion"
 
     @staticmethod
@@ -132,6 +139,7 @@ def oct_mul(a: Octonion, b: Octonion) -> Octonion:
 class ImOctonion(_Coefficients):
     """Pure imaginary octonion, coefficients over e1..e7."""
 
+    __slots__ = ()
     _size, _noun = 7, "an imaginary octonion"
 
     @staticmethod
@@ -275,6 +283,7 @@ def is_derivation(x) -> bool:
 class G2Element(_Coefficients):
     """Element of g2 as coefficients over [A_1..A_7, G_1..G_7]."""
 
+    __slots__ = ()
     _size, _noun = 14, "a g2 element"
 
     def matrix(self) -> tuple[tuple, ...]:
@@ -347,11 +356,11 @@ def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> 
     return len(nullspace_exact(list(zip(*images))))
 
 
-@dataclass(frozen=True)
 class ConsistencyReport:
-    chain_holds: bool       # [X, ad_Y] Z == (X Y) x Z, using the derivation rule
-    residual: ImOctonion    # Y x (X Z)
-    consistent: bool        # residual vanishes, i.e. X Z = 0
+    def __init__(self, chain_holds: bool, residual: ImOctonion, consistent: bool):
+        self.chain_holds = chain_holds  # [X, ad_Y] Z == (X Y) x Z, using the derivation rule
+        self.residual = residual        # Y x (X Z)
+        self.consistent = consistent    # residual vanishes, i.e. X Z = 0
 
     @property
     def ok(self) -> bool:

@@ -35,33 +35,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from typing import Any
 
 from .report import FLAGGED, Suite
 
 
-@dataclass(frozen=True)
 class Constants:
-    """Physical inputs (cgs units for dimensional quantities; masses in GeV)."""
+    """Physical inputs (cgs units for dimensional quantities; masses in GeV),
+    each given by keyword or else its stated value in DEFAULTS."""
 
-    G: float = 6.67430e-8            # cm^3 g^-1 s^-2
-    c: float = 2.99792458e10         # cm / s
-    hbar: float = 1.054571817e-27    # erg s
-    e_cgs: float = 4.80312e-10       # esu
-    e_SI: float = 1.602176634e-19    # coulomb
-    alpha: float = 7.2973525693e-3
-    Lambda: float = 1.1056e-56       # cm^-2
-    M_W: float = 80.377              # GeV / c^2
-    M_Z: float = 91.1876             # GeV / c^2
-    m_P: float = 1.22089e19          # GeV / c^2
-    ell_P: float = 1.616255e-33      # cm
+    DEFAULTS = {
+        "G": 6.67430e-8,            # cm^3 g^-1 s^-2
+        "c": 2.99792458e10,         # cm / s
+        "hbar": 1.054571817e-27,    # erg s
+        "e_cgs": 4.80312e-10,       # esu
+        "e_SI": 1.602176634e-19,    # coulomb
+        "alpha": 7.2973525693e-3,
+        "Lambda": 1.1056e-56,       # cm^-2
+        "M_W": 80.377,              # GeV / c^2
+        "M_Z": 91.1876,             # GeV / c^2
+        "m_P": 1.22089e19,          # GeV / c^2
+        "ell_P": 1.616255e-33,      # cm
+    }
 
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(self, **values):
+        if unknown := sorted(values.keys() - self.DEFAULTS.keys()):
+            raise ValueError(f"unknown constant overrides: {unknown}")
+        for name, default in self.DEFAULTS.items():
+            v = values.get(name, default)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"constant {name} must be a number, got {v!r}")
             if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"constant {f.name} must be finite and positive, got {v!r}")
+                raise ValueError(f"constant {name} must be finite and positive, got {v!r}")
+            setattr(self, name, v)
 
     @property
     def lambda_sq(self) -> float:
@@ -82,13 +88,6 @@ class Constants:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("constant overrides must be a JSON object")
-        known = {f.name for f in fields(Constants)}
-        bad = set(data) - known
-        if bad:
-            raise ValueError(f"unknown constant overrides: {sorted(bad)}")
-        for name, value in data.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"constant {name} must be a number, got {value!r}")
         return Constants(**data)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 
 from .exactnum import QS_INV_SQRT2
 from .liealg import LieElement
@@ -89,10 +88,9 @@ def mode_census(sector: SectorLabel) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-@dataclass(frozen=True)
 class IsotropicBasis:
-    sector: SectorLabel
-    vectors: tuple[LieElement, ...]
+    def __init__(self, sector: SectorLabel, vectors: tuple[LieElement, ...]):
+        self.sector, self.vectors = sector, vectors
 
     def __len__(self):
         return len(self.vectors)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any
 
 PASS, FAIL, FLAGGED = "pass", "fail", "flagged"
 
@@ -23,16 +21,13 @@ def fmt_float(x: float, full_precision: bool = False) -> float:
     return float(f"{x:.6g}")
 
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    expected: Any = None
-    actual: Any = None
-    tolerance: Any = None
-    detail: str = ""
-    unit: str = ""
-    kind: str = "rel"
+    __slots__ = ("name", "status", "expected", "actual", "tolerance", "detail", "unit", "kind")
+
+    def __init__(self, name: str, status: str, expected=None, actual=None, tolerance=None,
+                 detail: str = "", unit: str = "", kind: str = "rel"):
+        self.name, self.status, self.expected, self.actual = name, status, expected, actual
+        self.tolerance, self.detail, self.unit, self.kind = tolerance, detail, unit, kind
 
     @property
     def deviation(self) -> float | None:
@@ -43,10 +38,9 @@ class Check:
         return dev / abs(self.expected) if self.kind == "rel" else dev
 
 
-@dataclass
 class Suite:
-    name: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.checks = name, []
 
     def check(self, name: str, ok: bool, expected=None, actual=None,
               tolerance=None, detail: str = "") -> Check:
@@ -80,9 +74,9 @@ class Suite:
         return out
 
 
-@dataclass
 class VerificationReport:
-    suites: list[Suite] = field(default_factory=list)
+    def __init__(self):
+        self.suites = []
 
     def suite(self, name: str) -> Suite:
         s = Suite(name)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from . import electroweak, jetspace, octonion, pheno, proca
@@ -28,7 +27,7 @@ from .liealg import (
 )
 from .octonion import ImOctonion, cross, g2_basis, is_derivation, oct_mul, Octonion
 from .refdata import JET_LISTING_REFERENCE, MODE_CENSUS_REFERENCE, PROCA_TABLE_REFERENCE
-from .report import Suite, VerificationReport
+from .report import Check, Suite, VerificationReport
 
 
 def suite_signatures(s: Suite) -> None:
@@ -255,10 +254,10 @@ def suite_pheno(s: Suite, reports: list[Suite]) -> None:
     for rep in reports:
         for c in rep.checks:
             if c.expected is not None:
-                s.checks.append(replace(
-                    c,
-                    name=f"{rep.name}: {c.name} [{c.unit}]" if c.unit else f"{rep.name}: {c.name}",
-                    tolerance=f"{c.kind} {c.tolerance}" if c.tolerance else None,
+                s.checks.append(Check(
+                    f"{rep.name}: {c.name} [{c.unit}]" if c.unit else f"{rep.name}: {c.name}",
+                    c.status, c.expected, c.actual,
+                    f"{c.kind} {c.tolerance}" if c.tolerance else None, c.detail, c.unit, c.kind,
                 ))
         for msg in pheno.flags(rep):
             s.flag(f"{rep.name}: note", msg)

@@ -393,6 +393,32 @@ def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_simulate_unwritable_output_path_exits_2_before_integrating(tmp_path, capsys, where):
+    # 200k steps take seconds; the path is checked before the first one
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, 0.001, 200_000)
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    path = tmp_path if where == "a directory" else tmp_path / "missing" / "traj.csv"
+    data["output"]["path"] = str(path)
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert one_line(capsys.readouterr().err).startswith("bad simulate config: output.path: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_simulate_divergence_keeps_an_existing_output_file(tmp_path, capsys):
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 1e5, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1e308]}},
+                           particle, 1, 10)
+    (tmp_path / "traj.csv").write_text("earlier run\n", encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert (tmp_path / "traj.csv").read_text(encoding="utf-8") == "earlier run\n"
+
+
 @pytest.mark.parametrize("bz, value", [(1.5e308, 0.7), (1.0, 1e308)])
 def test_simulate_wong_at_rest_in_a_huge_field_exits_0(tmp_path, capsys, bz, value):
     """The Wong force is that of value F, finite here though 2 value F is
@@ -413,6 +439,7 @@ BAD_VALUES = [
     ("particle.m", NAN), ("particle.q", -INF), ("output.format", "jsn"),
     ("particle.u0", [1.0, NAN, 0, 0]), ("particle.x0", [0, 0, 0]),
     ("particle.x0", [0, INF, 0, 0]), ("particle.u0", "up"), ("particle.u0", [1.0, True, 0, 0]),
+    ("integrator.steps", cli.MAX_STEPS + 1),  # rejected before the table is allocated
 ]
 # each field value is read by its own field kind only
 BAD_FIELDS = [
@@ -538,6 +565,15 @@ def test_su3_fix_over_the_literal_cap_exits_2_at_once(capsys, fix):
     captured = capsys.readouterr()
     assert one_line(captured.err).startswith("error: --fix") and captured.out == ""
     assert "longer than 100 characters or has an exponent of more than two digits" in captured.err
+    assert len(captured.err) < 200  # the argument is echoed only in part
+
+
+@pytest.mark.parametrize("fix", ["x,0,0,0,0,0,0,0", "1/0," * 100_000 + "1"],
+                         ids=["8-literals", "100001-literals"])
+def test_su3_fix_count_is_checked_before_any_literal_is_parsed(capsys, fix):
+    assert main(["su3", "--fix", fix]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert "expected a unit like e4 or 7 comma-separated rationals" in line and len(line) < 200
 
 
 def test_su3_fix_at_the_literal_cap_is_accepted(capsys):
@@ -805,8 +841,8 @@ def test_simulate_wong_in_a_huge_so_dim(tmp_path, capsys):
     assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
 
 
-def test_cli_requests_import_no_numpy(tmp_path):
-    """import jetgauge.cli, verify-all and simulate leave numpy unimported."""
+def cli_requests(tmp_path):
+    """argv of verify-all and of six simulate requests, all writing under tmp_path."""
     argvs = [["verify-all", "--format", "json", "--out", str(tmp_path / "report.json")]]
     for kind, law in sorted(CONSTANT_CSV_SHA256):
         (tmp_path / f"{kind}-{law}").mkdir()
@@ -815,17 +851,38 @@ def test_cli_requests_import_no_numpy(tmp_path):
     for law in ("lorentz", "wong"):
         (tmp_path / f"grid-{law}").mkdir()
         argvs.append(["simulate", "--config", grid_config(tmp_path / f"grid-{law}", law)])
+    return argvs
+
+
+def modules_loaded(argvs, names):
+    """In one child: which of names are in sys.modules after import jetgauge.cli,
+    then [exit code, those loaded] after each request."""
     code = (
         "import json, sys\n"
         "import jetgauge.cli\n"
-        "seen = ['numpy' in sys.modules]\n"
+        "names = json.loads(sys.argv[2])\n"
+        "seen = [[n for n in names if n in sys.modules]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    seen.append([jetgauge.cli.main(argv), 'numpy' in sys.modules])\n"
+        "    seen.append([jetgauge.cli.main(argv), [n for n in names if n in sys.modules]])\n"
         "print(json.dumps(seen))\n"
     )
-    out = _child(["-c", code, json.dumps(argvs)]).stdout.decode().splitlines()[-1]
-    assert json.loads(out) == [False] + [[0, False]] * len(argvs)  # exit code, numpy loaded
+    out = _child(["-c", code, json.dumps(argvs), json.dumps(names)]).stdout.decode()
+    return json.loads(out.splitlines()[-1])
+
+
+def test_cli_requests_import_no_numpy(tmp_path):
+    """import jetgauge.cli, verify-all and simulate leave numpy unimported."""
+    argvs = cli_requests(tmp_path)
+    assert modules_loaded(argvs, ["numpy"]) == [[]] + [[0, []]] * len(argvs)
     assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_cli_requests_import_no_dataclasses_inspect_or_csv(tmp_path):
+    """The package defines plain classes and imports csv only for proca-table,
+    so these requests skip dataclasses with inspect, ast, dis and tokenize."""
+    argvs = cli_requests(tmp_path)
+    names = ["dataclasses", "inspect", "csv"]
+    assert modules_loaded(argvs, names) == [[]] + [[0, []]] * len(argvs)
 
 
 def reference_trajectory_json(traj, full_precision):
