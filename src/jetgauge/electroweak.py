@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
 
