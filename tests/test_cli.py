@@ -841,8 +841,13 @@ def test_simulate_wong_in_a_huge_so_dim(tmp_path, capsys):
     assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
 
 
-def cli_requests(tmp_path):
-    """argv of verify-all and of six simulate requests, all writing under tmp_path."""
+@pytest.fixture(scope="module")
+def request_imports(tmp_path_factory):
+    """One child imports jetgauge.cli, then runs verify-all and six simulate
+    requests: the report path, and [exit code, loaded] after the import and
+    after each request, where loaded lists which of numpy, dataclasses,
+    inspect and csv are in sys.modules."""
+    tmp_path = tmp_path_factory.mktemp("requests")
     argvs = [["verify-all", "--format", "json", "--out", str(tmp_path / "report.json")]]
     for kind, law in sorted(CONSTANT_CSV_SHA256):
         (tmp_path / f"{kind}-{law}").mkdir()
@@ -851,38 +856,34 @@ def cli_requests(tmp_path):
     for law in ("lorentz", "wong"):
         (tmp_path / f"grid-{law}").mkdir()
         argvs.append(["simulate", "--config", grid_config(tmp_path / f"grid-{law}", law)])
-    return argvs
-
-
-def modules_loaded(argvs, names):
-    """In one child: which of names are in sys.modules after import jetgauge.cli,
-    then [exit code, those loaded] after each request."""
     code = (
         "import json, sys\n"
         "import jetgauge.cli\n"
-        "names = json.loads(sys.argv[2])\n"
-        "seen = [[n for n in names if n in sys.modules]]\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy', 'dataclasses', 'inspect', 'csv') if m in sys.modules]\n"
+        "seen = [[None, loaded()]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    seen.append([jetgauge.cli.main(argv), [n for n in names if n in sys.modules]])\n"
+        "    seen.append([jetgauge.cli.main(argv), loaded()])\n"
         "print(json.dumps(seen))\n"
     )
-    out = _child(["-c", code, json.dumps(argvs), json.dumps(names)]).stdout.decode()
-    return json.loads(out.splitlines()[-1])
+    out = _child(["-c", code, json.dumps(argvs)]).stdout.decode().splitlines()[-1]
+    seen = json.loads(out)
+    assert [c for c, _ in seen] == [None] + [0] * len(argvs)
+    return tmp_path / "report.json", seen
 
 
-def test_cli_requests_import_no_numpy(tmp_path):
+def test_cli_requests_import_no_numpy(request_imports):
     """import jetgauge.cli, verify-all and simulate leave numpy unimported."""
-    argvs = cli_requests(tmp_path)
-    assert modules_loaded(argvs, ["numpy"]) == [[]] + [[0, []]] * len(argvs)
-    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+    report, seen = request_imports
+    assert not any("numpy" in loaded for _, loaded in seen)
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
 
 
-def test_cli_requests_import_no_dataclasses_inspect_or_csv(tmp_path):
+def test_cli_requests_import_no_dataclasses_inspect_or_csv(request_imports):
     """The package defines plain classes and imports csv only for proca-table,
     so these requests skip dataclasses with inspect, ast, dis and tokenize."""
-    argvs = cli_requests(tmp_path)
-    names = ["dataclasses", "inspect", "csv"]
-    assert modules_loaded(argvs, names) == [[]] + [[0, []]] * len(argvs)
+    _, seen = request_imports
+    assert not any({"dataclasses", "inspect", "csv"} & set(loaded) for _, loaded in seen)
 
 
 def reference_trajectory_json(traj, full_precision):
