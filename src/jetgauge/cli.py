@@ -6,7 +6,6 @@ import argparse
 import io
 import json
 import math
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -284,7 +283,12 @@ def _field_from_config(cfg: dict):
 
 
 def _number(value, path: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    try:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range, whose digits are not echoed
+        raise ValueError(f"{path} must be a finite number, "
+                         "got an integer beyond float range") from None
+    if not ok:
         raise ValueError(f"{path} must be a finite number, got {value!r}")
     return value
 
@@ -311,22 +315,7 @@ def _charge_generator(cfg: dict) -> tuple[dynamics.SoElement, float]:
     return dynamics.SoElement(dim, {(i - 1, j - 1): 1.0, (j - 1, i - 1): -1.0}), float(value)
 
 
-# one sample in dump_json's layout (indent 2, sorted keys), over the row
-# [lambda, u0..u3, x0..x3]; %r of a finite float is json's float text
-_JSON_VEC = "[\n" + ",\n".join(["        %r"] * 4) + "\n      ]"
-_JSON_SAMPLE = '    {\n      "lambda": %r,\n      "u": ' + _JSON_VEC + ',\n      "x": ' + _JSON_VEC + "\n    }"
-_JSON_ORDER = operator.itemgetter(0, 5, 6, 7, 8, 1, 2, 3, 4)
 MAX_STEPS = 5_000_000  # the sample table holds (steps + 1) x 9 doubles: 360 MB at the cap
-
-
-def _trajectory_json(traj, full_precision: bool) -> str:
-    """dump_json of {"meta", "samples": [{"lambda", "x", "u"}, ...]}; the samples are finite."""
-    rows = map(_JSON_ORDER, traj.rows())
-    if not full_precision:
-        rows = (tuple(map(fmt_float, r)) for r in rows)
-    samples = ",\n".join([_JSON_SAMPLE % r for r in rows])
-    head = dump_json({"meta": traj.meta}, full_precision)[:-2]  # without the closing "\n}"
-    return f'{head},\n  "samples": [\n{samples}\n  ]\n}}'
 
 
 def cmd_simulate(args) -> int:
@@ -368,21 +357,20 @@ def cmd_simulate(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"bad simulate config: {exc}", file=sys.stderr)
         return 2
-    try:
+
+    from . import writer  # here, so that no other request compiles it
+
+    def integrate(emit):
         if gen is not None:
-            traj = dynamics.integrate_wong(state, f_eval, gen, dlam, steps)
-        else:
-            traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps)
+            return dynamics.integrate_wong(state, f_eval, gen, dlam, steps, emit)
+        return dynamics.integrate_lorentz(state, f_eval, dlam, steps, emit)
+
+    try:
+        traj = writer.integrate_and_write(integrate, writer.SampleText(fmt, args.full_precision),
+                                          path)
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_trajectory_json(traj, args.full_precision))
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("lambda,x0,x1,x2,x3,u0,u1,u2,u3\r\n")
-            fh.writelines(",".join(map(repr, r)) + "\r\n" for r in traj.rows())
     print(
         f"integrated {len(traj) - 1} steps ({traj.meta['law']}); "
         f"eta(u,u) drift {traj.meta['eta_drift']:.3e}; wrote {path}"

@@ -59,6 +59,15 @@ drift max_k |eta(u_k, u_k) - eta(u_0, u_0)|, with eta(u, u) =
 ((u1 u1 + u2 u2) + u3 u3) - u0 u0, NaN once any term is NaN, as np.max
 gives it.
 
+Samples go to one flat array('d') of rows [lambda, x0..x3, u0..u3].  Given
+an emit callback, the loop hands it each finished block of BLOCK_STEPS
+steps as a memoryview of the rows not handed over before (the first block
+also holds the initial row), and the last partial block when the run ends;
+a run of 0 steps hands over its one row.  emit must be done with the view
+when it returns, since the array grows again after it.  A run that stops
+early has handed over only its finished blocks.  jetgauge.writer formats
+the output file from these blocks while the loop runs.
+
 Wong's force is the Lorentz law on kappa F, with kappa the charge pairing
 -sum_{i<j} gen_ij I_ji.  It is one plain sum: the terms of the pairs
 (i, j), i < j, that either element lists, added left to right from 0.0 in
@@ -82,6 +91,7 @@ import zlib
 from array import array
 
 ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
+BLOCK_STEPS = 1024  # RK4 steps per block handed to emit
 
 _STENCIL4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
 
@@ -344,15 +354,10 @@ class Trajectory:
     def __len__(self):
         return len(self.table)
 
-    def rows(self):
-        """The samples as tuples of nine floats, in order."""
-        flat = iter(self.table.cast("B").cast("d"))
-        return zip(*[flat] * 9)
-
 
 def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: int,
-               law: str) -> Trajectory:
-    """RK4 on dx/dlam = u, du/dlam = (q/m) kappa F(x) u, f_eval as in
+               law: str, emit=None) -> Trajectory:
+    """RK4 on dx/dlam = u, du/dlam = (q/m) kappa F(x) u, f_eval and emit as in
     integrate_lorentz.  The state is eight Python floats; stage k has dx/dlam
     = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  Arithmetic order: see
     the module docstring."""
@@ -378,51 +383,60 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     x0, x1, x2, x3, u0, u1, u2, u3 = y
     norm0 = u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0
     drift = abs(norm0 - norm0)
-    for k in range(nsteps):
-        p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
-        v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
-        q0, q1, q2, q3 = accel((x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3),
-                               v0, v1, v2, v3)
-        w0, w1, w2, w3 = u0 + h2 * q0, u1 + h2 * q1, u2 + h2 * q2, u3 + h2 * q3
-        r0, r1, r2, r3 = accel((x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3),
-                               w0, w1, w2, w3)
-        z0, z1, z2, z3 = u0 + dlam * r0, u1 + dlam * r1, u2 + dlam * r2, u3 + dlam * r3
-        s0, s1, s2, s3 = accel((x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3),
-                               z0, z1, z2, z3)
-        y = (x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
-             x1 + h6 * (((u1 + 2.0 * v1) + 2.0 * w1) + z1),
-             x2 + h6 * (((u2 + 2.0 * v2) + 2.0 * w2) + z2),
-             x3 + h6 * (((u3 + 2.0 * v3) + 2.0 * w3) + z3),
-             u0 + h6 * (((p0 + 2.0 * q0) + 2.0 * r0) + s0),
-             u1 + h6 * (((p1 + 2.0 * q1) + 2.0 * r1) + s1),
-             u2 + h6 * (((p2 + 2.0 * q2) + 2.0 * r2) + s2),
-             u3 + h6 * (((p3 + 2.0 * q3) + 2.0 * r3) + s3))
-        if not all(map(math.isfinite, y)):
-            raise FloatingPointError(f"non-finite state at step {k + 1}")
-        x0, x1, x2, x3, u0, u1, u2, u3 = y
-        out.append((k + 1) * dlam)
-        out.extend(y)
-        d = abs(u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0 - norm0)
-        if d > drift:
-            drift = d
-        elif d != d:  # NaN, which np.max would return
-            drift = d
+    sent = 0  # doubles of out already handed to emit
+    for start in range(0, max(nsteps, 1), BLOCK_STEPS):  # 0 steps: one block, the first row
+        for k in range(start, min(start + BLOCK_STEPS, nsteps)):
+            p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
+            v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
+            q0, q1, q2, q3 = accel((x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3),
+                                   v0, v1, v2, v3)
+            w0, w1, w2, w3 = u0 + h2 * q0, u1 + h2 * q1, u2 + h2 * q2, u3 + h2 * q3
+            r0, r1, r2, r3 = accel((x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3),
+                                   w0, w1, w2, w3)
+            z0, z1, z2, z3 = u0 + dlam * r0, u1 + dlam * r1, u2 + dlam * r2, u3 + dlam * r3
+            s0, s1, s2, s3 = accel((x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3),
+                                   z0, z1, z2, z3)
+            y = (x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
+                 x1 + h6 * (((u1 + 2.0 * v1) + 2.0 * w1) + z1),
+                 x2 + h6 * (((u2 + 2.0 * v2) + 2.0 * w2) + z2),
+                 x3 + h6 * (((u3 + 2.0 * v3) + 2.0 * w3) + z3),
+                 u0 + h6 * (((p0 + 2.0 * q0) + 2.0 * r0) + s0),
+                 u1 + h6 * (((p1 + 2.0 * q1) + 2.0 * r1) + s1),
+                 u2 + h6 * (((p2 + 2.0 * q2) + 2.0 * r2) + s2),
+                 u3 + h6 * (((p3 + 2.0 * q3) + 2.0 * r3) + s3))
+            if not all(map(math.isfinite, y)):
+                raise FloatingPointError(f"non-finite state at step {k + 1}")
+            x0, x1, x2, x3, u0, u1, u2, u3 = y
+            out.append((k + 1) * dlam)
+            out.extend(y)
+            d = abs(u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0 - norm0)
+            if d > drift:
+                drift = d
+            elif d != d:  # NaN, which np.max would return
+                drift = d
+        if emit is not None:
+            with memoryview(out) as view:
+                emit(view[sent:])
+            sent = len(out)
     table = memoryview(out).cast("B").cast("d", [nsteps + 1, 9])
     return Trajectory(table, {"law": law, "dlam": dlam, "eta_drift": drift})
 
 
-def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int) -> Trajectory:
+def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int,
+                      emit=None) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> F as four rows of
     four floats, x a tuple of four floats.  kappa F is formed once per
     distinct object returned, so f_eval must not mutate an F it has already
-    returned."""
-    return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz")
+    returned.  emit, if given, receives the samples block by block (see the
+    module docstring)."""
+    return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz", emit)
 
 
 def integrate_wong(state: ParticleState, f_eval, gen: SoElement, dlam: float,
-                   nsteps: int) -> Trajectory:
+                   nsteps: int, emit=None) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m)(F^mu_nu gen . I) u^nu for the strength F (x) gen:
-    f_eval is as in integrate_lorentz, gen in so(d), I the charge vector.
+    f_eval and emit are as in integrate_lorentz, gen in so(d), I the charge
+    vector.
 
     The gauge indices contract once per run, through the normalized trace
     pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji (charge_pairing,
@@ -440,7 +454,7 @@ def integrate_wong(state: ParticleState, f_eval, gen: SoElement, dlam: float,
         raise ValueError(f"charge dimension {charge.dim} does not match generator {gen.dim}")
     if not (gen.is_antisymmetric() and charge.is_antisymmetric()):
         raise ValueError("generator and charge vector must be antisymmetric")
-    return _integrate(state, f_eval, charge_pairing(gen, charge), dlam, nsteps, "wong")
+    return _integrate(state, f_eval, charge_pairing(gen, charge), dlam, nsteps, "wong", emit)
 
 
 # -- ready-made uniform fields ---------------------------------------------------

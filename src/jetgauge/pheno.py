@@ -65,7 +65,12 @@ class Constants:
             v = values.get(name, default)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"constant {name} must be a number, got {v!r}")
-            if not (math.isfinite(v) and v > 0):
+            try:
+                ok = math.isfinite(v) and v > 0
+            except OverflowError:  # an int beyond float range, whose digits are not echoed
+                raise ValueError(f"constant {name} must be finite and positive, "
+                                 "got an integer beyond float range") from None
+            if not ok:
                 raise ValueError(f"constant {name} must be finite and positive, got {v!r}")
             setattr(self, name, v)
 

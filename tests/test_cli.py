@@ -12,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetgauge
-from jetgauge import cli
+from jetgauge import cli, writer
 from jetgauge.cli import main
-from jetgauge.dynamics import Trajectory
+from jetgauge.dynamics import BLOCK_STEPS, Trajectory
 from jetgauge.report import FLAGGED, VerificationReport, dump_json
 
 
@@ -494,8 +494,12 @@ def test_pheno_unknown_constant_exits_2(tmp_path, capsys):
     ('{"M_W": 1e200}', ["pheno", "consistency"], "pheno consistency out of float range"),
     ('{"M_W": 1e200}', ["verify-all"], "pheno table1 out of float range"),
     ('{"e_cgs": 1e300}', ["pheno", "predict"], "M_W predicted = nan"),
+    ('{"M_W": 1%s}' % ("0" * 400), ["pheno", "table1"],
+     "M_W must be finite and positive, got an integer beyond float range"),
+    ('{"M_W": 1%s}' % ("0" * 400), ["verify-all"],
+     "M_W must be finite and positive, got an integer beyond float range"),
 ], ids=["table1-nan", "table1-inf", "verify-nan", "verify-inf", "consistency-overflow",
-        "verify-overflow", "predict-nan-result"])
+        "verify-overflow", "predict-nan-result", "table1-huge-int", "verify-huge-int"])
 def test_constants_out_of_range_exit_2(tmp_path, capsys, constants, argv, message):
     path = tmp_path / "k.json"
     path.write_text(constants, encoding="utf-8")
@@ -841,6 +845,132 @@ def test_simulate_wong_in_a_huge_so_dim(tmp_path, capsys):
     assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
 
 
+# sha256 of a 5,000-step uniform_B run: the samples cross four block seams
+# and end on a partial block; the 200-step pins above fit in one block
+SEAM_SHA256 = {
+    "csv": "99a53d81294e22ea2846a55b1a542730de48a41c1dcb515df8d5d4acf03d098c",
+    "json --full-precision": "707389f84c1e3ef20d9bcca786e9940ae01d507618e57ffba826978307adfc8e",
+    "json": "2f33382619715e98ad1b97bdae2aa93c9b05c578268c58498b7120fb19f79487",
+}
+
+
+def simulate_written(tmp_path, fmt, steps, *flags):
+    """The bytes the constant_field_config particle writes in uniform_B over
+    `steps` steps, in format fmt."""
+    cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["integrator"]["steps"] = steps
+    data["output"] = {"path": str(tmp_path / f"traj.{fmt}"), "format": fmt}
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg, *flags]) == 0
+    return (tmp_path / f"traj.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("output", sorted(SEAM_SHA256))
+def test_simulate_block_seams_bytes_pinned(tmp_path, capsys, output):
+    fmt, *flags = output.split()
+    data = simulate_written(tmp_path, fmt, 5000, *flags)
+    assert 5000 % BLOCK_STEPS and 5000 > 4 * BLOCK_STEPS
+    assert hashlib.sha256(data).hexdigest() == SEAM_SHA256[output]
+
+
+@pytest.mark.parametrize("output", sorted(SEAM_SHA256))
+@pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1])
+def test_simulate_forked_and_in_process_writers_agree(tmp_path, capsys, monkeypatch,
+                                                      output, steps):
+    fmt, *flags = output.split()
+    forked = simulate_written(tmp_path, fmt, steps, *flags)
+    monkeypatch.delattr(os, "fork")
+    assert simulate_written(tmp_path, fmt, steps, *flags) == forked
+    rows = forked.count(b"\r\n") - 1 if fmt == "csv" else len(json.loads(forked)["samples"])
+    assert rows == steps + 1
+
+
+@pytest.mark.parametrize("kind, law", sorted(CONSTANT_CSV_SHA256))
+def test_simulate_in_process_writer_csv_bytes_pinned(tmp_path, capsys, monkeypatch, kind, law):
+    """Without os.fork the same formatter writes the pinned bytes in process."""
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", "--config", constant_field_config(tmp_path, kind, law)]) == 0
+    assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256[kind, law]
+
+
+@pytest.mark.parametrize("law", ["lorentz", "wong"])
+def test_simulate_in_process_writer_grid_json_bytes_pinned(tmp_path, capsys, monkeypatch, law):
+    monkeypatch.delattr(os, "fork")
+    data = grid_json(tmp_path, law, "--full-precision")
+    assert hashlib.sha256(data).hexdigest() == GRID_JSON_SHA256[law]
+    data = grid_json(tmp_path, law)
+    assert hashlib.sha256(data).hexdigest() == GRID_ROUNDED_JSON_SHA256[law]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
+def test_simulate_fork_failure_exits_2_and_closes_its_pipes(tmp_path, capsys, monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == "error: [Errno 11] Resource temporarily unavailable"
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_simulate_write_failure_exits_2_with_one_line(tmp_path, capsys):
+    """The writer reports its OSError; no traceback and no process is left."""
+    cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["output"]["path"] = "/dev/full"
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == "error: [Errno 28] No space left on device"
+    assert_no_child_process()
+
+
+# outcome -> (B_z, u0, dlambda, exit code); 5,000 steps each
+OUTCOMES = {
+    "success": (1.0, [1.0, 0.1, 0, 0], 0.01, 0),
+    "config error": (1.0, [1.0, 0.1, 0, 0], -0.01, 2),
+    "divergence": (1e308, [1.0, 1e5, 0, 0], 1.0, 1),
+    "grid error": (None, [1.0, 0.5, 0, 0], 1e-4, 2),  # leaves the grid in block 3
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+def test_simulate_leaves_no_child_process(tmp_path, capsys, outcome):
+    bz, u0, dlambda, code = OUTCOMES[outcome]
+    field = {"kind": "uniform_B", "params": {"B": [0, 0, bz]}}
+    x0 = [0, 0, 0, 0]
+    if bz is None:
+        origin, h = small_grid_npz(tmp_path / "grid.npz")
+        field = {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}}
+        x0 = (origin + 3 * h).tolist()
+    particle = {"x0": x0, "u0": u0, "m": 1.0, "q": 1.0}
+    assert main(["simulate", "--config",
+                 _simulate_config(tmp_path, field, particle, dlambda, 5000)]) == code
+    assert (tmp_path / "traj.csv").exists() == (code == 0)
+    assert_no_child_process()
+
+
+def test_simulate_rejects_an_integer_beyond_float_range(tmp_path, capsys):
+    """json reads 1 followed by 400 zeros as an int, which no float holds."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 10**400, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line == ("bad simulate config: particle.m must be a finite number, "
+                    "got an integer beyond float range")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def request_imports(tmp_path_factory):
     """One child imports jetgauge.cli, then runs verify-all and six simulate
@@ -887,7 +1017,7 @@ def test_cli_requests_import_no_dataclasses_inspect_or_csv(request_imports):
 
 
 def reference_trajectory_json(traj, full_precision):
-    """One dict per sample through dump_json: the oracle of cli._trajectory_json."""
+    """One dict per sample through dump_json: the oracle of writer.SampleText."""
     payload = {
         "meta": traj.meta,
         "samples": [
@@ -904,15 +1034,18 @@ EDGES = [-0.0, 5e-324, 1e308, 1e-5, 1e-4, 9999999999999998.0, 1e16, -1.797693134
 
 
 @given(st.lists(st.lists(FINITE, min_size=9, max_size=9), min_size=1, max_size=5),
-       FINITE, st.booleans())
-@example([EDGES], 5e-324, True)
-@example([EDGES], 1e16, False)
-@example([[0.0] * 9], 0.0, True)  # steps = 0: one sample
-@example([[0.0] * 9], -0.0, False)
+       FINITE, st.booleans(), st.integers(1, 5))
+@example([EDGES], 5e-324, True, 1)
+@example([EDGES], 1e16, False, 1)
+@example([[0.0] * 9], 0.0, True, 1)  # steps = 0: one sample
+@example([[0.0] * 9], -0.0, False, 1)
+@example([EDGES, [0.0] * 9, EDGES], 0.0, False, 2)  # two blocks
 @settings(max_examples=200, deadline=None)
-def test_trajectory_json_matches_dump_json(rows, drift, full_precision):
+def test_trajectory_json_matches_dump_json(rows, drift, full_precision, block_rows):
     table = memoryview(np.array(rows, dtype=float))
     traj = Trajectory(table, {"law": "wong", "dlam": 0.01, "eta_drift": drift})
-    assert cli._trajectory_json(traj, full_precision) == reference_trajectory_json(
-        traj, full_precision
-    )
+    samples = writer.SampleText("json", full_precision)
+    for k in range(0, len(rows), block_rows):
+        samples.add(memoryview(np.array(rows[k:k + block_rows], dtype=float).ravel()))
+    meta = json.loads(json.dumps(traj.meta))  # as the forked writer receives it
+    assert "".join(samples.parts(meta)) == reference_trajectory_json(traj, full_precision)

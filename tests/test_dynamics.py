@@ -664,6 +664,44 @@ def test_non_finite_detection():
     assert "step" in str(err.value)
 
 
+@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025, 2 * 1024, 3000])
+def test_emit_receives_every_row_once_in_blocks(steps):
+    """emit gets block after block of BLOCK_STEPS steps (the first one also
+    holds the initial row), then the partial rest: together, the table."""
+    f = uniform_magnetic_f([0.3, -0.7, 1.1])
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
+    blocks = []
+    traj = integrate_lorentz(state, lambda x: f, 0.01, steps, lambda b: blocks.append(list(b)))
+    assert dynamics.BLOCK_STEPS == 1024
+    sizes = [min(1024, steps - k) for k in range(0, steps, 1024)] or [0]
+    sizes[0] += 1  # the initial row
+    assert [len(b) // 9 for b in blocks] == sizes
+    assert [v for b in blocks for v in b] == [v for row in traj.table.tolist() for v in row]
+
+
+def test_emit_gets_only_finished_blocks_of_a_run_that_stops():
+    """The state turns non-finite in the third block; emit saw two."""
+    state = ParticleState([0.0] * 4, [1.0, 0.0, 0.0, 0.0], 1.0, 1.0)
+
+    def f_eval(x):  # a field switched on at lambda = 25
+        return [[1e200] * 4] * 4 if x[0] > 25.0 else [[0.0] * 4] * 4
+
+    seen = []
+    with pytest.raises(FloatingPointError):
+        integrate_lorentz(state, f_eval, 0.01, 5000, lambda b: seen.append(len(b) // 9))
+    assert seen == [1025, 1024]
+
+
+def test_emit_must_release_its_view():
+    """The sample array grows after emit returns, so a view kept past that
+    call stops the run."""
+    f = uniform_magnetic_f([0.3, -0.7, 1.1])
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
+    kept = []
+    with pytest.raises(BufferError):
+        integrate_lorentz(state, lambda x: f, 0.01, 2000, kept.append)
+
+
 def test_bad_step_and_mass():
     state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0)
     with pytest.raises(ValueError):
