@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -65,11 +64,8 @@ def cmd_proca_table(args) -> int:
     if args.format == "json":
         _emit(dump_json({"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}), args)
     elif args.format == "csv":
-        import csv  # here, so that no other request imports it
-
-        buf = io.StringIO()
-        csv.writer(buf).writerows(table)
-        _emit(buf.getvalue().rstrip("\n"), args)
+        # the csv module's default dialect: CRLF row ends, no quoting for integers
+        _emit("".join(",".join(map(str, row)) + "\r\n" for row in table).rstrip("\n"), args)
     else:
         width = max(len(str(v)) for row in table for v in row)
         _emit("\n".join(" ".join(f"{v:>{width}}" for v in row) for row in table), args)

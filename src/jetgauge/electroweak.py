@@ -1,7 +1,8 @@
 """Electroweak block: mass matrix, weak mixing, spectrum.
 
-All angle data is carried as exact (cos, sin) pairs in Q(sqrt2, sqrt5), so
-the whole symmetry-breaking computation stays equality-checkable.  With the
+All angle data is carried as exact (cos, sin) pairs, each a rational times
+the same square root (2/sqrt5 and 1/sqrt5 here), so the whole
+symmetry-breaking computation stays equality-checkable.  With the
 couplings (g', g) = (1, 2): sin^2(theta_W) = 1/5 exactly, the mixed mass
 matrix is (1/2) diag(0, 5, 4, 4), and the mass ratio squared is 5/4.
 
@@ -39,7 +40,7 @@ def mass_matrix(g_prime, g) -> ExactMatrix:
     return m.scale(half)
 
 
-# sin2 a Fraction; sin and cos exact QuadScalars when expressible in the field, else None
+# sin2 a Fraction; sin and cos exact QuadScalars when their root is in {1, 2, 5, 10}, else None
 WeinbergAngle = namedtuple("WeinbergAngle", "sin2 sin cos")
 
 

@@ -1,16 +1,17 @@
-"""Exact arithmetic over Q and the biquadratic field Q(sqrt2, sqrt5).
+"""Exact arithmetic over Q, and rationals times one square root.
 
-QuadScalar represents a + b*sqrt2 + c*sqrt5 + d*sqrt10 with rational
-coefficients.  The four basis elements are linearly independent over Q,
-so equality is componentwise and every nonzero element is invertible
-(multiply by the three conjugates under sqrt2 -> -sqrt2, sqrt5 -> -sqrt5
-and divide by the rational norm).
-
-The field is deliberately fixed: the only irrationalities the symbolic
-computations need are 1/sqrt2 (isotropic basis coefficients) and sqrt5
-(weak mixing data).  Anything requiring another radical is a design error
-upstream, and sqrt extraction is offered only for rationals whose
-square-free part is 1, 2, 5 or 10.
+QuadScalar represents r*sqrt(m): a rational r times one of the roots 1,
+sqrt2, sqrt5 and sqrt10.  sqrt2 and sqrt5 are the only irrationalities the
+symbolic computations need: the 1/sqrt2 coefficients of the (2,3) isotropic
+basis, and the weak mixing data sin = 1/sqrt5, cos = 2/sqrt5 and the mass
+ratio sqrt5/2; sqrt10 closes the set under products.  A product is again
+one term, sqrt(m1) sqrt(m2) = s sqrt(m1 m2/s^2) with s^2 the part the two
+roots share, and the inverse of r*sqrt(m) is sqrt(m)/(r m).  A sum is one
+term only when its terms share a root or one of them is 0: building a
+value with two radicals, such as the sum 1 + sqrt2, raises ValueError.  The
+four roots are linearly independent over Q, so two values are equal
+exactly when r and m are.  sqrt extraction is offered only for rationals
+whose square-free part is 1, 2, 5 or 10.
 
 Integer arithmetic comes first: the structural suites hold their matrices
 as rows of ints (Fractions where a half enters) and so(n) coefficients in
@@ -22,13 +23,13 @@ determinants).  trace_metric takes rows of any exact type, ExactMatrix
 included.  Every exact scalar converts with float(); the module imports no
 numpy, so nothing here depends on a BLAS kernel.
 
-All exact linear algebra runs through one Gauss-Jordan kernel, rref,
-which works over whatever field its entries belong to.  ExactMatrix.det,
-solve_exact, nullspace_exact and rank_exact are thin wrappers on it, and
-Solver eliminates a fixed set of columns once for many right-hand sides;
-over Q it keeps one integer transform over a common denominator.  The
-wrappers keep the scalar type of their inputs: QuadScalar if any entry
-is one, Fraction otherwise.
+All exact linear algebra runs over Q, through one Gauss-Jordan kernel,
+rref.  ExactMatrix.det, solve_exact, nullspace_exact and rank_exact are thin
+wrappers on it, and Solver eliminates a fixed set of columns once for many
+right-hand sides, keeping one integer transform over a common denominator.
+Their entries may be ints, Fractions or rational QuadScalars, which enter as
+Fractions; an irrational entry raises ValueError.  Solutions and null
+vectors come back as Fractions.
 """
 
 from __future__ import annotations
@@ -40,13 +41,19 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction, "QuadScalar"]
 
 # 40-digit rational approximations of the radicals, so that float() can
-# evaluate the full sum exactly and round once (a single rounding matches
-# high-precision evaluation; summing pre-rounded binary64 products can be
-# off by an ulp)
+# form r times the root exactly and round once (a single rounding matches
+# high-precision evaluation; a product of pre-rounded binary64 factors can
+# be off by an ulp)
 _GUARD = 10**40
 _SQRT2_R = Fraction(math.isqrt(2 * _GUARD**2), _GUARD)
 _SQRT5_R = Fraction(math.isqrt(5 * _GUARD**2), _GUARD)
 _SQRT10_R = Fraction(math.isqrt(10 * _GUARD**2), _GUARD)
+
+# The root m of each slot.  In a slot index, bit 0 stands for sqrt2 and
+# bit 1 for sqrt5, so the root of a product has the index k1 ^ k2, and the
+# shared factor sqrt(m) * sqrt(m) = m has the index k1 & k2.
+_ROOTS = (1, 2, 5, 10)
+_ROOTS_R = (1, _SQRT2_R, _SQRT5_R, _SQRT10_R)
 
 
 _FRAC_SMALL = {n: Fraction(n) for n in range(-4, 5)}
@@ -61,7 +68,13 @@ def _frac(x) -> Fraction:
 
 
 class QuadScalar:
-    """Element a + b*sqrt2 + c*sqrt5 + d*sqrt10 of Q(sqrt2, sqrt5)."""
+    """r*sqrt(m), a rational r times a root m in {1, 2, 5, 10}.
+
+    r sits in the slot of its root (a, b, c, d for m = 1, 2, 5, 10) and the
+    other three slots hold 0.  One slot would do; the four are kept because
+    the benchmark's operation counter (perfbench/instrument.py) reads b, c
+    and d.
+    """
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -70,6 +83,9 @@ class QuadScalar:
         self.b = _frac(b)
         self.c = _frac(c)
         self.d = _frac(d)
+        if (self.a, self.b, self.c, self.d).count(0) < 3:
+            raise ValueError(f"{self.a} + {self.b}*sqrt2 + {self.c}*sqrt5 + {self.d}*sqrt10 "
+                             "has two radicals; a QuadScalar holds one")
 
     # -- construction helpers -------------------------------------------------
 
@@ -89,6 +105,13 @@ class QuadScalar:
             raise ValueError(f"{self} is not rational")
         return self.a
 
+    def _term(self) -> tuple[int, Fraction]:
+        """(k, r) with self = r * sqrt(_ROOTS[k])."""
+        for k, r in enumerate((self.a, self.b, self.c, self.d)):
+            if r:
+                return k, r
+        return 0, self.a
+
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
@@ -102,54 +125,27 @@ class QuadScalar:
         return QuadScalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
 
     def __rsub__(self, other):
+        # liealg.bracket subtracts from int 0 when given ExactMatrix rows
         return QuadScalar.coerce(other).__sub__(self)
 
     def __neg__(self):
         return QuadScalar(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other):
-        o = QuadScalar.coerce(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        # sqrt2*sqrt5 = sqrt10, sqrt2*sqrt10 = 2*sqrt5, sqrt5*sqrt10 = 5*sqrt2
-        if not (b1 or c1 or d1):  # rational fast path
-            if not a1:
-                return _ZERO
-            return QuadScalar(a1 * a2, a1 * b2, a1 * c2, a1 * d2)
-        if not (b2 or c2 or d2):
-            if not a2:
-                return _ZERO
-            return QuadScalar(a1 * a2, b1 * a2, c1 * a2, d1 * a2)
-        return QuadScalar(
-            a1 * a2 + 2 * b1 * b2 + 5 * c1 * c2 + 10 * d1 * d2,
-            a1 * b2 + b1 * a2 + 5 * (c1 * d2 + d1 * c2),
-            a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
-        )
+        (k1, r1), (k2, r2) = self._term(), QuadScalar.coerce(other)._term()
+        return _monomial(k1 ^ k2, r1 * r2 * _ROOTS[k1 & k2])
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "QuadScalar":
-        return QuadScalar(self.a, -self.b, self.c, -self.d)
-
-    def conj_sqrt5(self) -> "QuadScalar":
-        return QuadScalar(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "QuadScalar":
-        if not self:
+        """1/(r sqrt m) = sqrt(m)/(r m)."""
+        k, r = self._term()
+        if not r:
             raise ZeroDivisionError("QuadScalar division by zero")
-        y = self.conj_sqrt2() * self.conj_sqrt5() * self.conj_sqrt2().conj_sqrt5()
-        norm = self * y
-        # field norm is rational by construction
-        assert norm.is_rational()
-        n = norm.a
-        return QuadScalar(y.a / n, y.b / n, y.c / n, y.d / n)
+        return _monomial(k, 1 / (r * _ROOTS[k]))
 
     def __truediv__(self, other):
         return self * QuadScalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return QuadScalar.coerce(other) * self.inverse()
 
     # -- comparisons and conversions ------------------------------------------
 
@@ -159,49 +155,32 @@ class QuadScalar:
         o = QuadScalar.coerce(other)
         return (self.a, self.b, self.c, self.d) == (o.a, o.b, o.c, o.d)
 
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
     def __bool__(self):
         return bool(self.a or self.b or self.c or self.d)
 
     def __float__(self) -> float:
-        if not (self.b or self.c or self.d):
-            return float(self.a)
-        return float(self.a + self.b * _SQRT2_R + self.c * _SQRT5_R + self.d * _SQRT10_R)
+        k, r = self._term()
+        return float(r * _ROOTS_R[k])
 
     def __str__(self):
-        parts = []
-        for coeff, tag in ((self.a, ""), (self.b, "sqrt2"), (self.c, "sqrt5"), (self.d, "sqrt10")):
-            if not coeff:
-                continue
-            if tag and abs(coeff) == 1:
-                term = tag if coeff > 0 else f"-{tag}"
-            elif tag:
-                term = f"{coeff}*{tag}"
-            else:
-                term = str(coeff)
-            parts.append(term)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        k, r = self._term()
+        if not k:
+            return str(r)
+        root = f"sqrt{_ROOTS[k]}"
+        return root if r == 1 else f"-{root}" if r == -1 else f"{r}*{root}"
 
     def __repr__(self):
         return f"QuadScalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-_ZERO = QuadScalar(0)
-_QS_SMALL = {n: QuadScalar(n) for n in range(-4, 5)}
-_QS_SMALL[0] = _ZERO
+def _monomial(k: int, r: Fraction) -> QuadScalar:
+    """r * sqrt(_ROOTS[k])."""
+    return QuadScalar(**{QuadScalar.__slots__[k]: r})
 
-QS_ZERO = _ZERO
-QS_ONE = QuadScalar(1)
-QS_SQRT2 = QuadScalar(0, 1)
-QS_SQRT5 = QuadScalar(0, 0, 1)
-QS_SQRT10 = QuadScalar(0, 0, 0, 1)
+
+_QS_SMALL = {n: QuadScalar(n) for n in range(-4, 5)}
+
+QS_ZERO = _QS_SMALL[0]
 QS_INV_SQRT2 = QuadScalar(0, Fraction(1, 2))  # sqrt2/2
 
 
@@ -226,7 +205,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 
 def sqrt_rational(x: Fraction) -> QuadScalar | None:
-    """Exact nonnegative square root of a rational, if it lies in the field.
+    """Exact nonnegative square root of a rational, if it is r*sqrt(m).
 
     Returns None when the square-free part of x is not in {1, 2, 5, 10}.
     """
@@ -237,10 +216,9 @@ def sqrt_rational(x: Fraction) -> QuadScalar | None:
     num, den = x.numerator, x.denominator
     # sqrt(p/q) = sqrt(p*q)/q
     s, f = _squarefree_split(num * den)
-    root = {1: QS_ONE, 2: QS_SQRT2, 5: QS_SQRT5, 10: QS_SQRT10}.get(f)
-    if root is None:
+    if f not in _ROOTS:
         return None
-    return QuadScalar(Fraction(s, den)) * root
+    return _monomial(_ROOTS.index(f), Fraction(s, den))
 
 
 class ExactMatrix:
@@ -270,7 +248,7 @@ class ExactMatrix:
         n = self.n
         if n != other.n:
             raise ValueError(f"dimension mismatch: {n} vs {other.n}")
-        out = [[_ZERO] * n for _ in range(n)]
+        out = [[QS_ZERO] * n for _ in range(n)]
         orows = other.rows
         for i, row in enumerate(self.rows):
             acc = out[i]
@@ -292,7 +270,7 @@ class ExactMatrix:
         return self.n == other.n and self.rows == other.rows
 
     def det(self) -> QuadScalar:
-        _, pivots, signed = rref(self.rows, self.n)
+        _, pivots, signed = rref(_rational_rows(self.rows), self.n)
         return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
 
     def __repr__(self):
@@ -316,7 +294,7 @@ def trace_metric(h: Sequence[RationalLike], a: Sequence[Sequence], b: Sequence[S
 
 
 def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
-    """Gauss-Jordan elimination over the field the entries belong to.
+    """Gauss-Jordan elimination over Q, on rows of Fractions.
 
     Pivots are sought in the first ncols columns only; later columns (a
     right-hand side, or an identity block that records the transform) are
@@ -349,16 +327,14 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], o
     return m, pivots, signed
 
 
-def _over_field(rows: Iterable[Iterable[RationalLike]]):
-    """rows as lists over one field, with that field's zero and one.
+def _rational(x):
+    """An int or Fraction as it is, a QuadScalar as its Fraction; an
+    irrational QuadScalar raises ValueError."""
+    return x.as_fraction() if isinstance(x, QuadScalar) else x
 
-    The field is QuadScalar if any entry is one, else Fraction, so rational
-    callers never pay for QuadScalar arithmetic.
-    """
-    rows = [list(row) for row in rows]
-    if any(isinstance(x, QuadScalar) for row in rows for x in row):
-        return [[QuadScalar.coerce(x) for x in row] for row in rows], QS_ZERO, QS_ONE
-    return [[_frac(x) for x in row] for row in rows], _frac(0), _frac(1)
+
+def _rational_rows(rows: Iterable[Iterable[RationalLike]]) -> list[list[Fraction]]:
+    return [[_frac(_rational(x)) for x in row] for row in rows]
 
 
 def _solution(y: list, pivots: list[int], ncols: int) -> list | None:
@@ -381,7 +357,7 @@ def solve_exact(
     is not unique.
     """
     ncols = len(columns)
-    aug, _, _ = _over_field(
+    aug = _rational_rows(
         [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
     )
     reduced, pivots, _ = rref(aug, ncols)
@@ -393,28 +369,27 @@ class Solver:
 
     The columns are eliminated once, as [A | I]; solve(b) applies the stored
     transform E (E A is reduced) to b and answers exactly as solve_exact
-    would.  Over Q, E is kept as integers over one common denominator, so a
-    solve is an integer matrix-vector product and one division per nonzero
-    entry.  b must lie over the same field as the columns.
+    would.  E is kept as integers over one common denominator, so a solve is
+    an integer matrix-vector product and one division per nonzero entry.
     """
 
     def __init__(self, columns: Sequence[Sequence[RationalLike]]):
-        a, self.zero, one = _over_field(zip(*columns))
+        a = _rational_rows(zip(*columns))
         nrows, self.ncols = len(a), len(columns)
+        self.zero, one = _frac(0), _frac(1)
         aug = [row + [one if k == i else self.zero for k in range(nrows)]
                for i, row in enumerate(a)]
         reduced, self.pivots, _ = rref(aug, self.ncols)
-        self.transform, self.scale = [row[self.ncols:] for row in reduced], one
-        if isinstance(one, Fraction):
-            den = math.lcm(*(x.denominator for row in self.transform for x in row))
-            self.transform = [[x.numerator * (den // x.denominator) if x else 0 for x in row]
-                              for row in self.transform]
-            self.scale = Fraction(1, den)
+        transform = [row[self.ncols:] for row in reduced]
+        den = math.lcm(*(x.denominator for row in transform for x in row))
+        self.transform = [[x.numerator * (den // x.denominator) if x else 0 for x in row]
+                          for row in transform]
+        self.scale = Fraction(1, den)
 
     def solve(self, b: Sequence) -> list | None:
         if len(b) != len(self.transform):
             raise ValueError("right-hand side length does not match the columns")
-        nonzero = [(k, v) for k, v in enumerate(b) if v]
+        nonzero = [(k, _rational(v)) for k, v in enumerate(b) if v]
         y = [sum(row[k] * v for k, v in nonzero if row[k]) for row in self.transform]
         return _solution([v * self.scale if v else self.zero for v in y],
                          self.pivots, self.ncols)
@@ -424,13 +399,13 @@ def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:
     """Exact null space basis of the linear map given by `rows` (m x n)."""
     if not rows:
         return []
-    mat, zero, one = _over_field(rows)
+    mat = _rational_rows(rows)
     n = len(mat[0])
     reduced, pivots, _ = rref(mat, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        v = [zero] * n
-        v[free] = one
+        v = [_frac(0)] * n
+        v[free] = _frac(1)
         for r, c in enumerate(pivots):
             v[c] = -reduced[r][free]
         basis.append(v)
@@ -440,5 +415,5 @@ def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:
 def rank_exact(rows: Sequence[Sequence[RationalLike]]) -> int:
     if not rows:
         return 0
-    mat, _, _ = _over_field(rows)
+    mat = _rational_rows(rows)
     return len(rref(mat, len(mat[0]))[1])

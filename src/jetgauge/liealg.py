@@ -7,8 +7,8 @@ accepted too): generator_rows, so4_bases, minkowski_eta and so13_basis are
 integer rows, with Fraction halves in the so(4) split X_i, Y_i.  bracket,
 the structure constants and the Killing forms run on them over Z or Q.
 LieElement keeps each coefficient in its own exact type: an int, a
-Fraction, or a QuadScalar only where a radical is (the 1/sqrt2 of the
-(2,3) isotropic basis).  Its brackets and trace forms work on the
+Fraction, or a QuadScalar r*sqrt(m) only where a radical is (the 1/sqrt2
+of the (2,3) isotropic basis).  Its brackets and trace forms work on the
 coefficients and sum from int 0, so integral data stays integral; the
 realized ExactMatrix is built only on demand, as the test suite's
 independent oracle.
@@ -255,7 +255,7 @@ def killing_table_in_basis(basis: Sequence[Rows]) -> list[list]:
     """Full Killing table K_ab = tr(ad_a ad_b) over a closed matrix basis.
 
     (ad_a)[k][i] = c[a][i][k], so K_ab = sum c[a][i][k] c[b][k][i] is _ad_trace
-    of c[a] and c[b]; sums start from the basis field's zero.
+    of c[a] and c[b]; sums start from the Fraction zero.
     """
     solver, c = _structure(basis)
     return [[_ad_trace(ca, cb, solver.zero) for cb in c] for ca in c]

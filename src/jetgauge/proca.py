@@ -12,7 +12,9 @@ h is integral, so the table and the censuses are integers from H_INTS:
 tr(h X_ij X_ij) = -(h_ii + h_jj).  Grams and the hypercharge variation
 use the coefficient formula tr(h X Y) = -sum_{i<j} (h_i + h_j) x_ij y_ij
 on LieElements with H_INTS, so the (3,3) and (1,3) Grams are integers;
-QuadScalar enters only with the 1/sqrt2 of the (2,3) isotropic basis.
+QuadScalar enters only with the 1/sqrt2 of the (2,3) isotropic basis; the
+trace form pairs like coordinates and (1/sqrt2)^2 = 1/2, so that basis'
+Gram entries are rational.
 Realized 28x28 matrices contracted with trace_metric are the independent
 test oracle.  The finite hypercharge rotation is the one float computation
 here: it conjugates sparse float matrices in a pinned arithmetic order,

@@ -1010,8 +1010,8 @@ def test_cli_requests_import_no_numpy(request_imports):
 
 
 def test_cli_requests_import_no_dataclasses_inspect_or_csv(request_imports):
-    """The package defines plain classes and imports csv only for proca-table,
-    so these requests skip dataclasses with inspect, ast, dis and tokenize."""
+    """The package defines plain classes and imports no csv, so these
+    requests skip dataclasses with inspect, ast, dis and tokenize."""
     _, seen = request_imports
     assert not any({"dataclasses", "inspect", "csv"} & set(loaded) for _, loaded in seen)
 

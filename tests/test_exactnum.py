@@ -1,3 +1,4 @@
+import decimal
 import itertools
 from fractions import Fraction as F
 
@@ -7,10 +8,7 @@ from hypothesis import strategies as st
 
 from jetgauge.exactnum import (
     QS_INV_SQRT2,
-    QS_SQRT2,
-    QS_SQRT5,
     ExactMatrix,
-    QuadScalar,
     Solver,
     nullspace_exact,
     qs,
@@ -23,25 +21,66 @@ from jetgauge.exactnum import (
 from exact_oracles import add, commutator, identity, trace, zeros
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-quads = st.builds(QuadScalar, fractions, fractions, fractions, fractions)
+
+
+def times_root(r, m):
+    """r*sqrt(m), built from its slot without multiplying."""
+    return qs(*(r if root == m else 0 for root in (1, 2, 5, 10)))
+
+
+def like_quads(m):
+    return fractions.map(lambda r: times_root(r, m))
+
+
+roots = st.sampled_from([1, 2, 5, 10])
+quads = roots.flatmap(like_quads)
 nonzero_quads = quads.filter(bool)
+
+SQRT = {m: times_root(1, m) for m in (1, 2, 5, 10)}
+# sqrt(m1) * sqrt(m2) for m1 <= m2, worked by hand
+PRODUCTS = {
+    (1, 1): qs(1), (1, 2): qs(0, 1), (1, 5): qs(0, 0, 1), (1, 10): qs(0, 0, 0, 1),
+    (2, 2): qs(2), (2, 5): qs(0, 0, 0, 1), (2, 10): qs(0, 0, 2),
+    (5, 5): qs(5), (5, 10): qs(0, 5),
+    (10, 10): qs(10),
+}
+INVERSES = {1: qs(1), 2: qs(0, F(1, 2)), 5: qs(0, 0, F(1, 5)), 10: qs(0, 0, 0, F(1, 10))}
 
 
 def test_basis_products():
-    assert qs(0, 1) * qs(0, 1) == qs(2)
-    assert qs(0, 0, 1) * qs(0, 0, 1) == qs(5)
-    assert qs(0, 0, 0, 1) * qs(0, 0, 0, 1) == qs(10)
-    assert qs(0, 1) * qs(0, 0, 1) == qs(0, 0, 0, 1)
-    assert qs(0, 1) * qs(0, 0, 0, 1) == qs(0, 0, 2)
-    assert qs(0, 0, 1) * qs(0, 0, 0, 1) == qs(0, 5)
+    """All 16 products of two roots, in both orders, and with coefficients."""
+    for (m1, m2), want in PRODUCTS.items():
+        assert SQRT[m1] * SQRT[m2] == want
+        assert SQRT[m2] * SQRT[m1] == want
+        assert times_root(F(2, 3), m1) * times_root(F(-9, 4), m2) == want * F(-3, 2)
 
 
-def test_difference_of_squares():
-    assert (qs(1) + qs(0, 0, 1)) * (qs(1) - qs(0, 0, 1)) == qs(-4)
+def test_inverse_table():
+    for m, want in INVERSES.items():
+        assert SQRT[m].inverse() == want
+        assert times_root(F(-3, 7), m).inverse() == want * F(-7, 3)
+        assert SQRT[m] * want == qs(1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: qs(1) + qs(0, 1),
+    lambda: qs(0, 0, 1) - qs(0, 0, 0, 1),
+    lambda: qs(0, 1) + 1,
+    lambda: 1 - qs(0, 1),
+    lambda: qs(F(1, 2), 0, F(-3, 4)),
+], ids=["1+sqrt2", "sqrt5-sqrt10", "sqrt2+int", "int-sqrt2", "constructor"])
+def test_two_radicals_cannot_be_built(build):
+    with pytest.raises(ValueError, match="two radicals"):
+        build()
+
+
+def test_two_radicals_error_names_the_value():
+    with pytest.raises(ValueError, match=r"^1/2 \+ 0\*sqrt2 \+ -3/4\*sqrt5 \+ 0\*sqrt10 "):
+        qs(F(1, 2)) + qs(0, 0, F(-3, 4))
 
 
 def test_inv_sqrt2_times_sqrt10():
-    # (1/sqrt2) * sqrt10 = sqrt5, expanded in the fixed basis
+    # (1/sqrt2) * sqrt10 = sqrt5: the shared sqrt2 cancels
     assert qs(0, F(1, 2)) * qs(0, 0, 0, 1) == qs(0, 0, 1)
 
 
@@ -50,12 +89,16 @@ def test_division_by_zero():
         qs(1) / qs(0)
 
 
-@given(quads, quads, quads)
-def test_ring_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
+@given(quads, quads, quads, roots.flatmap(lambda m: st.tuples(*[like_quads(m)] * 3)))
+def test_ring_axioms(x, y, z, like):
+    """Sums are of like radicals only; products of any."""
     assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
     assert x * y == y * x
+    u, v, w = like
+    assert (u + v) + w == u + (v + w)
+    assert u + v == v + u
+    assert (u - v) + v == u
+    assert x * (u + v) == x * u + x * v
 
 
 @given(nonzero_quads)
@@ -72,6 +115,16 @@ def test_to_float():
     assert float(qs(F(1, 2))) == 0.5
     assert float(qs(0)) == 0.0
     assert float(qs(0, 0, F(1, 5))) == 0.4472135954999579
+
+
+@given(fractions, roots)
+def test_to_float_rounds_once(r, m):
+    """r*sqrt(m) rounded once, against a 60-digit decimal evaluation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        want = float(decimal.Decimal(r.numerator) * decimal.Decimal(m).sqrt()
+                     / decimal.Decimal(r.denominator))
+    assert float(times_root(r, m)) == want
 
 
 def test_sqrt_rational():
@@ -97,8 +150,10 @@ def test_sqrt_rational_roundtrip(s, k):
 
 def test_str_forms():
     assert str(qs(0)) == "0"
-    assert str(qs(F(1, 2), 0, F(-3, 4))) == "1/2 - 3/4*sqrt5"
+    assert str(qs(F(-1, 2))) == "-1/2"
+    assert str(qs(0, 0, F(-3, 4))) == "-3/4*sqrt5"
     assert str(qs(0, 1)) == "sqrt2"
+    assert str(qs(0, 0, 0, -1)) == "-sqrt10"
 
 
 # -- matrices -------------------------------------------------------------
@@ -197,22 +252,15 @@ def test_nullspace_and_rank():
 
 # -- the elimination kernel against oracles that do not use it --------------
 
-# sparse and irrational entries are both common, so pivots get skipped and
-# the QuadScalar field is exercised beyond its rational fast path
-quad_entries = st.one_of(
-    st.sampled_from([0, 0, 1, -1, QS_SQRT2, QS_INV_SQRT2, QS_SQRT5, qs(1, 1, 1, 1)]).map(
-        QuadScalar.coerce
-    ),
-    quads,
-)
-frac_entries = st.one_of(st.just(F(0)), fractions)
-FIELDS = {"quad": (quad_entries, qs(0)), "fraction": (frac_entries, F(0))}
+# elimination runs over Q; entries come as ints, Fractions and rational
+# QuadScalars, and zeros are common, so pivots get skipped
+entries = st.one_of(st.just(0), st.integers(-3, 3), fractions, fractions.map(qs))
+ZERO = F(0)
 
 
 @st.composite
 def matrices(draw, nrows=None, ncols=None):
-    """(rows, field zero, entries) with some rows combinations of earlier ones."""
-    entries, zero = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    """Rows over Q, some of them combinations of earlier ones."""
     nrows = nrows or draw(st.integers(1, 4))
     ncols = ncols or draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
@@ -220,13 +268,13 @@ def matrices(draw, nrows=None, ncols=None):
     for i in range(1, nrows):
         if draw(st.integers(0, 2)) == 0:
             c = draw(st.lists(entries, min_size=i, max_size=i))
-            rows[i] = [sum((c[k] * rows[k][j] for k in range(i)), zero) for j in range(ncols)]
-    return draw(st.permutations(rows)), zero, entries
+            rows[i] = [sum((c[k] * rows[k][j] for k in range(i)), ZERO) for j in range(ncols)]
+    return draw(st.permutations(rows))
 
 
-def leibniz(rows, zero):
+def leibniz(rows):
     n = len(rows)
-    total = zero
+    total = ZERO
     for p in itertools.permutations(range(n)):
         inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
         term = -1 if inversions % 2 else 1
@@ -236,19 +284,19 @@ def leibniz(rows, zero):
     return total
 
 
-def minor_rank(rows, zero):
+def minor_rank(rows):
     """Largest k with a nonzero k x k minor."""
     m, n = len(rows), len(rows[0])
     for k in range(min(m, n), 0, -1):
         for ri in itertools.combinations(range(m), k):
             for ci in itertools.combinations(range(n), k):
-                if leibniz([[rows[i][j] for j in ci] for i in ri], zero):
+                if leibniz([[rows[i][j] for j in ci] for i in ri]):
                     return k
     return 0
 
 
-def apply_columns(columns, x, zero):
-    return [sum((col[i] * xj for col, xj in zip(columns, x)), zero)
+def apply_columns(columns, x):
+    return [sum((col[i] * xj for col, xj in zip(columns, x)), ZERO)
             for i in range(len(columns[0]))]
 
 
@@ -260,53 +308,49 @@ def outcome(solve):
 
 
 @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
-@example(([[F(0), F(1)], [F(1), F(0)]], F(0), None))  # a row swap flips the sign
+@example([[F(0), F(1)], [F(1), F(0)]])  # a row swap flips the sign
 @settings(max_examples=60, deadline=None)
-def test_det_matches_leibniz(mat):
-    rows, zero, _ = mat
-    assert ExactMatrix(rows).det() == leibniz(rows, zero)
+def test_det_matches_leibniz(rows):
+    assert ExactMatrix(rows).det() == leibniz(rows)
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
-def test_rank_and_nullspace_match_minors(mat):
-    rows, zero, _ = mat
+def test_rank_and_nullspace_match_minors(rows):
     rank = rank_exact(rows)
     null = nullspace_exact(rows)
-    assert rank == minor_rank(rows, zero)
+    assert rank == minor_rank(rows)
     assert rank + len(null) == len(rows[0])
     for v in null:
-        assert all(type(x) is type(zero) for x in v)
-        assert all(not sum((a * b for a, b in zip(row, v)), zero) for row in rows)
+        assert all(type(x) is F for x in v)
+        assert all(not sum((a * b for a, b in zip(row, v)), ZERO) for row in rows)
 
 
 @given(matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_solve_reproduces_consistent_targets(mat, data):
-    rows, zero, entries = mat
+def test_solve_reproduces_consistent_targets(rows, data):
     columns = [list(c) for c in zip(*rows)]
     x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
-    target = apply_columns(columns, x, zero)
+    target = apply_columns(columns, x)
     sol = outcome(lambda: solve_exact(columns, target))
-    if minor_rank(rows, zero) < len(columns):
+    if minor_rank(rows) < len(columns):
         assert sol == "dependent"
     else:
         assert sol == x
-        assert all(type(v) is type(zero) for v in sol)
+        assert all(type(v) is F for v in sol)
 
 
 @given(matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_solve_returns_none_on_inconsistent_targets(mat, data):
+def test_solve_returns_none_on_inconsistent_targets(rows, data):
     # the appended row is a known combination of the others; a target that
     # breaks the same combination has no solution, whatever the columns' rank
-    rows, zero, entries = mat
     c = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
-    rows = rows + [[sum((ck * r[j] for ck, r in zip(c, rows)), zero)
+    rows = rows + [[sum((ck * r[j] for ck, r in zip(c, rows)), ZERO)
                     for j in range(len(rows[0]))]]
     t = data.draw(st.lists(entries, min_size=len(rows) - 1, max_size=len(rows) - 1))
     off = data.draw(entries.filter(bool))
-    target = t + [sum((ck * tk for ck, tk in zip(c, t)), zero) + off]
+    target = t + [sum((ck * tk for ck, tk in zip(c, t)), ZERO) + off]
     columns = [list(col) for col in zip(*rows)]
     assert solve_exact(columns, target) is None
     assert Solver(columns).solve(target) is None
@@ -314,13 +358,12 @@ def test_solve_returns_none_on_inconsistent_targets(mat, data):
 
 @given(matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_solve_raises_on_consistent_dependent_columns(mat, data):
-    rows, zero, entries = mat
+def test_solve_raises_on_consistent_dependent_columns(rows, data):
     columns = [list(c) for c in zip(*rows)]
     c = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
-    columns.append(apply_columns(columns, c, zero))
+    columns.append(apply_columns(columns, c))
     x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
-    target = apply_columns(columns, x, zero)
+    target = apply_columns(columns, x)
     with pytest.raises(ValueError):
         solve_exact(columns, target)
     with pytest.raises(ValueError):
@@ -329,14 +372,13 @@ def test_solve_raises_on_consistent_dependent_columns(mat, data):
 
 @given(matrices(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_reused_solver_matches_one_shot_solves(mat, data):
-    rows, zero, entries = mat
+def test_reused_solver_matches_one_shot_solves(rows, data):
     columns = [list(c) for c in zip(*rows)]
     solver = Solver(columns)
     for _ in range(3):
         if data.draw(st.booleans()):
             x = data.draw(st.lists(entries, min_size=len(columns), max_size=len(columns)))
-            target = apply_columns(columns, x, zero)
+            target = apply_columns(columns, x)
         else:
             target = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
         assert outcome(lambda: solver.solve(target)) == outcome(
@@ -347,3 +389,21 @@ def test_reused_solver_matches_one_shot_solves(mat, data):
 def test_solver_rejects_wrong_length_targets():
     with pytest.raises(ValueError):
         Solver([[F(1), F(0)]]).solve([F(1)])
+
+
+# an invertible 2 x 2 system in every case but for one irrational entry
+IRRATIONAL = {
+    "det": lambda: ExactMatrix([[1, 0], [0, QS_INV_SQRT2]]).det(),
+    "solve_exact-columns": lambda: solve_exact([[1, 0], [0, QS_INV_SQRT2]], [1, 1]),
+    "solve_exact-target": lambda: solve_exact([[1, 0], [0, 1]], [1, qs(0, 0, 1)]),
+    "Solver-columns": lambda: Solver([[1, 0], [0, qs(0, 0, 0, 3)]]),
+    "Solver-target": lambda: Solver([[1, 0], [0, 1]]).solve([1, QS_INV_SQRT2]),
+    "nullspace_exact": lambda: nullspace_exact([[1, qs(0, 0, 1)]]),
+    "rank_exact": lambda: rank_exact([[1, qs(0, 0, 1)]]),
+}
+
+
+@pytest.mark.parametrize("call", IRRATIONAL.values(), ids=IRRATIONAL.keys())
+def test_elimination_rejects_an_irrational_entry(call):
+    with pytest.raises(ValueError, match="is not rational"):
+        call()
