@@ -119,6 +119,7 @@ class GridBoundaryError(ValueError):
 _NPY_TYPECODES = {"f8": "d", "f4": "f", "i1": "b", "u1": "B", "i2": "h", "u2": "H",
                   "i4": "i", "u4": "I", "i8": "q", "u8": "Q"}
 _FOREIGN_ORDER = ">" if sys.byteorder == "little" else "<"
+MAX_NPZ_MEMBER_BYTES = 2**27  # 128 MiB: a float64 grid of up to 45^4 nodes
 
 
 def _read_npy(data: bytes, name: str):
@@ -159,15 +160,20 @@ def read_npz(path: str, names) -> dict:
     """{name: (values, shape, fortran_order)} for the named arrays of an .npz
     archive as np.savez or np.savez_compressed write it.  values is flat in
     file order: a copy-free memoryview of native float64 data, or float32
-    and integer data converted to float."""
+    and integer data converted to float.  A member whose declared size
+    exceeds MAX_NPZ_MEMBER_BYTES raises before it is read."""
     try:
         with zipfile.ZipFile(path) as zf:
-            members = set(zf.namelist())
+            members = {info.filename: info for info in zf.infolist()}
             arrays = {}
             for name in names:
-                if f"{name}.npy" not in members:
+                info = members.get(f"{name}.npy")
+                if info is None:
                     raise ValueError(f"missing array {name!r}")
-                arrays[name] = _read_npy(zf.read(f"{name}.npy"), name)
+                if info.file_size > MAX_NPZ_MEMBER_BYTES:
+                    raise ValueError(f"array {name!r} declares {info.file_size} bytes; "
+                                     f"the cap is {MAX_NPZ_MEMBER_BYTES}")
+                arrays[name] = _read_npy(zf.read(info), name)
     # a damaged archive, a corrupt deflate stream, an encrypted member
     # (RuntimeError) or an unknown compression method (NotImplementedError)
     except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, NotImplementedError) as exc:

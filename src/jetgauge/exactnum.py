@@ -10,8 +10,9 @@ roots share, and the inverse of r*sqrt(m) is sqrt(m)/(r m).  A sum is one
 term only when its terms share a root or one of them is 0: building a
 value with two radicals, such as the sum 1 + sqrt2, raises ValueError.  The
 four roots are linearly independent over Q, so two values are equal
-exactly when r and m are.  sqrt extraction is offered only for rationals
-whose square-free part is 1, 2, 5 or 10.
+exactly when r and m are.  sqrt_rational extracts the root of a rational
+p/q whose square-free part is 1, 2, 5 or 10, with no factoring: for each
+of the four roots m it asks math.isqrt whether p q m is a perfect square.
 
 Integer arithmetic comes first: the structural suites hold their matrices
 as rows of ints (Fractions where a half enters) and so(n) coefficients in
@@ -24,9 +25,10 @@ included.  Every exact scalar converts with float(); the module imports no
 numpy, so nothing here depends on a BLAS kernel.
 
 All exact linear algebra runs over Q, through one Gauss-Jordan kernel,
-rref.  ExactMatrix.det, solve_exact, nullspace_exact and rank_exact are thin
-wrappers on it, and Solver eliminates a fixed set of columns once for many
-right-hand sides, keeping one integer transform over a common denominator.
+rref.  ExactMatrix.det, nullspace_exact and rank_exact are thin wrappers on
+it.  Every solve goes through Solver, which eliminates a fixed set of
+columns once for many right-hand sides, keeping one integer transform over
+a common denominator; solve_exact is a one-shot Solver.
 Their entries may be ints, Fractions or rational QuadScalars, which enter as
 Fractions; an irrational entry raises ValueError.  Solutions and null
 vectors come back as Fractions.
@@ -56,14 +58,11 @@ _ROOTS = (1, 2, 5, 10)
 _ROOTS_R = (1, _SQRT2_R, _SQRT5_R, _SQRT10_R)
 
 
-_FRAC_SMALL = {n: Fraction(n) for n in range(-4, 5)}
-
-
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return _FRAC_SMALL[x] if -4 <= x <= 4 else Fraction(x)
+        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -91,11 +90,7 @@ class QuadScalar:
 
     @staticmethod
     def coerce(x: RationalLike) -> "QuadScalar":
-        if isinstance(x, QuadScalar):
-            return x
-        if isinstance(x, int) and -4 <= x <= 4:
-            return _QS_SMALL[x]
-        return QuadScalar(_frac(x))
+        return x if isinstance(x, QuadScalar) else QuadScalar(x)
 
     def is_rational(self) -> bool:
         return not (self.b or self.c or self.d)
@@ -178,9 +173,7 @@ def _monomial(k: int, r: Fraction) -> QuadScalar:
     return QuadScalar(**{QuadScalar.__slots__[k]: r})
 
 
-_QS_SMALL = {n: QuadScalar(n) for n in range(-4, 5)}
-
-QS_ZERO = _QS_SMALL[0]
+QS_ZERO = QuadScalar()
 QS_INV_SQRT2 = QuadScalar(0, Fraction(1, 2))  # sqrt2/2
 
 
@@ -189,36 +182,21 @@ def qs(a=0, b=0, c=0, d=0) -> QuadScalar:
     return QuadScalar(a, b, c, d)
 
 
-def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * f with f square-free; returns (s, f).  n > 0."""
-    s, f, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            f *= p
-        p += 1
-    return s, f * n
-
-
 def sqrt_rational(x: Fraction) -> QuadScalar | None:
     """Exact nonnegative square root of a rational, if it is r*sqrt(m).
 
     Returns None when the square-free part of x is not in {1, 2, 5, 10}.
+    sqrt(p/q) = sqrt(p q m)/(q m) for the one root m, if any, that makes
+    p q m a perfect square; math.isqrt tests each of the four.
     """
     if x < 0:
         raise ValueError("square root of a negative rational")
-    if x == 0:
-        return QS_ZERO
-    num, den = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q
-    s, f = _squarefree_split(num * den)
-    if f not in _ROOTS:
-        return None
-    return _monomial(_ROOTS.index(f), Fraction(s, den))
+    pq = x.numerator * x.denominator
+    for k, m in enumerate(_ROOTS):
+        s = math.isqrt(pq * m)
+        if s * s == pq * m:
+            return _monomial(k, Fraction(s, x.denominator * m))
+    return None
 
 
 class ExactMatrix:
@@ -337,40 +315,13 @@ def _rational_rows(rows: Iterable[Iterable[RationalLike]]) -> list[list[Fraction
     return [[_frac(_rational(x)) for x in row] for row in rows]
 
 
-def _solution(y: list, pivots: list[int], ncols: int) -> list | None:
-    """Read x off a reduced right-hand side y; see solve_exact for the cases."""
-    if any(y[len(pivots):]):
-        return None
-    if len(pivots) < ncols:
-        raise ValueError("underdetermined system: columns are linearly dependent")
-    # full column rank: the pivots are exactly 0..ncols-1
-    return y[:ncols]
-
-
-def solve_exact(
-    columns: Sequence[Sequence[RationalLike]], target: Sequence[RationalLike]
-) -> list | None:
-    """Solve sum_j x_j * columns[j] = target exactly.
-
-    Returns the coefficient list, or None when the system is inconsistent.
-    Raises if the columns are linearly dependent and a solution exists but
-    is not unique.
-    """
-    ncols = len(columns)
-    aug = _rational_rows(
-        [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
-    )
-    reduced, pivots, _ = rref(aug, ncols)
-    return _solution([row[ncols] for row in reduced], pivots, ncols)
-
-
 class Solver:
     """Repeated exact solves sum_j x_j * columns[j] = b against fixed columns.
 
     The columns are eliminated once, as [A | I]; solve(b) applies the stored
-    transform E (E A is reduced) to b and answers exactly as solve_exact
-    would.  E is kept as integers over one common denominator, so a solve is
-    an integer matrix-vector product and one division per nonzero entry.
+    transform E (E A is reduced) to b and reads x off E b.  E is kept as
+    integers over one common denominator, so a solve is an integer
+    matrix-vector product and one division per nonzero entry.
     """
 
     def __init__(self, columns: Sequence[Sequence[RationalLike]]):
@@ -387,12 +338,33 @@ class Solver:
         self.scale = Fraction(1, den)
 
     def solve(self, b: Sequence) -> list | None:
+        """The Fractions x_j, or None when b lies outside the columns' span.
+
+        Raises ValueError when the columns are linearly dependent and b
+        lies in their span, or when b's length does not match the columns.
+        """
         if len(b) != len(self.transform):
             raise ValueError("right-hand side length does not match the columns")
         nonzero = [(k, _rational(v)) for k, v in enumerate(b) if v]
         y = [sum(row[k] * v for k, v in nonzero if row[k]) for row in self.transform]
-        return _solution([v * self.scale if v else self.zero for v in y],
-                         self.pivots, self.ncols)
+        if any(y[len(self.pivots):]):
+            return None
+        if len(self.pivots) < self.ncols:
+            raise ValueError("underdetermined system: columns are linearly dependent")
+        # full column rank: the pivots are exactly 0..ncols-1
+        return [v * self.scale if v else self.zero for v in y[:self.ncols]]
+
+
+def solve_exact(
+    columns: Sequence[Sequence[RationalLike]], target: Sequence[RationalLike]
+) -> list | None:
+    """Solve sum_j x_j * columns[j] = target exactly, as Solver(columns) does.
+
+    Returns the coefficient list, or None when the system is inconsistent.
+    Raises ValueError if the columns are linearly dependent and a solution
+    exists but is not unique, or if target's length does not match them.
+    """
+    return Solver(columns).solve(target)
 
 
 def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:

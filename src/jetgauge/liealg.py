@@ -14,20 +14,22 @@ realized ExactMatrix is built only on demand, as the test suite's
 independent oracle.
 
 Two Killing-form flavours are exposed.  killing_adjoint is the plain
-brute-force trace of ad_X ad_Y over the generator basis of so(n); for
-so(n) it equals (n-2) tr(XY).  killing_metric_twisted inserts the
+brute-force trace of ad_X ad_Y over the generator basis of so(n): it sums
+the X_p coefficient of [X, [Y, X_p]] over the generators X_p, with every
+bracket from the closed form, so integer elements give an int; for so(n)
+it equals (n-2) tr(XY).  killing_metric_twisted inserts the
 Minkowskian metric eta = diag(-1,1,1,1) into both index contractions,
 2 tr(eta X eta Y); on antisymmetric representatives of so(1,3) elements
 this reproduces the adjoint-trace Killing form of so(1,3), flipping the
 boost directions to positive norm.  (Inserting a single eta does not:
-boost pairs then come out 0 instead of +-4.)  The so(n), so(1,3) and
-su(3) Killing forms share one kernel: the sparse bracket, the structure
-constants of a closed basis (_structure), and the forms read off them.
+boost pairs then come out 0 instead of +-4.)  The Killing forms over an
+explicit matrix basis, so(1,3) and su(3), share one kernel: the sparse
+row bracket, the structure constants of a closed basis (_structure,
+through an exactnum Solver over Q), and the forms read off them.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -188,18 +190,12 @@ def so13_basis() -> list[list[list[int]]]:
     return [_product(eta, generator_rows(4, i, j)) for (i, j) in so_pairs(4)]
 
 
-@functools.cache
-def _so_killing_table(n: int) -> list[list]:
-    return killing_table_in_basis([generator_rows(n, *p) for p in so_pairs(n)])
-
-
 def killing_adjoint(x: LieElement, y: LieElement) -> RationalLike:
-    """K(x, y) = tr(ad_x ad_y) = sum_ab x_a y_b K_ab, brute force: K is the
-    adjoint-trace table of so(n)'s integer generator rows."""
+    """K(x, y) = tr(ad_x ad_y), brute force: the sum over the generators X_p
+    of the X_p coefficient of [x, [y, X_p]], each bracket in closed form."""
     x._check(y)
-    table, index = _so_killing_table(x.n), {p: k for k, p in enumerate(so_pairs(x.n))}
-    return sum((u * v * table[index[p]][index[q]] for p, u in x.coeffs.items()
-                for q, v in y.coeffs.items()), 0)
+    return sum((x.bracket(y.bracket(LieElement.generator(x.n, *p))).coeffs.get(p, 0)
+                for p in so_pairs(x.n)), 0)
 
 
 def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:

@@ -44,3 +44,18 @@ def scaled(v, c):
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """AB - BA."""
     return add(a @ b, b @ a, -1)
+
+
+def squarefree_split(n: int) -> tuple[int, int]:
+    """n = s^2 * f with f square-free, by trial division; returns (s, f).  n > 0."""
+    s, f, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            f *= p
+        p += 1
+    return s, f * n

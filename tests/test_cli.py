@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetgauge
-from jetgauge import cli, writer
+from jetgauge import cli, dynamics, writer
 from jetgauge.cli import main
 from jetgauge.dynamics import BLOCK_STEPS, Trajectory
 from jetgauge.report import FLAGGED, VerificationReport, dump_json
@@ -809,6 +810,26 @@ def test_simulate_rejects_a_grid_file_that_is_no_npz(tmp_path, capsys, content):
     assert main(["simulate", "--config", cfg]) == 2
     line = one_line(capsys.readouterr().err)
     assert line.startswith("bad simulate config: field.params.npz: not a readable .npz archive")
+
+
+def test_simulate_rejects_an_oversize_npz_member_unread(tmp_path, capsys, monkeypatch):
+    """A member declaring more bytes than the cap stops the run with exit 2
+    before any member of the archive is opened ('g' is read first)."""
+    cfg = grid_config(tmp_path, "lorentz")
+    monkeypatch.setattr(dynamics, "MAX_NPZ_MEMBER_BYTES", 4096)  # g holds 131,200
+    opened, original = [], zipfile.ZipFile.open
+
+    def spy(self, name, *args, **kwargs):
+        opened.append(getattr(name, "filename", name))
+        return original(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", spy)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line == ("bad simulate config: field.params.npz: "
+                    "array 'g' declares 131200 bytes; the cap is 4096")
+    assert opened == []
+    assert not (tmp_path / "traj.json").exists()
 
 
 def test_simulate_reads_every_accepted_grid_layout(tmp_path, capsys):

@@ -987,16 +987,23 @@ def test_a_new_field_object_is_converted_again():
 
 
 def oracle_grid(seed):
-    """A 9^4 random grid whose F is of order 0.2, and a start in its middle."""
+    """A 9^4 random grid whose F is of order 0.2, and a start in its middle.
+
+    The stencil is safe for positions in [2, 6] nodes on each axis.  x^0
+    only grows (u^0 >= 1 on a timelike path), so it starts at 2.5-3.5 nodes
+    and the space coordinates at 3.5-4.5.  Over seeds 0-1,499, 100 steps of
+    either law moved x^0 at most 1.4 nodes and a space coordinate at most
+    0.9, so every trajectory stayed within 2.5-5.1 nodes."""
     vals, origin, spacing = random_grid_arrays(seed, False, 9)
     grid = grid_field(0.2 * spacing * vals, origin, spacing)
     rng = np.random.default_rng(seed)
-    x0 = grid.origin + grid.spacing * rng.uniform(3.5, 4.5, 4)
+    x0 = grid.origin + grid.spacing * (rng.uniform(3.5, 4.5, 4) - [1, 0, 0, 0])
     u0 = np.concatenate([[1.0], rng.uniform(-0.3, 0.3, 3)])
     return grid, x0, u0
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(64)  # left the grid from a start at 4.44 nodes in time
 @settings(max_examples=10, deadline=None)
 def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
     """Rows of a grid F have three nonzero entries, so the matvec order shows."""

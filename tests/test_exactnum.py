@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from jetgauge.exactnum import (
     trace_metric,
 )
 
-from exact_oracles import add, commutator, identity, trace, zeros
+from exact_oracles import add, commutator, identity, squarefree_split, trace, zeros
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -146,6 +147,37 @@ def test_sqrt_rational_roundtrip(s, k):
     root = sqrt_rational(s * s * k)
     assert root is not None
     assert root * root == qs(s * s * k)
+
+
+# products of small primes, so the trial-division oracle stays short
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+smooth = st.lists(st.sampled_from(SMALL_PRIMES), max_size=24).map(math.prod)
+# smooth numbers of at least 64 bits: shifted up to 2^63 <= n when shorter
+wide = smooth.map(lambda n: n << max(0, 64 - n.bit_length()))
+# a square times a small cofactor hits each root, and misses it as often
+square_times = st.builds(lambda s, k: s * s * k, smooth,
+                         st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30]))
+
+
+@given(st.one_of(smooth, wide, square_times), st.one_of(smooth, wide, square_times))
+@example(2**64, 1)
+@example(2**65, 1)
+@example(5 * 2**62, 9)
+@example(2**64 - 1, 2**64)  # 3*5*17*257*641*65537*6700417 over 2^64
+@example(10 * (2**32 - 1) ** 2, 2**63)
+@settings(max_examples=200)
+def test_sqrt_rational_matches_trial_division(p, q):
+    """None exactly when the square-free part of p*q lies outside {1, 2, 5, 10};
+    otherwise sqrt(x) = s*sqrt(f)/den for x = num/den in lowest terms and
+    num*den = s^2 f."""
+    x = F(p, q)
+    s, f = squarefree_split(x.numerator * x.denominator)
+    root = sqrt_rational(x)
+    if f not in (1, 2, 5, 10):
+        assert root is None
+    else:
+        assert root == times_root(F(s, x.denominator), f)
+        assert root * root == qs(x)
 
 
 def test_str_forms():
@@ -389,6 +421,12 @@ def test_reused_solver_matches_one_shot_solves(rows, data):
 def test_solver_rejects_wrong_length_targets():
     with pytest.raises(ValueError):
         Solver([[F(1), F(0)]]).solve([F(1)])
+
+
+@pytest.mark.parametrize("target", [[F(1)], [F(1), F(0), F(0)]], ids=["short", "long"])
+def test_solve_exact_rejects_wrong_length_targets(target):
+    with pytest.raises(ValueError, match="length does not match"):
+        solve_exact([[F(1), F(0)]], target)
 
 
 # an invertible 2 x 2 system in every case but for one irrational entry

@@ -1,9 +1,11 @@
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetgauge import liealg
 from jetgauge.exactnum import (
     ExactMatrix,
     qs,
@@ -14,6 +16,7 @@ from jetgauge.liealg import (
     LieElement,
     _structure,
     bracket,
+    generator_rows,
     killing_adjoint,
     killing_adjoint_in_basis,
     killing_metric_twisted,
@@ -214,6 +217,38 @@ def test_killing_equals_n_minus_2_trace(n, data):
     y = data.draw(lie_elements(n))
     want = qs(n - 2) * trace(x.matrix @ y.matrix)
     assert killing_adjoint(x, y) == want
+
+
+@functools.cache
+def so_table(n):
+    """The Killing table of so(n) over its generator rows, through a Solver."""
+    return killing_table_in_basis([generator_rows(n, *p) for p in so_pairs(n)])
+
+
+def integer_elements(n):
+    pairs = so_pairs(n)
+    return st.builds(lambda cs: LieElement(n, dict(zip(pairs, cs))),
+                     st.lists(st.integers(-3, 3), min_size=len(pairs), max_size=len(pairs)))
+
+
+@given(st.integers(min_value=2, max_value=6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_so_killing_is_an_int_without_a_solver(n, data):
+    """On integer elements, killing_adjoint is the int contraction of the
+    Solver-built table, and it never calls a Solver."""
+    x, y = data.draw(integer_elements(n)), data.draw(integer_elements(n))
+    table, index = so_table(n), {p: k for k, p in enumerate(so_pairs(n))}
+    want = sum((u * v * table[index[p]][index[q]] for p, u in x.coeffs.items()
+                for q, v in y.coeffs.items()), 0)
+
+    def no_solver(*args):
+        raise AssertionError("killing_adjoint built a Solver")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liealg, "Solver", no_solver)
+        got = killing_adjoint(x, y)
+    assert type(got) is int
+    assert got == want
 
 
 def test_so13_twisted_killing_identity():

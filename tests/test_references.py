@@ -10,7 +10,9 @@ a perfbench span string such as "LieElement.bracket".  An attribute read
 off a module imported from outside jetgauge (`np.zeros`, `math.isfinite`)
 is no use of a jetgauge name.  Dunder methods are exempt: Python calls
 them.  A name that fails here is used nowhere and can go.
-A name that only tests/ reaches belongs in the test that needs it.
+A name that only tests/ reaches belongs in the test that needs it.  The
+names that only a perfbench span string keeps alive are pinned, so that no
+new one slips in.
 """
 
 import ast
@@ -86,10 +88,13 @@ def searched_trees(searched):
     return [(top, tree) for top in searched for _, tree in syntax_trees(top)]
 
 
-def unused_definitions(trees, modules=None):
+def unused_definitions(trees, modules=None, with_spans=True):
     """The definitions of modules (default: src/jetgauge) that the (top,
-    tree) pairs do not reach."""
+    tree) pairs do not reach; without with_spans, perfbench span strings
+    reach nothing."""
     names, attributes, spans = references(trees)
+    if not with_spans:
+        spans = set()
     unused = []
     for module, name, is_method in definitions(modules or syntax_trees("src/jetgauge")):
         short = name.rpartition(".")[2]
@@ -116,6 +121,25 @@ def test_no_definition_is_reached_only_by_tests():
     program = tuple(top for top in SEARCHED if top != "tests")
     test_only = set(unused_definitions(searched_trees(program))) - DOCUMENTED
     assert not test_only, f"referenced only by tests: {sorted(test_only)}"
+
+
+# definitions that src/, scripts/ and perfbench/ reach only through a
+# perfbench span string: they stay in src/ for the benchmark alone
+SPAN_ONLY = {
+    "exactnum.py: ExactMatrix.det",
+    "exactnum.py: rank_exact",
+    "exactnum.py: solve_exact",
+    "liealg.py: killing_adjoint_in_basis",
+    "liealg.py: so_generator",
+    "octonion.py: ad_matrix",
+}
+
+
+def test_the_definitions_only_perfbench_spans_keep_are_pinned():
+    program = searched_trees(tuple(top for top in SEARCHED if top != "tests"))
+    span_only = (set(unused_definitions(program, with_spans=False))
+                 - set(unused_definitions(program)))
+    assert span_only == SPAN_ONLY
 
 
 def test_a_method_read_only_off_a_foreign_module_is_unused():

@@ -2,11 +2,11 @@
 
 For each row of "so(4) structure", "Killing forms", "Proca trace table",
 "totally isotropic subspaces", "electroweak breaking" and "octonion
-algebra and su(3) reduction", one targeted perturbation of the row's *computed* side (a sign, an entry,
-a reverted transcription correction, a degenerate input to the kernel)
-must turn the row from pass to fail.  A row that compares a value with
-itself would stay at pass.  Perturbations live here only; the program is
-unchanged.
+algebra and su(3) reduction", one targeted perturbation of the row's
+*computed* side (a sign, an entry, a dropped bracket term, a reverted
+transcription correction, a degenerate input to the kernel) must turn the
+row from pass to fail.  A row that compares a value with itself would
+stay at pass.  Perturbations live here only; the program is unchanged.
 """
 
 import pytest
@@ -41,15 +41,22 @@ def drop_ba(mp):
     mp.setattr(verify, "bracket", product)
 
 
-def so_killing_entry(mp):
-    original = liealg._so_killing_table
+def bracket_without_last_delta(mp):
+    """[X_ab, X_cd] without its -d_bd X_ac term."""
+    original = liealg.so_bracket_closed_form
 
-    def table(n):
-        t = [list(row) for row in original(n)]
-        t[0][0] = -t[0][0]
-        return t
+    def closed_form(n, ab, cd):
+        out = original(n, ab, cd)
+        (a, b), (c, d) = ab, cd
+        if b != d or a == c:
+            return out
+        # adding X_ac back cancels the term
+        coeffs = dict(out.coeffs)
+        key, sign = ((a, c), 1) if a < c else ((c, a), -1)
+        coeffs[key] = coeffs.get(key, 0) + sign
+        return LieElement(n, coeffs)
 
-    mp.setattr(liealg, "_so_killing_table", table)
+    mp.setattr(liealg, "so_bracket_closed_form", closed_form)
 
 
 def so13_without_eta(mp):
@@ -265,7 +272,7 @@ FLIPS = {
     ("so4", "[X_i,X_j] = eps_ijk X_k"): drop_ba,
     ("so4", "[Y_i,Y_j] = eps_ijk Y_k"): drop_ba,
     ("so4", "[X_i, Y_j] = 0"): drop_ba,
-    ("killing", "so(4): tr(ad ad) == 2 tr(XY), 36 pairs"): so_killing_entry,
+    ("killing", "so(4): tr(ad ad) == 2 tr(XY), 36 pairs"): bracket_without_last_delta,
     ("killing", "so(1,3): tr(ad ad) == 2 tr(eta X eta Y), 36 pairs"): so13_without_eta,
     ("proca_table", "28x28 table matches the quoted display entry-for-entry"): proca_entry,
     ("proca_table", "tr(h X_ij X_ij) == -(h_ii + h_jj), 378 pairs"): proca_entry,
