@@ -29,14 +29,8 @@ def mass_matrix(g_prime, g) -> ExactMatrix:
     gp = QuadScalar.coerce(g_prime)
     gg = QuadScalar.coerce(g)
     half = qs(1) / qs(2)
-    m = ExactMatrix(
-        [
-            [gp * gp, gg * gp, 0, 0],
-            [gg * gp, gg * gg, 0, 0],
-            [0, 0, gg * gg, 0],
-            [0, 0, 0, gg * gg],
-        ]
-    )
+    m = ExactMatrix([[gp * gp, gg * gp, 0, 0], [gg * gp, gg * gg, 0, 0],
+                     [0, 0, gg * gg, 0], [0, 0, 0, gg * gg]])
     return m.scale(half)
 
 
@@ -60,14 +54,7 @@ def mixing_rotation(cos: QuadScalar, sin: QuadScalar) -> ExactMatrix:
     diagonalizes the mass matrix at tan(theta) = g'/g."""
     if cos * cos + sin * sin != qs(1):
         raise ValueError("cos^2 + sin^2 must equal 1 exactly")
-    return ExactMatrix(
-        [
-            [cos, -sin, 0, 0],
-            [sin, cos, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-        ]
-    )
+    return ExactMatrix([[cos, -sin, 0, 0], [sin, cos, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def apply_mixing(cos, sin, m: ExactMatrix) -> ExactMatrix:

@@ -296,7 +296,7 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], o
             signed = -signed
         signed = signed * m[r][c]
         inv = 1 / m[r][c]
-        prow = m[r] = [x * inv for x in m[r]]
+        prow = m[r] = [x * inv if x else x for x in m[r]]
         for i in range(nrows):
             f = m[i][c]
             if f and i != r:

@@ -3,35 +3,28 @@
 Generators are indexed by pairs 1 <= i < j <= n with
 (X_ij)_{kl} = delta_ik delta_jl - delta_il delta_jk.  Matrices are square
 rows of ints or Fractions (an ExactMatrix iterates its rows, so it is
-accepted too): generator_rows, so4_bases, minkowski_eta and so13_basis are
-integer rows, with Fraction halves in the so(4) split X_i, Y_i.  bracket,
-the structure constants and the Killing forms run on them over Z or Q.
-LieElement keeps each coefficient in its own exact type: an int, a
-Fraction, or a QuadScalar r*sqrt(m) only where a radical is (the 1/sqrt2
-of the (2,3) isotropic basis).  Its brackets and trace forms work on the
-coefficients and sum from int 0, so integral data stays integral; the
-realized ExactMatrix is built only on demand, as the test suite's
-independent oracle.
+accepted too).  LieElement keeps each coefficient in its own exact type:
+an int, a Fraction, or a QuadScalar r*sqrt(m) only where a radical is (the
+1/sqrt2 of the (2,3) isotropic basis).  Its brackets and trace forms work
+on the coefficients and sum from int 0, so integral data stays integral;
+the realized ExactMatrix is built only on demand, as a test oracle.
 
-Two Killing-form flavours are exposed.  killing_adjoint is the plain
-brute-force trace of ad_X ad_Y over the generator basis of so(n): it sums
-the X_p coefficient of [X, [Y, X_p]] over the generators X_p, with every
-bracket from the closed form, so integer elements give an int; for so(n)
-it equals (n-2) tr(XY).  killing_metric_twisted inserts the
-Minkowskian metric eta = diag(-1,1,1,1) into both index contractions,
-2 tr(eta X eta Y); on antisymmetric representatives of so(1,3) elements
-this reproduces the adjoint-trace Killing form of so(1,3), flipping the
-boost directions to positive norm.  (Inserting a single eta does not:
-boost pairs then come out 0 instead of +-4.)  The Killing forms over an
-explicit matrix basis, so(1,3) and su(3), share one kernel: the sparse
-row bracket, the structure constants of a closed basis (_structure,
-through an exactnum Solver over Q), and the forms read off them.
+killing_adjoint is the brute-force trace of ad_X ad_Y over the so(n)
+generators, every bracket from the closed form, so integer elements give
+an int; it equals (n-2) tr(XY).  killing_metric_twisted, 2 tr(eta X eta Y)
+with eta = diag(-1,1,1,1) in both contractions, is the adjoint-trace
+Killing form of so(1,3) on antisymmetric representatives (a single eta is
+not: boost pairs come out 0 instead of +-4).  Over an explicit basis,
+so(1,3) and su(3) share one kernel, _structure: it solves against the
+n x n Frobenius Gram <X_a, X_b> = sum_ij (X_a)_ij (X_b)_ij, keeps the
+Gram's inverse in integers over one denominator, and checks every bracket
+by an exact residual.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactnum import ExactMatrix, RationalLike, Solver
 
@@ -121,9 +114,7 @@ class LieElement:
         return f"LieElement(so({self.n}), {body})"
 
 
-def so_bracket_closed_form(
-    n: int, ab: tuple[int, int], cd: tuple[int, int]
-) -> LieElement:
+def so_bracket_closed_form(n: int, ab: tuple[int, int], cd: tuple[int, int]) -> LieElement:
     """[X_ab, X_cd] = d_bc X_ad - d_ac X_bd + d_ad X_bc - d_bd X_ac.
 
     Must agree with the commutator of the realized matrices; the test
@@ -215,24 +206,54 @@ def bracket(a: Rows, b: Rows) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _coords(solver: Solver, m: Rows) -> list:
-    sol = solver.solve([x for row in m for x in row])
-    if sol is None:
-        raise ValueError("element does not lie in the span of the basis")
-    return sol
+def _entries(m: Rows) -> dict:
+    """The nonzero entries of a matrix, by row-major index."""
+    return {k: x for k, x in enumerate(x for row in m for x in row) if x}
 
 
-def _structure(basis: Sequence[Rows]) -> tuple[Solver, list[list[list]]]:
-    """The basis' Solver and c[a][b][k] with [X_a, X_b] = sum_k c[a][b][k] X_k.
-
-    The basis is eliminated once; a bracket outside its span raises ValueError."""
-    solver = Solver([[x for row in b for x in row] for b in basis])
-    return solver, [[_coords(solver, bracket(a, b)) for b in basis] for a in basis]
+def frobenius_gram(mats: Sequence[Rows]) -> list[list]:
+    """<X_a, X_b> = sum_ij (X_a)_ij (X_b)_ij, over the entries both have."""
+    flat = [_entries(m) for m in mats]
+    return [[sum((a[k] * b[k] for k in a.keys() & b.keys()), 0) for b in flat] for a in flat]
 
 
-def _ad_trace(ax, ay, zero):
+def _structure(basis: Sequence[Rows]) -> tuple[Callable[[Rows], list], list[list[list]], Fraction]:
+    """(coords, c, s): Z = s sum_k coords(Z)_k X_k and [X_a, X_b] = s sum_k c[a][b][k] X_k.
+
+    Coordinates solve against the Frobenius Gram, positive definite exactly
+    when the basis is independent (else ValueError), through its inverse in
+    integers over one denominator 1/s.  The exact residual
+    Z - s sum_k coords(Z)_k X_k = 0 rejects a Z or a bracket outside the
+    span with ValueError.  c[b][a] = -c[a][b], and c[a][a] = 0."""
+    solver, n = Solver(frobenius_gram(basis)), len(basis)
+    if len(solver.pivots) < n:
+        raise ValueError("the basis is linearly dependent")
+    den = solver.scale.denominator
+    inverse = [[(k, t) for k, t in enumerate(row) if t] for row in solver.transform]
+    flat = [list(_entries(b).items()) for b in basis]
+
+    def coords(z: Rows) -> list:
+        entries = [x for row in z for x in row]
+        pairings = [sum([v * entries[k] for k, v in xa], 0) for xa in flat]
+        c = [sum([t * pairings[k] for k, t in row], 0) for row in inverse]
+        residual = [den * x for x in entries]
+        for ck, xa in zip(c, flat):
+            for k, v in xa if ck else ():
+                residual[k] -= ck * v
+        if any(residual):
+            raise ValueError("element does not lie in the span of the basis")
+        return c
+
+    upper = {(a, b): coords(bracket(basis[a], basis[b]))
+             for a in range(n) for b in range(a + 1, n)}
+    c = [[upper[a, b] if a < b else [-x for x in upper[b, a]] if a > b else [0] * n
+          for b in range(n)] for a in range(n)]
+    return coords, c, solver.scale
+
+
+def _ad_trace(ax, ay):
     return sum((v * ay[j][i] for i, row in enumerate(ax) for j, v in enumerate(row)
-                if v and ay[j][i]), zero)
+                if v and ay[j][i]), 0)
 
 
 def killing_adjoint_in_basis(basis: Sequence[Rows], x: Rows, y: Rows) -> RationalLike:
@@ -241,20 +262,20 @@ def killing_adjoint_in_basis(basis: Sequence[Rows], x: Rows, y: Rows) -> Rationa
     x and y must lie in span(basis) and all brackets must stay inside the
     span; an element or a bracket outside the span raises ValueError.
     """
-    solver, c = _structure(basis)
-    xs, ys = _coords(solver, x), _coords(solver, y)
-    return sum((u * v * _ad_trace(ca, cb, solver.zero) for u, ca in zip(xs, c) if u
-                for v, cb in zip(ys, c) if v), solver.zero)
+    coords, c, scale = _structure(basis)
+    xs, ys = coords(x), coords(y)
+    return sum((u * v * _ad_trace(ca, cb) for u, ca in zip(xs, c) if u
+                for v, cb in zip(ys, c) if v), 0) * scale**4
 
 
 def killing_table_in_basis(basis: Sequence[Rows]) -> list[list]:
     """Full Killing table K_ab = tr(ad_a ad_b) over a closed matrix basis.
 
-    (ad_a)[k][i] = c[a][i][k], so K_ab = sum c[a][i][k] c[b][k][i] is _ad_trace
-    of c[a] and c[b]; sums start from the Fraction zero.
+    (ad_a)[k][i] = s c[a][i][k], so K_ab is s^2 times the _ad_trace of c[a]
+    and c[b]: a sum in ints for an integer basis, then one Fraction.
     """
-    solver, c = _structure(basis)
-    return [[_ad_trace(ca, cb, solver.zero) for cb in c] for ca in c]
+    _, c, scale = _structure(basis)
+    return [[_ad_trace(ca, cb) * scale**2 for cb in c] for ca in c]
 
 
 def killing_metric_twisted(x: Rows, y: Rows):

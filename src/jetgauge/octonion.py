@@ -14,14 +14,16 @@ random pairs:
 Everything else runs on integer structure constants, with no QuadScalar:
 `_CROSS`, the 7x7 table of (sign, k) with e_i x e_j = sign * e_k, is read
 once from `_TABLE`.  Coefficients and 7x7 rows are ints wherever they are
-integral (units, the g2 and ad bases), Fractions otherwise; `integral()`
-gives the integer positive multiple of a rational element, for checks
-whose verdict a positive scale keeps.  so7_decompose solves through one
-integer inverse over a common denominator.  Matrices are 7x7 rows.
-ad_matrix(a) is the matrix of v -> a x v in columns (the quoted display
-lists its transpose, a global sign for antisymmetric matrices).  The
-bracket, structure constants and Killing table of subalgebras are
-liealg's kernel, shared with so(1,3).
+integral, Fractions otherwise; `integral()` gives the positive integer
+multiple of a rational element, for checks whose verdict a positive scale
+keeps.  ad_matrix(a) is the matrix of v -> a x v in columns (the quoted
+display lists its transpose, a global sign for antisymmetric matrices).
+So7Split splits so(7) = g2 + ad by projection: the Frobenius Gram of the
+21 elements, computed in the same run, gives the rank and the licence
+<g2, ad_k> = 0, <ad_j, ad_k> = 6 delta_jk, under which the ad part of Z is
+(1/6) sum_k <Z, ad_k> ad_k, from integer pairings with no elimination.
+so7_decompose, the Solver split, is the tests' oracle for it.  Subalgebra
+structure constants and Killing tables are liealg's kernel.
 
 The fourteen g2 basis elements A_1..A_7, G_1..G_7 are read off the two
 quoted parameterized displays, with the b-coefficient signs of the G
@@ -37,8 +39,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Solver, _frac, nullspace_exact, rref
-from .liealg import Rows, bracket, killing_table_in_basis
+from .exactnum import Solver, _frac, nullspace_exact, rank_exact, rref
+from .liealg import Rows, _entries, bracket, frobenius_gram, killing_table_in_basis
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
 _TABLE = {
@@ -163,17 +165,15 @@ def cross(a: ImOctonion, b: ImOctonion) -> ImOctonion:
     """7d cross product; satisfies a x b = ab + <a, b> as octonions."""
     a1, a2, a3, a4, a5, a6, a7 = a.coeffs
     b1, b2, b3, b4, b5, b6, b7 = b.coeffs
-    return ImOctonion(
-        (
-            a2 * b3 - a3 * b2 - a5 * b4 + a4 * b5 + a7 * b6 - a6 * b7,
-            -a1 * b3 + a3 * b1 - a6 * b4 + a4 * b6 - a7 * b5 + a5 * b7,
-            a1 * b2 - a2 * b1 + a4 * b7 - a7 * b4 + a6 * b5 - a5 * b6,
-            -a1 * b5 + a5 * b1 - a2 * b6 + a6 * b2 - a3 * b7 + a7 * b3,
-            a1 * b4 - a4 * b1 - a2 * b7 + a7 * b2 + a3 * b6 - a6 * b3,
-            a1 * b7 - a7 * b1 + a2 * b4 - a4 * b2 - a3 * b5 + a5 * b3,
-            -a1 * b6 + a6 * b1 + a2 * b5 - a5 * b2 + a3 * b4 - a4 * b3,
-        )
-    )
+    return ImOctonion((
+        a2 * b3 - a3 * b2 - a5 * b4 + a4 * b5 + a7 * b6 - a6 * b7,
+        -a1 * b3 + a3 * b1 - a6 * b4 + a4 * b6 - a7 * b5 + a5 * b7,
+        a1 * b2 - a2 * b1 + a4 * b7 - a7 * b4 + a6 * b5 - a5 * b6,
+        -a1 * b5 + a5 * b1 - a2 * b6 + a6 * b2 - a3 * b7 + a7 * b3,
+        a1 * b4 - a4 * b1 - a2 * b7 + a7 * b2 + a3 * b6 - a6 * b3,
+        a1 * b7 - a7 * b1 + a2 * b4 - a4 * b2 - a3 * b5 + a5 * b3,
+        -a1 * b6 + a6 * b1 + a2 * b5 - a5 * b2 + a3 * b4 - a4 * b3,
+    ))
 
 
 # e_i x e_j = sign * e_k over 0-based i, j, k, read off _TABLE; sign 0 when i == j.
@@ -195,10 +195,8 @@ def _is_antisymmetric(m: Rows) -> bool:
 def _combination(coeffs: Sequence, mats: Sequence[Rows]) -> tuple[tuple, ...]:
     """sum_k coeffs[k] * mats[k]."""
     terms = [(c, m) for c, m in zip(coeffs, mats) if c]
-    return tuple(
-        tuple(sum(c * m[i][j] for c, m in terms if m[i][j]) for j in range(7))
-        for i in range(7)
-    )
+    return tuple(tuple(sum(c * m[i][j] for c, m in terms if m[i][j]) for j in range(7))
+                 for i in range(7))
 
 
 def apply_im(m, v: ImOctonion) -> ImOctonion:
@@ -313,6 +311,33 @@ def so7_decompose(m) -> tuple[G2Element, ImOctonion]:
     return G2Element(tuple(sol[:14])), ImOctonion(tuple(sol[14:]))
 
 
+class So7Split:
+    """so(7) = g2 + ad, read off the Frobenius Gram of the stacked elements:
+    rank is its rank, and the split is licensed when that is 21, <X, ad_k> = 0
+    for X in g2 and <ad_j, ad_k> = 6 delta_jk.  The ad part of Z in so(7) is
+    then (1/6) sum_k <Z, ad_k> ad_k."""
+
+    def __init__(self, g2: Sequence[Rows], ads: Sequence[Rows]):
+        gram = frobenius_gram(list(g2) + list(ads))
+        self.rank, n = rank_exact(gram), len(g2)
+        self.licensed = self.rank == 21 and all(
+            gram[n + k][j] == 6 * (j == n + k) for k in range(len(ads)) for j in range(len(gram)))
+        self._ads = [list(_entries(ad).items()) for ad in ads]
+
+    def ad_pairings(self, z: Rows) -> list:
+        """<z, ad_k> for each ad_k, over its nonzero entries (six for e_k)."""
+        flat = [x for row in z for x in row]
+        return [sum([v * flat[q] for q, v in ad]) for ad in self._ads]
+
+    def has_g2_part(self, z: Rows) -> bool:
+        """6z != sum_k <z, ad_k> ad_k: z differs from its ad projection."""
+        six_g2 = [6 * x for row in z for x in row]
+        for p, ad in zip(self.ad_pairings(z), self._ads):
+            for q, v in ad if p else ():
+                six_g2[q] -= p * v
+        return any(six_g2)
+
+
 def stabilizer_su3(z: ImOctonion) -> list[G2Element]:
     """Exact basis of the annihilator {X in g2 : X z = 0}; dimension 8.
 
@@ -347,8 +372,9 @@ def is_negative_definite(sym: Sequence[Sequence[Fraction]]) -> bool:
 def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> int:
     """dim of the centralizer of a (generically regular) element; equals the
     rank of the subalgebra for a regular probe."""
-    if probe is None:
-        probe = [Fraction(k * k + 1, k + 1) for k in range(len(elements))]
+    if probe is None:  # (k^2 + 1)/(k + 1) times lcm(1..n): a positive scale, in ints
+        den = math.lcm(*range(1, len(elements) + 1))
+        probe = [(k * k + 1) * (den // (k + 1)) for k in range(len(elements))]
     mats = [e.matrix() for e in elements]
     x = _combination(probe, mats)
     images = [_upper_tri(bracket(x, m)) for m in mats]
@@ -381,9 +407,3 @@ def jacobi_consistency(x, y: ImOctonion, z: ImOctonion) -> ConsistencyReport:
     chain = lhs == cross(xy, z)
     residual = cross(y, xz)
     return ConsistencyReport(chain, residual, xz.is_zero())
-
-
-def so7_span_rank() -> int:
-    """Rank of the 21 stacked matrices (g2 basis plus the 7 ad generators),
-    read off the pivots of the so(7) solver's one elimination."""
-    return len(_so7_solver().pivots)

@@ -5,7 +5,8 @@ The program computes its structural claims on integer rows; these build
 and inspect ExactMatrix oracles for the tests that check it.
 """
 
-from jetgauge.exactnum import ExactMatrix, qs
+from jetgauge.exactnum import ExactMatrix, Solver, qs
+from jetgauge.liealg import bracket
 
 
 def zeros(n: int) -> ExactMatrix:
@@ -59,3 +60,19 @@ def squarefree_split(n: int) -> tuple[int, int]:
             f *= p
         p += 1
     return s, f * n
+
+
+def solver_structure(basis) -> list[list[list]]:
+    """c[a][b][k] with [X_a, X_b] = sum_k c[a][b][k] X_k, as Fractions, through
+    one Solver over the basis' n^2 matrix entries (an [A | I] elimination of
+    n^2 rows); a bracket outside the span raises ValueError.  The oracle for
+    liealg's Frobenius-Gram kernel."""
+    solver = Solver([[x for row in b for x in row] for b in basis])
+
+    def coords(m):
+        sol = solver.solve([x for row in m for x in row])
+        if sol is None:
+            raise ValueError("element does not lie in the span of the basis")
+        return sol
+
+    return [[coords(bracket(a, b)) for b in basis] for a in basis]

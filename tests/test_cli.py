@@ -581,6 +581,16 @@ def test_su3_fix_count_is_checked_before_any_literal_is_parsed(capsys, fix):
     assert "expected a unit like e4 or 7 comma-separated rationals" in line and len(line) < 200
 
 
+def test_su3_fix_with_a_negative_first_coefficient_needs_the_equals_form(capsys):
+    # argparse reads "-1,..." after a space as an option: the README documents --fix=-1,...
+    assert main(["su3", "--fix", "-1,0,0,0,0,0,0"]) == 2
+    assert "argument --fix: expected one argument" in capsys.readouterr().err
+    assert main(["su3", "--fix=-1,0,0,0,0,0,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fixed_element"] == ["-1", "0", "0", "0", "0", "0", "0"]
+    assert payload["dimension"] == 8
+
+
 def test_su3_fix_at_the_literal_cap_is_accepted(capsys):
     big = "9" * 97 + "e99"  # 100 characters
     assert len(big) == 100

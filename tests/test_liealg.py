@@ -320,14 +320,18 @@ def test_structure_constants_expand_every_commutator(name):
     make, field = KERNEL_BASES[name]
     basis = make()
     mats = [ExactMatrix(m) for m in basis]
-    c = _structure(basis)[1]
+    _, c, scale = _structure(basis)
     for a, xa in enumerate(mats):
         for b, xb in enumerate(mats):
             total = zeros(xa.n)
             for k, xk in enumerate(mats):
-                total = add(total, xk.scale(c[a][b][k]))
+                total = add(total, xk.scale(scale * c[a][b][k]))
             assert total == commutator(xa, xb), (a, b)
-    assert all(type(v) is field for plane in c for row in plane for v in row)
+    # an integer basis has integer constants over the Fraction scale
+    integral = all(type(x) is int for m in basis for row in m for x in row)
+    assert type(scale) is F
+    assert all(type(v) is (int if integral else field)
+               for a, plane in enumerate(c) for b, row in enumerate(plane) if a != b for v in row)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_BASES))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +13,14 @@ from jetgauge.exactnum import (
     rank_exact,
     solve_exact,
 )
-from jetgauge.liealg import _structure, bracket
+from jetgauge import verify
+from jetgauge.liealg import _structure, bracket, killing_table_in_basis, so13_basis
 from jetgauge.octonion import (
     ConsistencyReport,
     G2Element,
     ImOctonion,
     Octonion,
+    So7Split,
     ad_basis,
     ad_matrix,
     apply_im,
@@ -31,12 +34,11 @@ from jetgauge.octonion import (
     killing_form_table,
     oct_mul,
     so7_decompose,
-    so7_span_rank,
     stabilizer_su3,
     unit_product,
 )
 
-from exact_oracles import add, commutator, identity, rational_rows, scaled, zeros
+from exact_oracles import add, commutator, identity, rational_rows, scaled, solver_structure, zeros
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 im_octs = st.builds(lambda cs: ImOctonion(tuple(cs)),
@@ -167,6 +169,22 @@ def test_integral_is_a_positive_integer_multiple():
     assert ImOctonion.make().integral().is_zero()
 
 
+def fraction_draw(rng):
+    """The random element verify-all drew before its integer draws: seven
+    Fractions n/d, each from rng.randint(-6, 6) then rng.randint(1, 6)."""
+    return ImOctonion(tuple(F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(7)))
+
+
+def test_integer_draws_equal_the_scaled_fraction_draws():
+    for seed in range(51):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            v = verify._random_integral_im(fast)
+            assert v == fraction_draw(slow).integral()
+            assert all(type(c) is int for c in v.coeffs)
+        assert fast.getstate() == slow.getstate()
+
+
 def test_cross_identity_all_basis_pairs():
     for i in range(1, 8):
         for j in range(1, 8):
@@ -261,7 +279,52 @@ def test_is_derivation_rejects_bad_input():
 
 
 def test_span_rank():
-    assert so7_span_rank() == 21
+    split = So7Split(g2_basis(), ad_basis())
+    assert split.rank == 21 and split.licensed
+
+
+def test_split_rank_is_the_stack_rank_without_the_licence():
+    stack = g2_basis()
+    stack[0] = stack[7]  # G_1 twice, A_1 gone
+    split = So7Split(stack, ad_basis())
+    assert split.rank == 20 and not split.licensed
+    ads = ad_basis()
+    ads[0] = plus(ads[0], g2_basis()[0])  # ad_1 + A_1: not orthogonal to g2
+    split = So7Split(g2_basis(), ads)
+    assert split.rank == 21 and not split.licensed
+
+
+def plus(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, t)) for r, t in zip(a, b))
+
+
+g2_ad_coeffs = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=14, max_size=14) | st.just([0] * 14),
+    st.lists(st.integers(-3, 3), min_size=7, max_size=7) | st.just([0] * 7))
+
+
+@given(g2_ad_coeffs)
+@settings(max_examples=80, deadline=None)
+def test_projection_verdicts_match_so7_decompose(coeffs):
+    """On integer so(7) elements, g2 part, ad part or both: the projection's
+    verdicts are so7_decompose's, and the pairings are 6 times its ad part."""
+    g2c, adc = coeffs
+    m = [[sum(c * b[i][j] for c, b in zip(g2c + adc, g2_basis() + ad_basis())) for j in range(7)]
+         for i in range(7)]
+    split = So7Split(g2_basis(), ad_basis())
+    g2p, adp = so7_decompose(m)
+    assert split.has_g2_part(m) == any(g2p.coeffs) == any(g2c)
+    assert any(split.ad_pairings(m)) == (not adp.is_zero()) == any(adc)
+    assert split.ad_pairings(m) == [6 * c for c in adp.coeffs]
+
+
+def test_projection_matches_so7_decompose_on_all_brackets():
+    split = So7Split(g2_basis(), ad_basis())
+    for a, b in itertools.combinations(g2_basis() + ad_basis(), 2):  # 210 brackets
+        m = bracket(a, b)
+        g2p, adp = so7_decompose(m)
+        assert split.has_g2_part(m) == any(g2p.coeffs)
+        assert split.ad_pairings(m) == [6 * c for c in adp.coeffs]
 
 
 def test_so7_decompose_examples():
@@ -427,6 +490,35 @@ def test_subalgebra_structure_rejects_open_sets():
         _structure([el.matrix() for el in bad])
     with pytest.raises(ValueError):
         killing_form_table(bad)
+    dependent = stabilizer_su3(e(4)) + [stabilizer_su3(e(4))[0]]
+    with pytest.raises(ValueError, match="dependent"):
+        _structure([el.matrix() for el in dependent])
+    with pytest.raises(ValueError, match="dependent"):
+        killing_form_table(dependent)
+
+
+ORACLE_BASES = {
+    **{f"su3_e{k}": [el.matrix() for el in stabilizer_su3(e(k))] for k in range(1, 8)},
+    "su3_1,0,0,1,0,0,1/2": [el.matrix() for el in
+                            stabilizer_su3(ImOctonion.make(1, 0, 0, 1, 0, 0, F(1, 2)))],
+    "so13": so13_basis(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+def test_gram_kernel_matches_the_solver_oracle(name):
+    """The Frobenius-Gram structure constants, times their scale, are the
+    [A | I] Solver's, and so are the Killing tables built on them."""
+    basis = ORACLE_BASES[name]
+    coords, c, scale = _structure(basis)
+    oracle = solver_structure(basis)
+    assert [[[scale * x for x in row] for row in plane] for plane in c] == oracle
+    # K_ab = tr(ad_a ad_b) with (ad_a)[k][i] = c[a][i][k]
+    n = len(basis)
+    assert killing_table_in_basis(basis) == [
+        [sum((ca[i][k] * cb[k][i] for i in range(n) for k in range(n)), F(0)) for cb in oracle]
+        for ca in oracle]
+    assert [scale * x for x in coords(basis[0])] == [int(k == 0) for k in range(len(basis))]
 
 
 # -- bracket-action consistency --------------------------------------------------
