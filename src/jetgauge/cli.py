@@ -95,7 +95,7 @@ def cmd_census(args) -> int:
                 "reference": list(ref) if ref else None,
             }
         )
-    flags = proca.flagged_inconsistencies()[:1]
+    flags = proca.flagged_inconsistencies()
     if args.format == "json":
         _emit(dump_json({"censuses": rows, "flags": flags}), args)
     else:

@@ -4,7 +4,7 @@ non-abelian field strength and the Bianchi residual.
 The scripts and tests use these; the CLI does not import this module, so no
 CLI request imports numpy.  Derivatives use dynamics._stencil, the one
 4th-order central difference, so dynamics.field_strength_em(MetricField(...), x)
-is the same stencil a grid field takes along its node indices.
+at a coordinate x is the stencil field_strength_em(grid, idx) takes at a node idx.
 
 The non-abelian field strength is F_{mu nu} = d_mu A_nu - d_nu A_mu +
 [A_mu, A_nu]; the commutator term vanishes identically for commuting

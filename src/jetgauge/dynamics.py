@@ -15,15 +15,16 @@ which also flips the sign of its zeros.
 Every first derivative is _stencil(sample, h), the one 4th-order central
 difference: it adds w sample(off) over _STENCIL4 in offset order -2, -1, 1,
 2, starting from 0.0, and divides by 12 h.  A grid-sampled metric gives F at
-the nodes by it (GridMetricField.jacobian steps node indices) and between
-them by multilinear interpolation over the 16 corners of the enclosing
-cell.  grid_field_strength_evaluator fills two lazy caches: per node, the
-six independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3,
-computed through the module-level field_strength_em when a node is first
-needed, and per cell those six at its 16 corners, so a query inside a known
-cell is one dict lookup and one pass over the corners.  Only cells and
-nodes a trajectory visits are computed; a whole-grid precompute would cost
-more memory than the grid itself.
+the nodes by it and between them by multilinear interpolation over the 16
+corners of the enclosing cell.  A query is put in grid units once; from there
+a node is its index tuple, which GridMetricField.jacobian range-checks and
+steps.  grid_field_strength_evaluator fills two lazy caches: per node, the
+six independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3, computed
+through the module-level field_strength_em when a node is first needed, and
+per cell those six at its 16 corners, so a query inside a known cell is one
+dict lookup and one pass over the corners.  Only cells and nodes a trajectory
+visits are computed; a whole-grid precompute would cost more memory than the
+grid itself.
 
 The interpolation order is pinned: weights are the products ((w0 w1) w2) w3
 over the corners in itertools.product order, and each of the six components
@@ -218,31 +219,22 @@ class GridMetricField:
             raise ValueError(f"spacing must be one number, got an array of shape {spacing_shape}")
         return cls(g, shape, origin, spacing[0], fortran)
 
-    def _index(self, x) -> tuple[int, ...]:
-        rel = [(xi - oi) / self.spacing for xi, oi in zip(x, self.origin)]
-        idx = tuple(map(round, rel))
-        if max(abs(r - i) for r, i in zip(rel, idx)) > 1e-9:
-            raise ValueError("grid fields can only be queried at grid nodes")
-        return idx
-
-    def jacobian(self, x) -> list[list[float]]:
-        """J[mu][nu] = d_mu g_nu at the node x, the stencil stepping node indices."""
-        idx = self._index(x)
+    def jacobian(self, idx) -> list[list[float]]:
+        """J[mu][nu] = d_mu g_nu at the node idx, an index tuple, by the stencil on
+        indices; a query coordinate is converted once, by the evaluator."""
         nodes = self.shape[1:]
         if any(i < 2 or i >= s - 2 for i, s in zip(idx, nodes)):
-            raise GridBoundaryError(
-                f"4th-order stencil at node {idx} leaves grid of shape {nodes}"
-            )
+            raise GridBoundaryError(f"stencil at node {idx} leaves grid of shape {nodes}")
         vals, (comp, *steps) = self.values, self.strides
         at = sum(map(operator.mul, idx, steps))
         return [[_stencil(lambda off: vals[at + nu * comp + off * step], self.spacing)
                  for nu in range(4)] for step in steps]
 
 
-def field_strength_em(g, x) -> tuple:
-    """F^mu_nu = eta^{mu d}(d_d g_nu - d_nu g_d) at x, from g.jacobian(x), the
-    rows J[mu][nu] = d_mu g_nu."""
-    jac = g.jacobian(x)
+def field_strength_em(g, p) -> tuple:
+    """F^mu_nu = eta^{mu d}(d_d g_nu - d_nu g_d) at p from g.jacobian(p), rows
+    J[mu][nu] = d_mu g_nu; p is a coordinate, or a grid's node index tuple."""
+    jac = g.jacobian(p)
     return _raise_first_index([[jac[mu][nu] - jac[nu][mu] for nu in range(4)] for mu in range(4)])
 
 
@@ -274,17 +266,13 @@ def grid_field_strength_evaluator(grid: GridMetricField):
     Caches and summation order are described in the module docstring."""
     nodes: dict[tuple[int, ...], tuple] = {}
     cells: dict[tuple[int, ...], list] = {}
-    shape, origin, spacing = grid.shape[1:], grid.origin, grid.spacing
+    origin, spacing = grid.origin, grid.spacing
 
     def components(base, corner) -> tuple:
         idx = tuple(map(operator.add, base, corner))
         comps = nodes.get(idx)
         if comps is None:
-            if any(i < 2 or i >= s - 2 for i, s in zip(idx, shape)):
-                raise GridBoundaryError(
-                    f"stencil at node {idx} leaves grid of shape {shape}"
-                )
-            f = field_strength_em(grid, tuple(o + spacing * i for o, i in zip(origin, idx)))
+            f = field_strength_em(grid, idx)
             if not all(math.isfinite(v) for row in f for v in row):
                 raise ValueError(f"field strength at grid node {idx} is not finite")
             comps = nodes[idx] = tuple(f[a][b] for a, b in _UPPER)

@@ -724,6 +724,28 @@ def test_simulate_grid_rounded_json_bytes_pinned(tmp_path, capsys, law):
     assert hashlib.sha256(data).hexdigest() == GRID_ROUNDED_JSON_SHA256[law]
 
 
+def test_simulate_grid_with_a_far_origin(tmp_path, capsys):
+    """Nodes are addressed by index, so a grid 3e7 spacings from the origin
+    runs as it does at the origin; a coordinate round trip from node index
+    to x and back missed its nodes by more than 1e-9 there."""
+    n, h = 8, 0.01
+    a = h * np.indices((n,) * 4)[1]
+    g = np.stack([0.4 * a, 0.0 * a, 0.3 * a * a, 0.0 * a])
+    runs = []
+    for origin in ([0.0] * 4, [3e5, 0.0, 0.0, 0.0]):
+        np.savez(tmp_path / "grid.npz", g=g, origin=np.array(origin), spacing=h)
+        x0 = (np.array(origin) + h * 3.5).tolist()
+        particle = {"x0": x0, "u0": [1.0, 0.2, 0.0, 0.0], "m": 1.0, "q": 1.0}
+        field = {"kind": "grid", "params": {"npz": str(tmp_path / "grid.npz")}}
+        assert main(["simulate", "--config", _simulate_config(tmp_path, field, particle,
+                                                              1e-4, 10)]) == 0
+        runs.append(np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1))
+    assert runs[0].shape == runs[1].shape == (11, 9)
+    # the same field acts on the velocity; it changes, so the grid was read
+    assert np.allclose(runs[0][:, 5:], runs[1][:, 5:], rtol=0, atol=1e-9)
+    assert not np.array_equal(runs[0][-1, 5:], runs[0][0, 5:])
+
+
 @pytest.mark.parametrize("law", ["lorentz", "wong"])
 def test_simulate_zero_steps_never_evaluates_the_field(tmp_path, capsys, law):
     """x0 on the grid's corner node, where the stencil leaves the grid: with
