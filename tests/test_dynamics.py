@@ -321,6 +321,25 @@ def test_grid_evaluator_computes_each_node_once(monkeypatch):
     assert len(calls) == 16 and len(set(calls)) == 16
     f_eval(grid.origin + grid.spacing * np.array([3.5, 3.5, 2.5, 3.5]))  # next cell along x0
     assert len(calls) == 24
+    # a fresh cell first met on a node layer: only its 8 corners of nonzero
+    # weight are computed, and interior queries later add the other 8
+    calls.clear()
+    grid = random_grid(5, True)  # dyadic, so the query lands on the layer exactly
+    f_eval = grid_field_strength_evaluator(grid)
+    f_eval(tuple(grid.origin + grid.spacing * np.array([3.0, 2.5, 3.25, 2.75])))
+    assert len(calls) == 8 and {c[0] for c in calls} == {3}
+    for _ in range(20):
+        f_eval(tuple(grid.origin + grid.spacing * (np.array([3, 2, 3, 2]) + rng.uniform(0.1, 0.9, 4))))
+        assert len(calls) == 16
+    assert len(set(calls)) == 16
+
+
+def test_grid_evaluator_names_a_non_finite_query():
+    f_eval = grid_field_strength_evaluator(grid_field(np.zeros((4, 7, 7, 7, 7)), [0.0] * 4, 1.0))
+    for query, rel in (((math.nan, 0.0, 3.0, 3.0), r"\[nan, 0\.0, 3\.0, 3\.0\]"),
+                       ((3.0, 3.0, -math.inf, 3.0), r"\[3\.0, 3\.0, -inf, 3\.0\]")):
+        with pytest.raises(GridBoundaryError, match=rf"^query {rel} is not a finite grid position$"):
+            f_eval(query)
 
 
 def test_grid_boundary_error():
@@ -979,6 +998,23 @@ def test_a_new_field_object_is_converted_again():
     traj = integrate_lorentz(state, switching, 0.01, 100)
     want = numpy_integrate(state, switching, 0.01, 100)
     assert traj.table.tobytes() == want.tobytes()
+
+
+def test_grid_trajectories_bit_equal_to_the_corner_loop():
+    """Both force laws, driven by the grid evaluator and by the corner-loop
+    oracle, give the same tables.  The start is on a node layer of axes 0 and
+    3, and the runs cross cells on every axis."""
+    vals, origin, _ = random_grid_arrays(21, True, 10)
+    grid = grid_field(0.05 * vals, origin, 0.25)  # stencil-safe in [2, 7] nodes
+    x0 = tuple(grid.origin + grid.spacing * np.array([2.0, 4.5, 4.25, 5.0]))
+    u0 = (1.25, 0.5, -0.5, 0.375)
+    state = ParticleState(x0, u0, 0.9, 1.1, charge_vector=so(0.75 * x12(3)))
+    for run in (lambda f: integrate_lorentz(state, f, 2.0**-6, 48),
+                lambda f: integrate_wong(state, f, so(x12(3)), 2.0**-6, 48)):
+        fast = run(grid_field_strength_evaluator(grid))
+        assert same_bits(fast.table, run(loop_field_strength_evaluator(grid)).table)
+        cells = np.floor((table(fast)[:, 1:5] - grid.origin) / grid.spacing)
+        assert all(len(set(axis)) >= 2 for axis in cells.T)
 
 
 def oracle_grid(seed):
