@@ -2,7 +2,7 @@
 
 Modules
 -------
-exactnum     rationals, r*sqrt(m) scalars, dense exact matrices, elimination over Q
+exactnum     rationals, r*sqrt(m) scalars, dense exact matrices, integer elimination
 jetspace     jet-basis enumeration and generalized Minkowskian signatures
 liealg       so(N) generators as integer rows, brackets, Killing forms
 proca        the 28-dim quadratic form, censuses, isotropic subspaces

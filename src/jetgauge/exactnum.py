@@ -24,14 +24,12 @@ determinants).  trace_metric takes rows of any exact type, ExactMatrix
 included.  Every exact scalar converts with float(); the module imports no
 numpy, so nothing here depends on a BLAS kernel.
 
-All exact linear algebra runs over Q, through one Gauss-Jordan kernel,
-rref.  ExactMatrix.det, nullspace_exact and rank_exact are thin wrappers on
-it.  Every solve goes through Solver, which eliminates a fixed set of
-columns once for many right-hand sides, keeping one integer transform over
-a common denominator; solve_exact is a one-shot Solver.
-Their entries may be ints, Fractions or rational QuadScalars, which enter as
-Fractions; an irrational entry raises ValueError.  Solutions and null
-vectors come back as Fractions.
+All exact linear algebra runs in ints, through one fraction-free
+Gauss-Jordan kernel, _eliminate, behind ExactMatrix.det, nullspace_exact,
+rank_exact and Solver (solve_exact is a one-shot Solver).  Entries may be
+ints, Fractions or rational QuadScalars, scaled to ints by the lcm of their
+denominators; an irrational one raises ValueError.  Solutions and null
+vectors are Fractions.
 """
 
 from __future__ import annotations
@@ -248,8 +246,12 @@ class ExactMatrix:
         return self.n == other.n and self.rows == other.rows
 
     def det(self) -> QuadScalar:
-        _, pivots, signed = rref(_rational_rows(self.rows), self.n)
-        return QuadScalar.coerce(signed) if len(pivots) == self.n else QS_ZERO
+        """(-1)^swaps d / L^n, d the last pivot of the rows times L."""
+        mat, den = _integer_rows(self.rows)
+        _, pivots, values, swaps = _eliminate(mat, self.n)
+        if len(pivots) < self.n:
+            return QS_ZERO
+        return QuadScalar(Fraction((-1) ** swaps * (values or [1])[-1], den**self.n))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self.rows)
@@ -271,71 +273,59 @@ def trace_metric(h: Sequence[RationalLike], a: Sequence[Sequence], b: Sequence[S
     return total
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
-    """Gauss-Jordan elimination over Q, on rows of Fractions.
+def _integer_rows(rows: Iterable[Iterable[RationalLike]]) -> tuple[list, int]:
+    """(M, L): the rows times the lcm L of their denominators, as ints."""
+    rows = [[x.as_fraction() if isinstance(x, QuadScalar) else x for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
-    Pivots are sought in the first ncols columns only; later columns (a
-    right-hand side, or an identity block that records the transform) are
-    carried along.  Returns the reduced rows (a copy), the pivot column of
-    each leading row, and the signed product of the pivots, which is the
-    determinant when the rows form a nonsingular square matrix.
+
+def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list, list, list, int]:
+    """Fraction-free Gauss-Jordan elimination on int rows (Bareiss).
+
+    Pivots are sought in the first ncols columns only.  Pivot row x with
+    pivot p turns every other row y into (p y - f x) // d, f being y's
+    pivot-column entry and d the previous pivot (1 at first), an exact
+    division.  The rows end as d times the rational reduced rows, d the last
+    pivot.  Returns them, the pivot columns, the pivot values (the leading
+    principal minors if no row was swapped) and the number of swaps.
     """
     m = [list(row) for row in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    signed = 1
+    pivots, values, swaps, d = [], [], 0, 1
     for c in range(ncols):
         r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            signed = -signed
-        signed = signed * m[r][c]
-        inv = 1 / m[r][c]
-        prow = m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
+            swaps += 1
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
         pivots.append(c)
-    return m, pivots, signed
-
-
-def _rational(x):
-    """An int or Fraction as it is, a QuadScalar as its Fraction; an
-    irrational QuadScalar raises ValueError."""
-    return x.as_fraction() if isinstance(x, QuadScalar) else x
-
-
-def _rational_rows(rows: Iterable[Iterable[RationalLike]]) -> list[list[Fraction]]:
-    return [[_frac(_rational(x)) for x in row] for row in rows]
+        values.append(p)
+        d = p
+    return m, pivots, values, swaps
 
 
 class Solver:
     """Repeated exact solves sum_j x_j * columns[j] = b against fixed columns.
 
-    The columns are eliminated once, as [A | I]; solve(b) applies the stored
-    transform E (E A is reduced) to b and reads x off E b.  E is kept as
-    integers over one common denominator, so a solve is an integer
-    matrix-vector product and one division per nonzero entry.
+    The columns A, times the lcm L of their denominators, are eliminated
+    once as [L A | L I]: transform = d E, d the last pivot and E A reduced,
+    and solve(b) reads x off scale * transform b in ints, scale = 1/d.
     """
 
     def __init__(self, columns: Sequence[Sequence[RationalLike]]):
-        a = _rational_rows(zip(*columns))
+        a, den = _integer_rows(zip(*columns))
         nrows, self.ncols = len(a), len(columns)
-        self.zero, one = _frac(0), _frac(1)
-        aug = [row + [one if k == i else self.zero for k in range(nrows)]
-               for i, row in enumerate(a)]
-        reduced, self.pivots, _ = rref(aug, self.ncols)
-        transform = [row[self.ncols:] for row in reduced]
-        den = math.lcm(*(x.denominator for row in transform for x in row))
-        self.transform = [[x.numerator * (den // x.denominator) if x else 0 for x in row]
-                          for row in transform]
-        self.scale = Fraction(1, den)
+        aug = [row + [den if k == i else 0 for k in range(nrows)] for i, row in enumerate(a)]
+        reduced, self.pivots, values, _ = _eliminate(aug, self.ncols)
+        self.transform = [row[self.ncols:] for row in reduced]
+        self.scale = Fraction(1, (values or [1])[-1])
 
     def solve(self, b: Sequence) -> list | None:
         """The Fractions x_j, or None when b lies outside the columns' span.
@@ -345,14 +335,15 @@ class Solver:
         """
         if len(b) != len(self.transform):
             raise ValueError("right-hand side length does not match the columns")
-        nonzero = [(k, _rational(v)) for k, v in enumerate(b) if v]
+        (b,), den = _integer_rows([b])
+        nonzero = [(k, v) for k, v in enumerate(b) if v]
         y = [sum(row[k] * v for k, v in nonzero if row[k]) for row in self.transform]
         if any(y[len(self.pivots):]):
             return None
         if len(self.pivots) < self.ncols:
             raise ValueError("underdetermined system: columns are linearly dependent")
         # full column rank: the pivots are exactly 0..ncols-1
-        return [v * self.scale if v else self.zero for v in y[:self.ncols]]
+        return [v * self.scale / den for v in y[:self.ncols]]
 
 
 def solve_exact(
@@ -371,15 +362,14 @@ def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:
     """Exact null space basis of the linear map given by `rows` (m x n)."""
     if not rows:
         return []
-    mat = _rational_rows(rows)
+    mat, _ = _integer_rows(rows)
     n = len(mat[0])
-    reduced, pivots, _ = rref(mat, n)
+    reduced, pivots, values, _ = _eliminate(mat, n)
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        v = [_frac(0)] * n
-        v[free] = _frac(1)
+        v = [Fraction(int(c == free)) for c in range(n)]
         for r, c in enumerate(pivots):
-            v[c] = -reduced[r][free]
+            v[c] = Fraction(-reduced[r][free], values[-1])
         basis.append(v)
     return basis
 
@@ -387,5 +377,5 @@ def nullspace_exact(rows: Sequence[Sequence[RationalLike]]) -> list[list]:
 def rank_exact(rows: Sequence[Sequence[RationalLike]]) -> int:
     if not rows:
         return 0
-    mat = _rational_rows(rows)
-    return len(rref(mat, len(mat[0]))[1])
+    mat, _ = _integer_rows(rows)
+    return len(_eliminate(mat, len(mat[0]))[1])

@@ -39,7 +39,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Solver, _frac, nullspace_exact, rank_exact, rref
+from .exactnum import Solver, _eliminate, _frac, _integer_rows, nullspace_exact, rank_exact
 from .liealg import Rows, _entries, bracket, frobenius_gram, killing_table_in_basis
 
 # unit products e_i e_j for i != j, as (sign, index); diagonal is -1.
@@ -359,14 +359,12 @@ def killing_form_table(elements: Sequence[G2Element]) -> list[list[Fraction]]:
 
 
 def is_negative_definite(sym: Sequence[Sequence[Fraction]]) -> bool:
-    """Sylvester test on -K: all leading principal minors positive."""
-    n = len(sym)
-    neg = [[-_frac(x) for x in row] for row in sym]
-    for k in range(1, n + 1):
-        _, pivots, det = rref([row[:k] for row in neg[:k]], k)
-        if len(pivots) < k or det <= 0:
-            return False
-    return True
+    """Sylvester test on -K: all leading principal minors positive, read
+    off the pivots of one elimination; a row swap or a missing pivot means
+    a minor is 0."""
+    neg, _ = _integer_rows([[-x for x in row] for row in sym])
+    _, pivots, values, swaps = _eliminate(neg, len(neg))
+    return not swaps and len(pivots) == len(neg) and all(p > 0 for p in values)
 
 
 def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> int:

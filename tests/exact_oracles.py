@@ -2,8 +2,14 @@
 the tests need.
 
 The program computes its structural claims on integer rows; these build
-and inspect ExactMatrix oracles for the tests that check it.
+and inspect ExactMatrix oracles for the tests that check it.  leibniz and
+rref, Gauss-Jordan elimination over Q, are the independent oracles of the
+fraction-free elimination kernel.
 """
+
+import itertools
+from fractions import Fraction
+from typing import Sequence
 
 from jetgauge.exactnum import ExactMatrix, Solver, qs
 from jetgauge.liealg import bracket
@@ -76,3 +82,50 @@ def solver_structure(basis) -> list[list[list]]:
         return sol
 
     return [[coords(bracket(a, b)) for b in basis] for a in basis]
+
+
+def leibniz(rows):
+    """The determinant of a square matrix as the sum over permutations."""
+    n = len(rows)
+    total = Fraction(0)
+    for p in itertools.permutations(range(n)):
+        inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * rows[i][p[i]]
+        total = total + term
+    return total
+
+
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination over Q, on rows of Fractions.
+
+    Pivots are sought in the first ncols columns only; later columns (a
+    right-hand side, or an identity block that records the transform) are
+    carried along.  Returns the reduced rows (a copy), the pivot column of
+    each leading row, and the signed product of the pivots, which is the
+    determinant when the rows form a nonsingular square matrix.
+    """
+    m = [list(row) for row in rows]
+    nrows = len(m)
+    pivots: list[int] = []
+    signed = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            signed = -signed
+        signed = signed * m[r][c]
+        inv = 1 / m[r][c]
+        prow = m[r] = [x * inv if x else x for x in m[r]]
+        for i in range(nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], prow)]
+        pivots.append(c)
+    return m, pivots, signed

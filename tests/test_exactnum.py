@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from jetgauge.exactnum import (
     QS_INV_SQRT2,
     ExactMatrix,
+    QuadScalar,
     Solver,
+    _eliminate,
+    _integer_rows,
     nullspace_exact,
     qs,
     rank_exact,
@@ -19,7 +22,16 @@ from jetgauge.exactnum import (
     trace_metric,
 )
 
-from exact_oracles import add, commutator, identity, squarefree_split, trace, zeros
+from exact_oracles import (
+    add,
+    commutator,
+    identity,
+    leibniz,
+    rref,
+    squarefree_split,
+    trace,
+    zeros,
+)
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -304,18 +316,6 @@ def matrices(draw, nrows=None, ncols=None):
     return draw(st.permutations(rows))
 
 
-def leibniz(rows):
-    n = len(rows)
-    total = ZERO
-    for p in itertools.permutations(range(n)):
-        inversions = sum(p[a] > p[b] for a in range(n) for b in range(a + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term = term * rows[i][p[i]]
-        total = total + term
-    return total
-
-
 def minor_rank(rows):
     """Largest k with a nonzero k x k minor."""
     m, n = len(rows), len(rows[0])
@@ -356,6 +356,42 @@ def test_rank_and_nullspace_match_minors(rows):
     for v in null:
         assert all(type(x) is F for x in v)
         assert all(not sum((a * b for a, b in zip(row, v)), ZERO) for row in rows)
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_rational_rref_oracle(rows):
+    """The fraction-free kernel against Gauss-Jordan over Q: on the rows
+    scaled to ints it stays in ints and gives d times the oracle's reduced
+    rows, d its last pivot; the null space and the Solver transform follow."""
+    frows = [[QuadScalar.coerce(x).as_fraction() for x in row] for row in rows]
+    m, n = len(frows), len(frows[0])
+    reduced, pivots, _ = rref(frows, n)
+    ints, den = _integer_rows(rows)
+    got, got_pivots, values, _ = _eliminate(ints, n)
+    d = values[-1] if values else 1
+    assert got_pivots == pivots
+    assert all(type(x) is int for row in got for x in row)
+    assert got == [[d * x for x in row] for row in reduced]
+
+    want = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r][free]
+        want.append(v)
+    null = nullspace_exact(rows)
+    assert null == want
+    assert all(type(x) is F for v in null for x in v)
+
+    # E from [A | I] for the Solver over A's columns.  The rows past the
+    # rank span the left null space and are never normalized, so the
+    # Solver's, eliminated from [L A | L I], are L times the oracle's
+    aug = rref([row + [F(int(i == k)) for k in range(m)] for i, row in enumerate(frows)], n)[0]
+    solver = Solver([list(c) for c in zip(*rows)])
+    assert [[x * solver.scale for x in row] for row in solver.transform] == [
+        [x * (den if r >= len(pivots) else 1) for x in row[n:]] for r, row in enumerate(aug)]
 
 
 @given(matrices(), st.data())

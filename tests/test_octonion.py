@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetgauge.exactnum import (
@@ -38,7 +38,16 @@ from jetgauge.octonion import (
     unit_product,
 )
 
-from exact_oracles import add, commutator, identity, rational_rows, scaled, solver_structure, zeros
+from exact_oracles import (
+    add,
+    commutator,
+    identity,
+    leibniz,
+    rational_rows,
+    scaled,
+    solver_structure,
+    zeros,
+)
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 im_octs = st.builds(lambda cs: ImOctonion(tuple(cs)),
@@ -450,14 +459,19 @@ def test_stabilizer_su3_certificate():
 
 
 @given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)))
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+        lambda e: [[F(e[min(i, j) * n + max(i, j)]) for j in range(n)] for i in range(n)])))
+# -K = J + J, J = [[0, 1], [1, 0]]: two row swaps leave positive pivots and an
+# even permutation, yet -K is indefinite; a test on the sign alone passes it
+@example([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+@example([[-1, -1], [-1, -1]])  # -K semidefinite and singular
+@example([[-2, 1, 0, 0], [1, -2, 1, 0], [0, 1, -2, 1], [0, 0, 1, -2]])  # negative definite
 @settings(max_examples=80, deadline=None)
-def test_is_negative_definite_matches_minors(entries):
-    n = int(len(entries) ** 0.5)
-    sym = [[F(entries[min(i, j) * n + max(i, j)]) for j in range(n)] for i in range(n)]
-    minors = [ExactMatrix([[-sym[i][j] for j in range(k)] for i in range(k)]).det()
-              for k in range(1, n + 1)]
-    assert is_negative_definite(sym) == all(d.as_fraction() > 0 for d in minors)
+def test_is_negative_definite_matches_minors(sym):
+    """Sylvester's criterion, with -K's leading minors summed over permutations."""
+    minors = [leibniz([[-sym[i][j] for j in range(k)] for i in range(k)])
+              for k in range(1, len(sym) + 1)]
+    assert is_negative_definite(sym) == all(d > 0 for d in minors)
 
 
 @pytest.mark.parametrize("z", [e(4), ImOctonion.make(1, F(1, 2), 0, -3, F(2, 3), 0, 5)],
