@@ -77,7 +77,7 @@ def _parse_sector(text: str) -> tuple[int, int]:
         a, b = (int(t) for t in text.replace("(", "").replace(")", "").split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad sector {text!r}; expected e.g. 2,3") from exc
-    return a, b
+    return min(a, b), max(a, b)  # (3,2) is the (2,3) block
 
 
 def cmd_census(args) -> int:
@@ -295,8 +295,9 @@ def _vector(value, path: str, n: int) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _charge_generator(cfg: dict) -> tuple[dynamics.SoElement, float]:
-    """(X_ij in so(dim), charge value) from particle.I = {dim, pair, value}."""
+def _charge_value(cfg: dict) -> float:
+    """The value of the Wong charge I = value X_pair in so(dim), from
+    particle.I = {dim, pair, value}."""
     dim = _require(cfg, "particle.I.dim")
     pair = _require(cfg, "particle.I.pair")
     value = _number(_require(cfg, "particle.I.value"), "particle.I.value")
@@ -307,8 +308,7 @@ def _charge_generator(cfg: dict) -> tuple[dynamics.SoElement, float]:
         and 1 <= pair[0] <= dim and 1 <= pair[1] <= dim and pair[0] != pair[1]
     ):
         raise ValueError(f"particle.I.pair must be two distinct indices in 1..{dim}")
-    i, j = pair
-    return dynamics.SoElement(dim, {(i - 1, j - 1): 1.0, (j - 1, i - 1): -1.0}), float(value)
+    return float(value)
 
 
 MAX_STEPS = 5_000_000  # the sample table holds (steps + 1) x 9 doubles: 360 MB at the cap
@@ -323,11 +323,10 @@ def cmd_simulate(args) -> int:
             _vector(_require(cfg, f"particle.{k}"), f"particle.{k}", 4) for k in ("x0", "u0")
         )
         m, q = (_number(_require(cfg, f"particle.{k}"), f"particle.{k}") for k in "mq")
-        gen = charge = None
-        if cfg["particle"].get("I"):
-            gen, value = _charge_generator(cfg)
-            charge = dynamics.SoElement(gen.dim, {k: value * x for k, x in gen.entries.items()})
-        state = dynamics.ParticleState(x0, u0, m, q, charge)
+        if m <= 0:
+            raise ValueError(f"particle.m must be > 0, got {m!r}")
+        value = _charge_value(cfg) if cfg["particle"].get("I") else None
+        state = dynamics.ParticleState(x0, u0, m, q)
         dlam = _number(_require(cfg, "integrator.dlambda"), "integrator.dlambda")
         if dlam <= 0:
             raise ValueError(f"integrator.dlambda must be > 0, got {dlam!r}")
@@ -336,6 +335,9 @@ def cmd_simulate(args) -> int:
             raise ValueError("integrator.steps must be a non-negative integer")
         if steps > MAX_STEPS:
             raise ValueError(f"integrator.steps is capped at {MAX_STEPS}")
+        if dlam * steps > sys.float_info.max:  # else every lambda = k dlam, k <= steps, is finite
+            raise ValueError("integrator.dlambda * integrator.steps must be a finite float, "
+                             f"got {float(dlam)!r} * {steps}")
         out_cfg = _require(cfg, "output")
         path = _require(cfg, "output.path")
         if not isinstance(path, str):
@@ -357,8 +359,8 @@ def cmd_simulate(args) -> int:
     from . import writer  # here, so that no other request compiles it
 
     def integrate(emit):
-        if gen is not None:
-            return dynamics.integrate_wong(state, f_eval, gen, dlam, steps, emit)
+        if value is not None:
+            return dynamics.integrate_wong(state, f_eval, value, dlam, steps, emit)
         return dynamics.integrate_lorentz(state, f_eval, dlam, steps, emit)
 
     try:

@@ -56,9 +56,9 @@ Trajectories integrate with fixed-step classical RK4 on eight Python
 floats, which keeps runs deterministic and golden files meaningful.  The
 field is called at each stage position as a tuple of four floats, and the
 one rows memo both force laws share forms kappa F once per distinct F
-object returned; kappa is 1 for Lorentz and Wong's charge pairing,
-contracted once per run.  The RK4 order is pinned too: du/dlam = qm M u,
-with M = kappa F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)),
+object returned; kappa is 1 for Lorentz and the charge value for Wong (see
+integrate_wong).  The RK4 order is pinned too: du/dlam = qm M u, with
+M = kappa F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)),
 the order that numpy's F @ u showed on the OpenBLAS build the golden files
 came from; stages are y + (h/2) k and y + h k, and a step is
 y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).  tests/test_dynamics.py keeps a numpy
@@ -75,20 +75,10 @@ a run of 0 steps hands over its one row.  emit must be done with the view
 when it returns, since the array grows again after it.  A run that stops
 early has handed over only its finished blocks.  jetgauge.writer formats
 the output file from these blocks while the loop runs.
-
-Wong's force is the Lorentz law on kappa F, with kappa the charge pairing
--sum_{i<j} gen_ij I_ji.  It is one plain sum: the terms of the pairs
-(i, j), i < j, that either element lists, added left to right from 0.0 in
-row-major order by functools.reduce (the builtin sum is compensated on
-Python 3.12 and later).  A pair neither lists would add +0.0, which
-changes no partial sum of a sum from +0.0, so the result is that of the
-sequential sum over the whole upper triangle.  The CLI's charge
-value X_pair gives one term, and kappa is value exactly.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -310,38 +300,14 @@ def grid_field_strength_evaluator(grid: GridMetricField):
 # -- trajectories ---------------------------------------------------------------
 
 
-class SoElement:
-    """An element of so(dim) by its listed entries {(i, j): x}, 0-based; every
-    entry not listed is 0.0, so a generator X_ij is two entries at any dim."""
-
-    def __init__(self, dim: int, entries: dict):
-        self.dim, self.entries = dim, entries
-
-    def is_antisymmetric(self) -> bool:
-        e, n = self.entries, self.dim
-        return all(0 <= i < n and 0 <= j < n and e.get((j, i), 0.0) == -x
-                   for (i, j), x in e.items())
-
-
-def charge_pairing(gen: SoElement, charge: SoElement) -> float:
-    """kappa = -sum_{i<j} gen_ij I_ji, added left to right from 0.0 over the
-    pairs (i, j) that either element lists, in row-major order; an entry
-    not listed is 0.0."""
-    g, c = gen.entries, charge.entries
-    pairs = sorted(p for p in {*g, *((j, i) for i, j in c)} if p[0] < p[1])
-    return -functools.reduce(operator.add, (g.get((i, j), 0.0) * c.get((j, i), 0.0)
-                                            for i, j in pairs), 0.0)
-
-
 class ParticleState:
-    def __init__(self, x, u, m: float, q: float, charge_vector: SoElement | None = None):
+    def __init__(self, x, u, m: float, q: float):
         self.x, self.u = tuple(map(float, x)), tuple(map(float, u))
         if m <= 0:
             raise ValueError("rest mass must be positive")
         if len(self.x) != 4 or len(self.u) != 4:
             raise ValueError("x and u must be 4-vectors")
         self.m, self.q = m, q
-        self.charge_vector = charge_vector  # algebra-valued charge for Wong runs
 
 
 class Trajectory:
@@ -432,29 +398,22 @@ def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int,
     return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz", emit)
 
 
-def integrate_wong(state: ParticleState, f_eval, gen: SoElement, dlam: float,
+def integrate_wong(state: ParticleState, f_eval, value: float, dlam: float,
                    nsteps: int, emit=None) -> Trajectory:
-    """RK4 on du^mu/dlam = (q/m)(F^mu_nu gen . I) u^nu for the strength F (x) gen:
-    f_eval and emit are as in integrate_lorentz, gen in so(d), I the charge
-    vector.
+    """RK4 on du^mu/dlam = (q/m)(F^mu_nu X . I) u^nu for the strength F (x) X,
+    X = X_ij a generator of so(d) and I = value X the charge, held constant
+    along X; f_eval and emit are as in integrate_lorentz.
 
-    The gauge indices contract once per run, through the normalized trace
-    pairing kappa = -tr(gen I)/2 = -sum_{i<j} gen_ij I_ji (charge_pairing,
-    one plain sum in row-major order), which is 1 on a generator paired
-    with itself and exactly value for I = value gen = value X_ij; the run
-    is integrate_lorentz on kappa F, bit for bit.  (The adjoint-trace
-    Killing form is proportional to this pairing on a simple so(n) but
-    vanishes identically for n = 2, so the defining-representation trace
-    form is the usable avatar of the Killing pairing here.)
+    The gauge indices contract through the normalized trace pairing
+    kappa = -tr(X I)/2 = -sum_{k<l} X_kl I_lk, a sum from 0.0 of the one
+    term -value: kappa = -(0.0 - value), which is value, or -0.0 for
+    value = +-0.0.  The run is integrate_lorentz on kappa F, bit for bit.
+    (The adjoint-trace Killing form is proportional to this pairing on a
+    simple so(n) but vanishes identically for n = 2, so the
+    defining-representation trace form is the usable avatar of the Killing
+    pairing here.)
     """
-    charge = state.charge_vector
-    if charge is None:
-        raise ValueError("Wong integration needs a charge vector")
-    if gen.dim != charge.dim:
-        raise ValueError(f"charge dimension {charge.dim} does not match generator {gen.dim}")
-    if not (gen.is_antisymmetric() and charge.is_antisymmetric()):
-        raise ValueError("generator and charge vector must be antisymmetric")
-    return _integrate(state, f_eval, charge_pairing(gen, charge), dlam, nsteps, "wong", emit)
+    return _integrate(state, f_eval, -(0.0 - value), dlam, nsteps, "wong", emit)
 
 
 # -- ready-made uniform fields ---------------------------------------------------

@@ -22,7 +22,6 @@ from jetgauge import electroweak, jetspace, octonion, pheno, proca
 from jetgauge.curvature import GaugePotentialField, bianchi_residual
 from jetgauge.dynamics import (
     ParticleState,
-    SoElement,
     integrate_lorentz,
     integrate_wong,
     uniform_electric_f,
@@ -241,18 +240,17 @@ def test_criterion_9_dynamics():
     assert te.meta["eta_drift"] <= 1e-9
 
     # Wong-abelian reduction within 1e-12
-    gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
     i0 = 0.7
-    x12 = SoElement(2, {(0, 1): 1.0, (1, 0): -1.0})
-    sw = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q,
-                       charge_vector=SoElement(2, {k: i0 * x for k, x in x12.entries.items()}))
-    tw = integrate_wong(sw, lambda x: f, x12, 0.01, 1000)
+    sw = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q)
+    tw = integrate_wong(sw, lambda x: f, i0, 0.01, 1000)
     sl = ParticleState(np.zeros(4), np.array([gamma, gamma * v, 0, 0]), m, q * i0)
     tl = integrate_lorentz(sl, lambda x: f, 0.01, 1000)
     assert np.max(np.abs(np.asarray(tw.table)[:, 1:5] - np.asarray(tl.table)[:, 1:5])) <= 1e-12
     assert np.max(np.abs(np.asarray(tw.table)[:, 5:] - np.asarray(tl.table)[:, 5:])) <= 1e-12
 
     # Bianchi residual halving ratio ~ 4 (+- 20%)
+    gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
     def a_func(x):
         comps = np.array(
             [

@@ -101,6 +101,16 @@ def test_census_single_sector(capsys):
     assert data["censuses"][0]["positive"] == 28
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_census_descending_sector_is_the_ascending_block(capsys, fmt):
+    """--sector 3,2 names the (2,3) block, with its reference and its flag."""
+    assert main(["census", "--sector", "2,3", "--format", fmt]) == 0
+    ascending = capsys.readouterr().out
+    assert main(["census", "--sector", "3,2", "--format", fmt]) == 0
+    assert capsys.readouterr().out == ascending
+    assert "reference" in ascending and "(2,3) block census" in ascending
+
+
 @pytest.mark.parametrize("sector, flagged", [("3,3", False), ("2,3", True)])
 def test_census_flag_follows_the_23_sector(capsys, sector, flagged):
     """The quoted-signature flag is about the (2,3) block: a request that
@@ -450,7 +460,8 @@ NAN, INF = float("nan"), float("inf")
 BAD_VALUES = [
     ("integrator.dlambda", NAN), ("integrator.dlambda", INF),
     ("integrator.dlambda", -0.01), ("integrator.dlambda", 0),
-    ("particle.m", NAN), ("particle.q", -INF), ("output.format", "jsn"),
+    ("particle.m", NAN), ("particle.m", 0), ("particle.m", -0.9),
+    ("particle.q", -INF), ("output.format", "jsn"),
     ("particle.u0", [1.0, NAN, 0, 0]), ("particle.x0", [0, 0, 0]),
     ("particle.x0", [0, INF, 0, 0]), ("particle.u0", "up"), ("particle.u0", [1.0, True, 0, 0]),
     ("integrator.steps", cli.MAX_STEPS + 1),  # rejected before the table is allocated
@@ -902,13 +913,46 @@ def test_simulate_stops_at_a_node_whose_field_is_not_finite(tmp_path, capsys):
 
 
 def test_simulate_wong_in_a_huge_so_dim(tmp_path, capsys):
-    """X_13 and I = 0.7 X_13 list two entries each at any dim, and pair to 0.7."""
+    """dim sizes nothing: I = 0.7 X_13 in so(10^9) contracts to 0.7 as in so(3)."""
     cfg = constant_field_config(tmp_path, "uniform_B", "wong")
     data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
     data["particle"]["I"]["dim"] = 10**9
     (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
     assert main(["simulate", "--config", cfg]) == 0
     assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
+
+
+def test_simulate_wong_bytes_follow_the_charge_value_alone(tmp_path, capsys):
+    """I = 0.7 X_pair contracts to 0.7 for every dim and pair, in either order."""
+    cfg = constant_field_config(tmp_path, "uniform_B", "wong")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    for dim, pair in ((2, [1, 2]), (9, [3, 1])):
+        data["particle"]["I"].update(dim=dim, pair=pair)
+        (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--config", cfg]) == 0
+        assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
+
+
+@pytest.mark.parametrize("dlambda, steps, code", [(1e308, 3, 2), (10**308, 3, 2),
+                                                  (sys.float_info.max, 1, 0)],
+                         ids=["float", "int", "largest"])
+def test_simulate_refuses_a_lambda_beyond_float_range(tmp_path, capsys, dlambda, steps, code):
+    """The samples' lambda = k dlambda, k <= steps, are all finite exactly when
+    dlambda * steps is: the JSON a run writes stays valid JSON."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [0, 0, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, dlambda, steps)
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["output"] = {"path": str(tmp_path / "traj.json"), "format": "json"}
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg, "--full-precision"]) == code
+    if code:
+        line = one_line(capsys.readouterr().err)
+        assert line.startswith("bad simulate config: integrator.dlambda")
+        assert not (tmp_path / "traj.json").exists()
+    else:
+        samples = json.loads((tmp_path / "traj.json").read_text(encoding="utf-8"))["samples"]
+        assert samples[-1]["lambda"] == dlambda * steps
 
 
 # sha256 of a 5,000-step uniform_B run: the samples cross four block seams

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetgauge import cli, dynamics
+from jetgauge import dynamics
 from jetgauge.curvature import (
     GaugePotentialField,
     MetricField,
@@ -17,8 +17,6 @@ from jetgauge.dynamics import (
     GridBoundaryError,
     GridMetricField,
     ParticleState,
-    SoElement,
-    charge_pairing,
     field_strength_em,
     grid_field_strength_evaluator,
     integrate_lorentz,
@@ -35,12 +33,6 @@ def grid_field(vals, origin, spacing):
     """A GridMetricField over a numpy array of shape (4, n0, n1, n2, n3)."""
     vals = np.ascontiguousarray(vals, dtype=float)
     return GridMetricField(vals.ravel().tolist(), vals.shape, origin, spacing)
-
-
-def so(matrix):
-    """The SoElement listing every entry of a dense square matrix."""
-    return SoElement(len(matrix), {(i, j): float(x) for i, row in enumerate(matrix)
-                                   for j, x in enumerate(row)})
 
 
 def table(traj):
@@ -735,171 +727,53 @@ def x12(dim):
 
 
 def test_wong_reduces_to_lorentz_for_abelian_embedding():
-    gen = x12(2)
+    """I = i0 X_12: the Wong run is the Lorentz run of charge q i0."""
     f_scalar = uniform_magnetic_f([0.0, 0.0, 1.0])
     i0 = 0.7
     v = 0.01
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
-    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=so(i0 * gen))
+    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0)
     sl = ParticleState(np.zeros(4), u0, 1.0, 1.0 * i0)
-    tw = integrate_wong(sw, lambda x: f_scalar, so(gen), 0.01, 1500)
+    tw = integrate_wong(sw, lambda x: f_scalar, i0, 0.01, 1500)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1500)
     assert np.max(np.abs(table(tw)[:, 1:] - table(tl)[:, 1:])) <= 1e-12
 
 
 def test_wong_zero_charge_is_geodesic():
     f = uniform_magnetic_f([0, 0, 1.0])
-    state = ParticleState(
-        np.zeros(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0, 1.0,
-        charge_vector=so(np.zeros((3, 3))),
-    )
-    traj = integrate_wong(state, lambda x: f, so(x12(3)), 0.05, 100)
+    state = ParticleState(np.zeros(4), np.array([1.0, 0.2, 0.0, 0.0]), 1.0, 1.0)
+    traj = integrate_wong(state, lambda x: f, 0.0, 0.05, 100)
     lam, *x = table(traj)[-1, :5]
     assert np.allclose(x, np.array(state.u) * lam, atol=1e-12)
 
 
 def test_wong_commuting_field_effective_charge():
-    gen = x12(3)  # embed an so(2) inside so(3)
     f_scalar = uniform_magnetic_f([0.0, 0.0, 2.0])
     i0 = 0.5
     v = 0.02
     gamma = 1.0 / math.sqrt(1 - v * v)
     u0 = np.array([gamma, gamma * v, 0.0, 0.0])
-    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0, charge_vector=so(i0 * gen))
-    tw = integrate_wong(sw, lambda x: f_scalar, so(gen), 0.01, 1000)
+    sw = ParticleState(np.zeros(4), u0, 1.0, 1.0)
+    tw = integrate_wong(sw, lambda x: f_scalar, i0, 0.01, 1000)
     sl = ParticleState(np.zeros(4), u0, 1.0, i0)
     tl = integrate_lorentz(sl, lambda x: f_scalar, 0.01, 1000)
     assert np.max(np.abs(table(tw)[:, 1:5] - table(tl)[:, 1:5])) <= 1e-12
 
 
-def test_wong_dimension_mismatch():
-    state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
-                          charge_vector=so(x12(2)))
-    with pytest.raises(ValueError, match="dimension"):
-        integrate_wong(state, lambda x: np.zeros((4, 4)), so(x12(3)), 0.1, 5)
-
-
-@pytest.mark.parametrize("gen, charge", [(np.eye(2), x12(2)), (x12(2), np.eye(2))],
-                         ids=["generator", "charge"])
-def test_wong_rejects_what_is_not_in_so_d(gen, charge):
-    """kappa sums gen_ij I_ji over i < j only, which is -tr(gen I)/2 for
-    antisymmetric matrices alone."""
-    state = ParticleState(np.zeros(4), np.array([1.0, 0, 0, 0]), 1.0, 1.0,
-                          charge_vector=so(charge))
-    with pytest.raises(ValueError, match="antisymmetric"):
-        integrate_wong(state, lambda x: np.zeros((4, 4)), so(gen), 0.1, 5)
-
-
-@pytest.mark.parametrize("value", [0.7, -0.7, 5e-324, 1e308, -1e308])
+@pytest.mark.parametrize("value", [0.7, -0.7, 5e-324, 1e308, -1e308, 0.0, -0.0])
 def test_wong_charge_contracts_to_its_value_exactly(value):
-    """I = value X_31 pairs with X_31 to kappa = value exactly, also past
-    half the largest float, where -tr(gen I)/2 summed over all i, j would
-    overflow: the force is that of the Lorentz law in value F, bit for bit."""
+    """The force is that of the Lorentz law in kappa F, bit for bit, with
+    kappa = -sum_{k<l} X_kl I_lk summed from 0.0 for I = value X: value, also
+    past half the largest float, or -0.0 for value = +-0.0."""
     f = uniform_magnetic_f([0.3, -0.7, 0.5])
-    gen = np.zeros((3, 3))
-    gen[2, 0], gen[0, 2] = 1.0, -1.0  # its entry above the diagonal is -1
-    for u0 in ([1.2, 0.3, -0.4, 0.5], [-0.0, -0.0, 0.3, -0.0]):  # zeros keep their sign
-        state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, -min(1.3, 1.3 / abs(value)),
-                              charge_vector=so(value * gen))
-        want = numpy_integrate(state, lambda x: value * np.asarray(f), 0.01, 20)
-        got = integrate_wong(state, lambda x: f, so(gen), 0.01, 20)
+    kappa, q = (value, -min(1.3, 1.3 / abs(value))) if value else (-0.0, -1.3)
+    # zeros keep their sign; at u = -0 the sign of kappa's zero shows in the rows
+    for u0 in ([1.2, 0.3, -0.4, 0.5], [-0.0, -0.0, 0.3, -0.0], [-0.0] * 4):
+        state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, q)
+        want = numpy_integrate(state, lambda x: kappa * np.asarray(f), 0.01, 20)
+        got = integrate_wong(state, lambda x: f, value, 0.01, 20)
         assert got.table.tobytes() == want.tobytes()
-
-
-def numpy_pairing(gen, charge):
-    """kappa on dense arrays, the upper triangle summed in sequence in
-    row-major order by np.cumsum from 0.0: the oracle."""
-    upper = np.triu_indices(len(gen), 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.concatenate(([0.0], gen[upper] * charge.T[upper]))
-        return -float(0.0 + np.cumsum(terms)[-1])
-
-
-def dense(el):
-    m = np.zeros((el.dim, el.dim))
-    for (i, j), x in el.entries.items():
-        m[i, j] = x
-    return m
-
-
-def antisymmetric(dim, upper):
-    """The so(dim) matrix with these entries above the diagonal, row by row."""
-    m = np.zeros((dim, dim))
-    iu = np.triu_indices(dim, 1)
-    m[iu] = upper
-    m.T[iu] = -np.asarray(upper, dtype=float)
-    return m
-
-
-def same_float(a, b):
-    return same_bits(a, b) or (math.isnan(a) and math.isnan(b))
-
-
-_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-4.0, 4.0),
-                   st.floats(allow_nan=False, allow_infinity=False))
-
-
-@given(st.integers(2, 12), st.booleans(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_charge_pairing_of_a_cli_generator_matches_numpy(dim, swap, data):
-    """kappa of the CLI's X_pair, both pair orders, against a general
-    antisymmetric charge and against the CLI's charge value X_pair."""
-    pair = data.draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True))
-    gen, _ = cli._charge_generator(
-        {"particle": {"I": {"dim": dim, "pair": pair[::-1] if swap else pair, "value": 1.0}}})
-    charge = antisymmetric(dim, data.draw(st.lists(_ENTRY, min_size=dim * (dim - 1) // 2,
-                                                   max_size=dim * (dim - 1) // 2)))
-    assert same_float(charge_pairing(gen, so(charge)), numpy_pairing(dense(gen), charge))
-    value = data.draw(_ENTRY)
-    cli_charge = SoElement(dim, {k: value * x for k, x in gen.entries.items()})
-    assert same_float(charge_pairing(gen, cli_charge), numpy_pairing(dense(gen), value * dense(gen)))
-
-
-def sparse_pair(dim, seed, count):
-    """Two elements of so(dim), dense and listing only their nonzero entries,
-    with random values of mixed magnitude at the same count upper positions,
-    so that the order of summation shows in the bits."""
-    rng = np.random.default_rng(seed)
-    n = dim * (dim - 1) // 2
-    positions = rng.choice(n, size=min(n, count), replace=False)
-    iu = np.triu_indices(dim, 1)
-    pair = []
-    for _ in range(2):
-        upper = np.zeros(n)
-        upper[positions] = rng.standard_normal(len(positions)) * 10.0 ** rng.integers(-8, 9, len(positions))
-        m = antisymmetric(dim, upper)
-        listed = {}
-        for p in positions:
-            i, j = int(iu[0][p]), int(iu[1][p])
-            listed[i, j], listed[j, i] = float(m[i, j]), float(m[j, i])
-        pair.append((m, SoElement(dim, listed)))
-    return pair
-
-
-@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.integers(1, 780))
-@settings(max_examples=200, deadline=None)
-def test_charge_pairing_matches_numpy_on_general_elements(dim, seed, count):
-    """Up to 780 terms in sequence, from every entry and from the nonzero
-    ones alone."""
-    (g, gen), (c, charge) = sparse_pair(dim, seed, count)
-    want = numpy_pairing(g, c)
-    assert same_float(charge_pairing(gen, charge), want)
-    assert same_float(charge_pairing(so(g), so(c)), want)
-
-
-@given(st.integers(41, 300), st.integers(0, 2**32 - 1), st.integers(1, 40))
-@settings(max_examples=50, deadline=None)
-def test_charge_pairing_of_sparse_elements_of_a_larger_so(dim, seed, count):
-    (g, gen), (c, charge) = sparse_pair(dim, seed, count)
-    assert same_float(charge_pairing(gen, charge), numpy_pairing(g, c))
-
-
-def test_charge_pairing_in_a_huge_so_dim_reads_two_entries():
-    gen, value = cli._charge_generator(
-        {"particle": {"I": {"dim": 10**12, "pair": [10**12, 7], "value": -0.7}}})
-    charge = SoElement(gen.dim, {k: value * x for k, x in gen.entries.items()})
-    assert len(gen.entries) == 2 and charge_pairing(gen, charge) == -0.7
 
 
 class CountingRows:
@@ -918,10 +792,8 @@ def test_a_uniform_field_is_converted_once_per_run():
     rows as they are, at every stage."""
     f = uniform_magnetic_f([0.3, -0.7, 1.1])
     counting = CountingRows(f)
-    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
-                          charge_vector=so(0.7 * x12(3)))
-    for integrate, args, reads in ((integrate_lorentz, (), 4 * 50),
-                                   (integrate_wong, (so(x12(3)),), 1)):
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
+    for integrate, args, reads in ((integrate_lorentz, (), 4 * 50), (integrate_wong, (0.7,), 1)):
         counting.reads = 0
         traj = integrate(state, lambda x: counting, *args, 0.01, 50)
         assert counting.reads == reads
@@ -976,11 +848,10 @@ def test_field_is_called_with_a_tuple_of_four_floats():
         seen.append(x)
         return f
 
-    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3,
-                          charge_vector=so(0.7 * x12(2)))
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
     integrate_lorentz(state, recording, 0.01, 5)
     assert len(seen) == 4 * 5
-    integrate_wong(state, recording, so(x12(2)), 0.01, 5)
+    integrate_wong(state, recording, 0.7, 0.01, 5)
     assert len(seen) == 2 * 4 * 5
     assert all(type(x) is tuple and len(x) == 4 and all(type(c) is float for c in x)
                for x in seen)
@@ -1008,9 +879,9 @@ def test_grid_trajectories_bit_equal_to_the_corner_loop():
     grid = grid_field(0.05 * vals, origin, 0.25)  # stencil-safe in [2, 7] nodes
     x0 = tuple(grid.origin + grid.spacing * np.array([2.0, 4.5, 4.25, 5.0]))
     u0 = (1.25, 0.5, -0.5, 0.375)
-    state = ParticleState(x0, u0, 0.9, 1.1, charge_vector=so(0.75 * x12(3)))
+    state = ParticleState(x0, u0, 0.9, 1.1)
     for run in (lambda f: integrate_lorentz(state, f, 2.0**-6, 48),
-                lambda f: integrate_wong(state, f, so(x12(3)), 2.0**-6, 48)):
+                lambda f: integrate_wong(state, f, 0.75, 2.0**-6, 48)):
         fast = run(grid_field_strength_evaluator(grid))
         assert same_bits(fast.table, run(loop_field_strength_evaluator(grid)).table)
         cells = np.floor((table(fast)[:, 1:5] - grid.origin) / grid.spacing)
@@ -1050,6 +921,5 @@ def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
         f = np.asarray(f_eval(x))
         return -0.5 * np.einsum("mnij,ji->mn", f[:, :, None, None] * gen, i0 * gen)
 
-    sw = ParticleState(x0, u0, 0.8, 1.2, charge_vector=so(i0 * gen))
-    assert np.array_equal(integrate_wong(sw, f_eval, so(gen), dlam, n).table,
-                          numpy_integrate(sw, feff, dlam, n))
+    assert np.array_equal(integrate_wong(state, f_eval, i0, dlam, n).table,
+                          numpy_integrate(state, feff, dlam, n))
