@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from contextvars import ContextVar
 from fractions import Fraction
 
 from . import dynamics, electroweak, jetspace, octonion, pheno, proca, verify
@@ -256,6 +257,10 @@ def _require(cfg: dict, path: str, where: str = ""):
     return node
 
 
+# the grids _field_from_config opens during cmd_simulate, which closes them
+_run_grids: ContextVar[list] = ContextVar("_run_grids")
+
+
 def _field_from_config(cfg: dict):
     kind = _require(cfg, "kind", "field.")
     if kind == "uniform_E":
@@ -274,6 +279,7 @@ def _field_from_config(cfg: dict):
             grid = dynamics.GridMetricField.from_npz(path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"field.params.npz: {exc}") from exc
+        _run_grids.get([]).append(grid)  # outside cmd_simulate the caller owns the grid
         return dynamics.grid_field_strength_evaluator(grid)
     raise ValueError(f"unknown field kind {kind!r}")
 
@@ -315,6 +321,16 @@ MAX_STEPS = 5_000_000  # the sample table holds (steps + 1) x 9 doubles: 360 MB 
 
 
 def cmd_simulate(args) -> int:
+    token = _run_grids.set([])
+    try:
+        return _simulate(args)
+    finally:
+        for grid in _run_grids.get():  # the run has ended: no page is read after this
+            grid.close()
+        _run_grids.reset(token)
+
+
+def _simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -327,6 +343,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"particle.m must be > 0, got {m!r}")
         value = _charge_value(cfg) if cfg["particle"].get("I") else None
         state = dynamics.ParticleState(x0, u0, m, q)
+        if not math.isfinite(norm0 := dynamics.eta_norm(state.u)):
+            raise ValueError(f"particle.u0 must have a finite eta(u0, u0), got {norm0!r}")
         dlam = _number(_require(cfg, "integrator.dlambda"), "integrator.dlambda")
         if dlam <= 0:
             raise ValueError(f"integrator.dlambda must be > 0, got {dlam!r}")
@@ -360,8 +378,14 @@ def cmd_simulate(args) -> int:
 
     def integrate(emit):
         if value is not None:
-            return dynamics.integrate_wong(state, f_eval, value, dlam, steps, emit)
-        return dynamics.integrate_lorentz(state, f_eval, dlam, steps, emit)
+            traj = dynamics.integrate_wong(state, f_eval, value, dlam, steps, emit)
+        else:
+            traj = dynamics.integrate_lorentz(state, f_eval, dlam, steps, emit)
+        # before the writer gets the meta: a drift that is not finite (u past
+        # about 1e154, whose square overflows) is no JSON number
+        if not math.isfinite(drift := traj.meta["eta_drift"]):
+            raise FloatingPointError(f"eta(u,u) drift {drift!r} after {steps} steps")
+        return traj
 
     try:
         traj = writer.integrate_and_write(integrate, writer.SampleText(fmt, args.full_precision),
@@ -369,6 +393,9 @@ def cmd_simulate(args) -> int:
     except FloatingPointError as exc:
         print(f"simulation diverged: {exc}", file=sys.stderr)
         return 1
+    except dynamics.GridFileError as exc:
+        print(f"error: field.params.npz: {exc}", file=sys.stderr)
+        return 2
     print(
         f"integrated {len(traj) - 1} steps ({traj.meta['law']}); "
         f"eta(u,u) drift {traj.meta['eta_drift']:.3e}; wrote {path}"

@@ -48,9 +48,13 @@ is the sum s of the F^0_j, F^j_i is -s, or +0.0 when s is 0, and the
 diagonal is +0.0.  An infinite d_mu g_mu would make a diagonal NaN
 instead, so a node whose F is not finite is an error.
 
-A grid .npz is read in place: read_npz parses each .npy header itself and
-views native float64 data through memoryview.cast('d'), with no copy;
-float32 and integer arrays are converted.
+A grid .npz is read by jetgauge.npz, which only a request that reads one
+imports: one parser reads each .npy header, native float64 data is viewed
+in place through memoryview.cast('d'), and float32 and integer arrays are
+converted.  From a path, a stored native float64 g of more than 4 KiB is
+not held in memory: its CRC is checked in one streamed pass, then
+GridMetricField reads it a 4 KiB page at a time as stencils touch it
+(npz.PagedArray), so the file must not change during a run.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
 floats, which keeps runs deterministic and golden files meaningful.  The
@@ -82,10 +86,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
-import sys
-import zipfile
-import zlib
 from array import array
 
 ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
@@ -111,79 +111,21 @@ class GridBoundaryError(ValueError):
     """Raised when a stencil would reach outside the sampled grid."""
 
 
+class GridFileError(ValueError):
+    """Raised when a paged grid file no longer holds the data it was checked with."""
+
+
 # -- grid input --------------------------------------------------------------------
 
-# .npy dtype codes read as floats: float64, float32 and the integers
-_NPY_TYPECODES = {"f8": "d", "f4": "f", "i1": "b", "u1": "B", "i2": "h", "u2": "H",
-                  "i4": "i", "u4": "I", "i8": "q", "u8": "Q"}
-_FOREIGN_ORDER = ">" if sys.byteorder == "little" else "<"
 MAX_NPZ_MEMBER_BYTES = 2**27  # 128 MiB: a float64 grid of up to 45^4 nodes
-
-
-def _read_npy(data: bytes, name: str):
-    """(values, shape, fortran_order) of one .npy file; values is flat, in
-    file order."""
-    if data[:6] != b"\x93NUMPY" or len(data) < 12 or data[6] not in (1, 2, 3):
-        raise ValueError(f"array {name!r} is not in .npy format")
-    start = 10 if data[6] == 1 else 12  # the header length takes 2 bytes in version 1, else 4
-    end = start + int.from_bytes(data[8:start], "little")
-    header = data[start:end].decode("latin-1")
-    descr = re.search(r"'descr':\s*'([<>|=]?)(\w+)'", header)
-    order = re.search(r"'fortran_order':\s*(True|False)", header)
-    dims = re.search(r"'shape':\s*\(([\d,\s]*)\)", header)
-    if not (descr and order and dims):
-        raise ValueError(f"array {name!r} has an unreadable .npy header")
-    byteorder, code = descr.groups()
-    typecode = _NPY_TYPECODES.get(code)
-    if typecode is None:
-        raise ValueError(f"array {name!r} has dtype {byteorder + code!r}; "
-                         "expected float64, float32 or an integer type")
-    shape = tuple(int(n) for n in dims.group(1).split(",") if n.strip())
-    body = memoryview(data)[end:]
-    nbytes = math.prod(shape) * int(code[1:])
-    if len(body) != nbytes:
-        raise ValueError(f"array {name!r} of shape {shape} holds {len(body)} data bytes, "
-                         f"expected {nbytes}")
-    fortran = order.group(1) == "True"
-    if typecode == "d" and byteorder != _FOREIGN_ORDER:
-        return body.cast("d"), shape, fortran
-    values = array(typecode)
-    values.frombytes(body)
-    if byteorder == _FOREIGN_ORDER:
-        values.byteswap()
-    return (values if typecode == "d" else array("d", values)), shape, fortran
-
-
-def read_npz(path: str, names) -> dict:
-    """{name: (values, shape, fortran_order)} for the named arrays of an .npz
-    archive as np.savez or np.savez_compressed write it.  values is flat in
-    file order: a copy-free memoryview of native float64 data, or float32
-    and integer data converted to float.  A member whose declared size
-    exceeds MAX_NPZ_MEMBER_BYTES raises before it is read."""
-    try:
-        with zipfile.ZipFile(path) as zf:
-            members = {info.filename: info for info in zf.infolist()}
-            arrays = {}
-            for name in names:
-                info = members.get(f"{name}.npy")
-                if info is None:
-                    raise ValueError(f"missing array {name!r}")
-                if info.file_size > MAX_NPZ_MEMBER_BYTES:
-                    raise ValueError(f"array {name!r} declares {info.file_size} bytes; "
-                                     f"the cap is {MAX_NPZ_MEMBER_BYTES}")
-                arrays[name] = _read_npy(zf.read(info), name)
-    # a damaged archive, a corrupt deflate stream, an encrypted member
-    # (RuntimeError) or an unknown compression method (NotImplementedError)
-    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, NotImplementedError) as exc:
-        raise ValueError(f"not a readable .npz archive ({exc})") from exc
-    return arrays
 
 
 class GridMetricField:
     """g_mu sampled on a regular 4d grid with nodes at origin + spacing * idx.
 
     values holds the (4, n0, n1, n2, n3) samples flat, in C order or, with
-    fortran_order, in Fortran order, so a .npy body is read in place."""
+    fortran_order, in Fortran order, so a .npy body is read in place; it may
+    be an npz.PagedArray, whose file close() closes."""
 
     def __init__(self, values, shape, origin, spacing: float, fortran_order: bool = False):
         shape = tuple(shape)
@@ -205,8 +147,12 @@ class GridMetricField:
     def from_npz(cls, path: str) -> GridMetricField:
         """The grid of an .npz holding g of shape (4, n0, n1, n2, n3), origin
         of shape (4,) and a single-number spacing, each float64, float32 or
-        integer, in either byte order and C or Fortran order."""
-        arrays = read_npz(path, ("g", "origin", "spacing"))
+        integer, in either byte order and C or Fortran order.  From a path, a
+        stored native float64 g of more than one page is paged (see
+        npz.read_npz); close the grid when done with it."""
+        from . import npz  # here, so that only a request that reads a grid compiles it
+
+        arrays = npz.read_npz(path, ("g", "origin", "spacing"), MAX_NPZ_MEMBER_BYTES)
         g, shape, fortran = arrays["g"]
         origin, origin_shape, _ = arrays["origin"]
         spacing, spacing_shape, _ = arrays["spacing"]
@@ -215,6 +161,11 @@ class GridMetricField:
         if len(spacing) != 1:
             raise ValueError(f"spacing must be one number, got an array of shape {spacing_shape}")
         return cls(g, shape, origin, spacing[0], fortran)
+
+    def close(self) -> None:
+        """Close the file that paged values read from; values in memory have none."""
+        if hasattr(self.values, "close"):
+            self.values.close()
 
     def jacobian(self, idx) -> list[list[float]]:
         """J[mu][nu] = d_mu g_nu at the node idx, an index tuple, by the stencil on
@@ -310,6 +261,12 @@ class ParticleState:
         self.m, self.q = m, q
 
 
+def eta_norm(u) -> float:
+    """eta(u, u) = ((u1 u1 + u2 u2) + u3 u3) - u0 u0, the RK4 loop's order."""
+    u0, u1, u2, u3 = u
+    return u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0
+
+
 class Trajectory:
     """Samples as one (n + 1, 9) table of rows [lambda, x0..x3, u0..u3]: a
     2-D memoryview of doubles, which np.asarray reads without a copy."""
@@ -347,7 +304,7 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     out = array("d", [0.0])
     out.extend(y)
     x0, x1, x2, x3, u0, u1, u2, u3 = y
-    norm0 = u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0
+    norm0 = eta_norm(state.u)
     drift = abs(norm0 - norm0)
     sent = 0  # doubles of out already handed to emit
     for start in range(0, max(nsteps, 1), BLOCK_STEPS):  # 0 steps: one block, the first row

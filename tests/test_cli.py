@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetgauge
-from jetgauge import cli, dynamics, writer
+from jetgauge import cli, dynamics, npz, writer
 from jetgauge.cli import main
 from jetgauge.dynamics import BLOCK_STEPS, Trajectory
 from jetgauge.report import FLAGGED, VerificationReport, dump_json
@@ -888,6 +888,118 @@ def test_simulate_rejects_an_oversize_npz_member_unread(tmp_path, capsys, monkey
     assert not (tmp_path / "traj.json").exists()
 
 
+def flipped_g_byte(npz: bytes) -> bytes:
+    """The archive with one data byte of g flipped; np.savez writes g first."""
+    at = npz.index(b"\x93NUMPY")  # version 1: the header length is bytes 8-9
+    data = bytearray(npz)
+    data[at + 10 + int.from_bytes(npz[at + 8:at + 10], "little") + 1000] ^= 1
+    return bytes(data)
+
+
+def test_simulate_rejects_a_stored_grid_with_a_flipped_data_byte(tmp_path, capsys):
+    """g is read a page at a time during the run, yet its CRC is checked before."""
+    cfg = grid_config(tmp_path, "lorentz")
+    (tmp_path / "grid.npz").write_bytes(flipped_g_byte((tmp_path / "grid.npz").read_bytes()))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == (
+        "bad simulate config: field.params.npz: not a readable .npz archive "
+        "(Bad CRC-32 for file 'g.npy')")
+    assert not (tmp_path / "traj.json").exists()
+
+
+@pytest.fixture
+def loaded_grids(monkeypatch):
+    """The grids GridMetricField.from_npz returns during the test, in order."""
+    grids, load = [], dynamics.GridMetricField.from_npz
+
+    def record(path):
+        grids.append(load(path))
+        return grids[-1]
+
+    monkeypatch.setattr(dynamics.GridMetricField, "from_npz", record)
+    return grids
+
+
+def test_simulate_stops_when_the_grid_file_shrinks_during_the_run(tmp_path, capsys, monkeypatch,
+                                                                  loaded_grids):
+    """A page read that comes back short ends the run with exit 2 and one line."""
+    cfg = grid_config(tmp_path, "lorentz")
+    load = dynamics.GridMetricField.from_npz
+
+    def load_then_truncate(path):
+        grid = load(path)
+        os.truncate(path, os.path.getsize(path) // 2)
+        return grid
+
+    monkeypatch.setattr(dynamics.GridMetricField, "from_npz", load_then_truncate)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("error: field.params.npz: the file ends inside its data, at byte ")
+    assert line.endswith("; it changed during the run")
+    assert not (tmp_path / "traj.json").exists()
+    assert_no_child_process()
+    assert isinstance(loaded_grids[0].values, npz.PagedArray)
+
+
+# outcome -> (particle changes, exit code) of grid_config's run
+GRID_RUN_ENDS = {
+    "success": ({}, 0),
+    "config error": ({"m": 0}, 2),  # found after the grid is open
+    "divergence": ({}, 1),  # the field turns huge after one grid query
+    "grid error": ({"u0": [1.1, 3.0, -0.2, 0.25]}, 2),  # leaves the grid along axis 1
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+@pytest.mark.parametrize("outcome", sorted(GRID_RUN_ENDS))
+def test_simulate_closes_the_paged_grid_file_however_the_run_ends(tmp_path, capsys, monkeypatch,
+                                                                   loaded_grids, outcome):
+    changes, code = GRID_RUN_ENDS[outcome]
+    if outcome == "divergence":  # a grid run leaves the grid before its state turns non-finite
+        build = cli._field_from_config
+
+        def diverging(cfg):
+            f_eval, queried = build(cfg), []
+
+            def huge(x):
+                if not queried:
+                    queried.append(f_eval(x))
+                return [[1e300] * 4] * 4
+
+            return huge
+
+        monkeypatch.setattr(cli, "_field_from_config", diverging)
+    cfg = grid_config(tmp_path, "lorentz")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["particle"].update(changes)
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert main(["simulate", "--config", cfg]) == code
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    (grid,) = loaded_grids
+    assert isinstance(grid.values, npz.PagedArray) and not grid.values.close.alive
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+def test_simulate_closes_the_paged_file_of_a_rejected_grid(tmp_path, capsys):
+    """g is paged before origin, read next, is found to be of shape (3,)."""
+    arrays = small_grid_arrays(tmp_path)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    assert simulate_on_arrays(tmp_path, **dict(arrays, origin=arrays["origin"][:3])) == (2, None)
+    assert "origin must be 4 finite numbers" in one_line(capsys.readouterr().err)
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_simulate_paged_and_compressed_grids_write_the_same_bytes(tmp_path, capsys, loaded_grids):
+    """The stored g is paged, the deflated one read whole: the same bytes."""
+    arrays = small_grid_arrays(tmp_path)
+    stored, deflated = (simulate_on_arrays(tmp_path, save=save, **arrays)
+                        for save in (np.savez, np.savez_compressed))
+    assert stored == deflated and stored[0] == 0
+    assert hashlib.sha256(stored[1]).hexdigest() == GRID_JSON_SHA256["lorentz"]
+    assert [type(grid.values) for grid in loaded_grids] == [npz.PagedArray, memoryview]
+
+
 def test_simulate_reads_every_accepted_grid_layout(tmp_path, capsys):
     """float32, big-endian, Fortran-order and compressed arrays read as the
     float64 values they hold (every dtype: test_read_npz_matches_np_load)."""
@@ -933,6 +1045,14 @@ def test_simulate_wong_bytes_follow_the_charge_value_alone(tmp_path, capsys):
         assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256["uniform_B", "wong"]
 
 
+def json_run_config(tmp_path, field, particle, dlambda, steps):
+    cfg = _simulate_config(tmp_path, field, particle, dlambda, steps)
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["output"] = {"path": str(tmp_path / "traj.json"), "format": "json"}
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    return cfg
+
+
 @pytest.mark.parametrize("dlambda, steps, code", [(1e308, 3, 2), (10**308, 3, 2),
                                                   (sys.float_info.max, 1, 0)],
                          ids=["float", "int", "largest"])
@@ -940,11 +1060,8 @@ def test_simulate_refuses_a_lambda_beyond_float_range(tmp_path, capsys, dlambda,
     """The samples' lambda = k dlambda, k <= steps, are all finite exactly when
     dlambda * steps is: the JSON a run writes stays valid JSON."""
     particle = {"x0": [0, 0, 0, 0], "u0": [0, 0, 0, 0], "m": 1.0, "q": 1.0}
-    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
-                           particle, dlambda, steps)
-    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
-    data["output"] = {"path": str(tmp_path / "traj.json"), "format": "json"}
-    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    cfg = json_run_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                          particle, dlambda, steps)
     assert main(["simulate", "--config", cfg, "--full-precision"]) == code
     if code:
         line = one_line(capsys.readouterr().err)
@@ -953,6 +1070,34 @@ def test_simulate_refuses_a_lambda_beyond_float_range(tmp_path, capsys, dlambda,
     else:
         samples = json.loads((tmp_path / "traj.json").read_text(encoding="utf-8"))["samples"]
         assert samples[-1]["lambda"] == dlambda * steps
+
+
+def test_simulate_refuses_a_start_velocity_whose_eta_norm_overflows(tmp_path, capsys):
+    """eta(u0, u0) of [1e200, 0, 0, 0] is -inf: the drift would be NaN, no JSON number."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1e200, 0, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = json_run_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 0]}},
+                          particle, 0.01, 10)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == (
+        "bad simulate config: particle.u0 must have a finite eta(u0, u0), got -inf")
+    assert not (tmp_path / "traj.json").exists()
+
+
+@pytest.mark.parametrize("writer_kind", ["forked", "in-process"])
+def test_simulate_treats_a_drift_that_is_not_finite_as_divergence(tmp_path, capsys, monkeypatch,
+                                                                   writer_kind):
+    """In E = (100, 20, 0) the velocity passes 1e154 within 400 steps of 0.01
+    and stays finite; its square overflows and the drift turns NaN."""
+    if writer_kind == "in-process":
+        monkeypatch.delattr(os, "fork")
+    particle = {"x0": [0.1, -0.2, 0.3, 0.05], "u0": [1.0, 0.0, 0.3, 0.0], "m": 0.9, "q": 0.8}
+    cfg = json_run_config(tmp_path, {"kind": "uniform_E", "params": {"E": [100.0, 20.0, 0.0]}},
+                          particle, 0.01, 400)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert one_line(capsys.readouterr().err) == (
+        "simulation diverged: eta(u,u) drift nan after 400 steps")
+    assert not (tmp_path / "traj.json").exists()
+    assert_no_child_process()
 
 
 # sha256 of a 5,000-step uniform_B run: the samples cross four block seams

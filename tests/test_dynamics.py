@@ -1,12 +1,15 @@
 import io
 import math
+import os
+import tempfile
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetgauge import dynamics
+from jetgauge import dynamics, npz
 from jetgauge.curvature import (
     GaugePotentialField,
     MetricField,
@@ -21,7 +24,6 @@ from jetgauge.dynamics import (
     grid_field_strength_evaluator,
     integrate_lorentz,
     integrate_wong,
-    read_npz,
     uniform_electric_f,
     uniform_magnetic_f,
 )
@@ -383,24 +385,62 @@ def npy_values(rng, dtype, shape):
 
 @given(st.sampled_from(["<f8", ">f8", "<f4", ">f4", "<i8", ">i8", "<i4", ">i4", "|u1"]),
        st.sampled_from(["<f8", ">f4", "<i4", "|u1"]), st.booleans(), st.booleans(),
-       st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+       st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
+@example("<f8", "<f8", False, False, 0, [9, 9, 9, 9])  # paged: 12 full pages, then 417 doubles
+@example("<f8", "<f8", True, False, 1, [4, 8, 8, 4])  # paged: 2 pages
 def test_read_npz_matches_np_load(dtype, spacing_dtype, fortran, compressed, seed, shape):
+    """Through a file-like object and through a path: a stored native float64 g
+    of more than one page (up to 13 of 512 doubles) is paged from the path,
+    all else read whole."""
     rng = np.random.default_rng(seed)
     g = npy_values(rng, dtype, shape)
     arrays = {"g": np.asfortranarray(g) if fortran else g,
               "spacing": npy_values(rng, spacing_dtype, ())}  # 0-d
     buf = io.BytesIO()
     (np.savez_compressed if compressed else np.savez)(buf, **arrays, other=np.arange(3))
-    got = read_npz(io.BytesIO(buf.getvalue()), ("spacing", "g"))
-    loaded = np.load(io.BytesIO(buf.getvalue()))
-    assert sorted(got) == ["g", "spacing"]
-    for name, (values, shape_read, fortran_read) in got.items():
-        want = loaded[name]
-        assert shape_read == want.shape
-        read = np.asarray(values, dtype=float).reshape(want.shape, order="F" if fortran_read else "C")
-        assert same_bits(read, want.astype(float))
-    assert isinstance(got["g"][0], memoryview) == (np.dtype(dtype) == np.dtype("=f8"))  # in place
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.npz")
+        with open(path, "wb") as fh:
+            fh.write(buf.getvalue())
+        with zipfile.ZipFile(path) as zf:
+            big = zf.getinfo("g.npy").file_size > 4096  # more than one page
+        for source in (io.BytesIO(buf.getvalue()), path):
+            got = npz.read_npz(source, ("spacing", "g"), dynamics.MAX_NPZ_MEMBER_BYTES)
+            assert sorted(got) == ["g", "spacing"]
+            with np.load(source) as loaded:
+                for name, (values, shape_read, fortran_read) in got.items():
+                    want = loaded[name]
+                    assert shape_read == want.shape
+                    read = np.asarray(values, dtype=float).reshape(
+                        want.shape, order="F" if fortran_read else "C")
+                    assert same_bits(read, want.astype(float))
+            native = np.dtype(dtype) == np.dtype("=f8")
+            paged = native and not compressed and source is path and big
+            assert isinstance(got["g"][0], npz.PagedArray) == paged
+            assert isinstance(got["g"][0], memoryview) == (native and not paged)  # in place
+            assert not isinstance(got["spacing"][0], npz.PagedArray)
+            if paged:
+                got["g"][0].close()
+
+
+def test_a_paged_array_is_bounded_and_reads_no_page_once_closed(tmp_path):
+    np.savez(tmp_path / "a.npz", g=np.arange(1000.0))  # one page of 512 doubles, then 488
+
+    def paged():
+        (values, shape, _), = npz.read_npz(str(tmp_path / "a.npz"), ("g",), 10**6).values()
+        assert isinstance(values, npz.PagedArray) and shape == (1000,)
+        return values
+
+    g = paged()
+    assert g[999] == 999.0 and list(g) == list(range(1000))
+    for i in (-1, 1000, 1024):
+        with pytest.raises(IndexError):
+            g[i]
+    g = paged()
+    g.close()
+    with pytest.raises(ValueError, match="closed"):
+        g[0]
 
 
 def test_a_node_whose_field_is_not_finite_is_an_error():
