@@ -152,7 +152,7 @@ class GridMetricField:
         npz.read_npz); close the grid when done with it."""
         from . import npz  # here, so that only a request that reads a grid compiles it
 
-        arrays = npz.read_npz(path, ("g", "origin", "spacing"), MAX_NPZ_MEMBER_BYTES)
+        arrays = npz.read_npz(path, ("g", "origin", "spacing"))
         g, shape, fortran = arrays["g"]
         origin, origin_shape, _ = arrays["origin"]
         spacing, spacing_shape, _ = arrays["spacing"]

@@ -14,7 +14,7 @@ import zipfile
 import zlib
 from array import array
 
-from .dynamics import GridFileError
+from . import dynamics
 
 # .npy dtype codes read as floats: float64, float32 and the integers
 _NPY_TYPECODES = {"f8": "d", "f4": "f", "i1": "b", "u1": "B", "i2": "h", "u2": "H",
@@ -74,11 +74,12 @@ _PAGE = 4096  # bytes a PagedArray reads at once; a member of at most one page i
 class PagedArray:
     """len() float64 numbers that indexing reads from the file descriptor fd
     (owned) at offset, with os.pread a 4 KiB page at a time, and keeps.
-    close() closes fd, as does dropping the array."""
+    close() drops the pages read and closes fd, as does dropping the array,
+    so every read after close() raises."""
 
     def __init__(self, fd: int, offset: int, count: int):
         self.fd, self.offset, self.count, self.pages = fd, offset, count, {}
-        self.close = weakref.finalize(self, os.close, fd)
+        self.close = weakref.finalize(self, _close, fd, self.pages)
 
     def __len__(self) -> int:
         return self.count
@@ -98,10 +99,15 @@ class PagedArray:
             raise ValueError("PagedArray is closed")
         data = os.pread(self.fd, size, self.offset + start)
         if len(data) != size:
-            raise GridFileError(f"the file ends inside its data, at byte "
+            raise dynamics.GridFileError(f"the file ends inside its data, at byte "
                                 f"{self.offset + start + len(data)}; it changed during the run")
         page = self.pages[k] = memoryview(data).cast("d")
         return page
+
+
+def _close(fd: int, pages: dict) -> None:
+    pages.clear()
+    os.close(fd)
 
 
 def _paged_npy(zf, info, name: str):
@@ -123,7 +129,7 @@ def _paged_npy(zf, info, name: str):
     return PagedArray(os.dup(fd), end, nbytes // 8), shape, fortran
 
 
-def read_npz(path, names, cap: int) -> dict:
+def read_npz(path, names) -> dict:
     """{name: (values, shape, fortran_order)} for the named arrays of an .npz
     archive as np.savez or np.savez_compressed write it.  values is flat in
     file order: a copy-free memoryview of native float64 data, or float32
@@ -131,8 +137,8 @@ def read_npz(path, names, cap: int) -> dict:
     that is stored uncompressed as native float64 in an archive opened from
     a path is a PagedArray instead (where os.pread exists), after one
     streamed pass that checks its CRC and keeps nothing; the caller closes
-    it.  A member that declares more than cap bytes raises before it is
-    read."""
+    it.  A member that declares more than dynamics.MAX_NPZ_MEMBER_BYTES
+    raises before it is read."""
     pageable = isinstance(path, (str, os.PathLike)) and hasattr(os, "pread")
     try:
         with zipfile.ZipFile(path) as zf:
@@ -142,9 +148,9 @@ def read_npz(path, names, cap: int) -> dict:
                 info = members.get(f"{name}.npy")
                 if info is None:
                     raise ValueError(f"missing array {name!r}")
-                if info.file_size > cap:
+                if info.file_size > dynamics.MAX_NPZ_MEMBER_BYTES:
                     raise ValueError(f"array {name!r} declares {info.file_size} bytes; "
-                                     f"the cap is {cap}")
+                                     f"the cap is {dynamics.MAX_NPZ_MEMBER_BYTES}")
                 npy = None
                 if pageable and info.compress_type == zipfile.ZIP_STORED and info.file_size > _PAGE:
                     npy = _paged_npy(zf, info, name)
