@@ -220,6 +220,19 @@ EXACT_OUTPUT_SHA256 = {
     ("isotropic", "--sector", "13", "--format", "json"): "3c05685fc76d93bfc0f6425b4859f74e1acb8ae9256c1938fec758edbb16a7ce",
     ("isotropic", "--sector", "13"): "72d3d81ef287e6b4820c85a0ece0ac072abddf0a237b3c20c3703ca580579543",
     ("electroweak",): "75b5461d6810bd816118227c741c2887705deadba537eebf6a3a3c8689ba5452",
+    ("electroweak", "--format", "text"): "10171362c0c1208d63d231a5e1631ec321b85afde06f216427f853d5d5c9bafc",
+    ("electroweak", "--full-precision"): "f6bf96b4289882a059ea9faa513cc63f835cf18f2a98f65270f742665b379ea7",
+    ("signature", "--axes", "4", "--order", "3"): "a95dd816e9638a540d751c5b9f2337f14003b55c7565e6276bac63374174e89c",
+    ("signature", "--axes", "4", "--order", "3", "--format", "json"): "acdb45606c554080d0935f08908f7a5765e5c960d160a84cb4a360d1af4a6156",
+    ("signature", "--axes", "4", "--order", "3", "--list"): "e0c2b72d8ac3d205fc75c5b97f80fae60d500163fb2f44f6be6403fb6e01db9e",
+    ("signature", "--axes", "4", "--order", "3", "--list", "--format", "json"): "d9ae49addf57f7245ae88e5aa5bfeafdbfc6b75a05efb3dd9adead618404611d",
+    ("isotropic", "--sector", "33"): "f0325cf81b8c76f711fafef216d59d7469974e42135ba20879061205ed6bc9fd",
+    ("isotropic", "--sector", "23"): "07a1056653917fcf07be7aa4c79acfce95d18a5ea4c9b2ea001821d253ee3fc1",
+    ("isotropic", "--sector", "23", "--format", "json", "--full-precision"): "36bdc494b7de463814ce21f02c08f618dd4d21b4f47899e76b1e35c67c8b61df",
+    ("census", "--sector", "2,3"): "18b9c6372dce4334204a56d8ce4459d992c1ffef8750b0ba5ade86af43dbe6d9",
+    ("census", "--sector", "2,3", "--format", "json"): "12f6421728d9bb1474d95f0e101132c29e86a0e1bbc9e729534750115c9bba5c",
+    # the same bytes as `octonion verify`: no row of the suite prints a float
+    ("octonion", "verify", "--full-precision"): "bea8c5c382aaa6826f39c53fc2b30e46068ebb6e1246d580809ea94d9b1b0009",
 }
 
 
@@ -287,6 +300,23 @@ def test_pheno_report_bytes_pinned(capsys, what, fmt):
     assert main(["pheno", what, "--format", fmt]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == PHENO_SHA256[what, fmt]
+
+
+# every pinned argv with its stdout digest
+ALL_OUTPUT_SHA256 = {
+    **EXACT_OUTPUT_SHA256,
+    **{("pheno", what, "--format", fmt): digest for (what, fmt), digest in PHENO_SHA256.items()},
+    ("verify-all", "--format", "json"): VERIFY_ALL_SHA256,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ALL_OUTPUT_SHA256), ids=" ".join)
+def test_out_file_holds_the_pinned_stdout_bytes(tmp_path, capsys, argv):
+    # `proca-table --format csv` renders text that ends in "\r"
+    main([*argv, "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().out == ""
+    data = (tmp_path / "out").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ALL_OUTPUT_SHA256[argv]
 
 
 def test_exit_code_contract_on_failure():
