@@ -16,13 +16,19 @@ from .refdata import MODE_CENSUS_REFERENCE
 from .report import VerificationReport, dump_json, fmt_float
 
 
-def _emit(text: str, args) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(args, payload, lines, code: int = 0) -> int:
+    """Print payload as JSON under --format json, else the text lines, to
+    --out or stdout; return the exit code."""
+    if args.format == "json":
+        text = dump_json(payload, getattr(args, "full_precision", False))
+    else:
+        text = "\n".join(lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(text, file=fh)
     else:
         print(text)
+    return code
 
 
 def _constants(args) -> pheno.Constants:
@@ -33,24 +39,15 @@ def _constants(args) -> pheno.Constants:
 
 def cmd_signature(args) -> int:
     p, q = jetspace.signature(args.axes, args.order)
-    if args.format == "json":
-        payload = {"axes": args.axes, "order": args.order, "p": p, "q": q}
-        if args.list:
-            basis = jetspace.enumerate_basis(args.axes, args.order)
-            payload["entries"] = [
-                {"monomial": m.label(args.axes), "timelike": jetspace.is_timelike(m)}
-                for m in basis.entries
-            ]
-        _emit(dump_json(payload), args)
-    else:
-        lines = [f"({p}, {q})"]
-        if args.list:
-            basis = jetspace.enumerate_basis(args.axes, args.order)
-            for m in basis.entries:
-                tag = "-" if jetspace.is_timelike(m) else "+"
-                lines.append(f"  d^{m.label(args.axes)}  {tag}")
-        _emit("\n".join(lines), args)
-    return 0
+    payload, lines = {"axes": args.axes, "order": args.order, "p": p, "q": q}, [f"({p}, {q})"]
+    if args.list:  # the listing is rendered only in the format printed
+        entries = ((m.label(args.axes), jetspace.is_timelike(m))
+                   for m in jetspace.enumerate_basis(args.axes, args.order).entries)
+        if args.format == "json":
+            payload["entries"] = [{"monomial": label, "timelike": t} for label, t in entries]
+        else:
+            lines += [f"  d^{label}  {'-' if t else '+'}" for label, t in entries]
+    return _emit(args, payload, lines)
 
 
 _INDEX_ORDER_NOTE = (
@@ -62,15 +59,13 @@ _INDEX_ORDER_NOTE = (
 
 def cmd_proca_table(args) -> int:
     table = proca.proca_table()
-    if args.format == "json":
-        _emit(dump_json({"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}), args)
-    elif args.format == "csv":
+    if args.format == "csv":
         # the csv module's default dialect: CRLF row ends, no quoting for integers
-        _emit("".join(",".join(map(str, row)) + "\r\n" for row in table).rstrip("\n"), args)
+        lines = [",".join(map(str, row)) + "\r" for row in table]
     else:
         width = max(len(str(v)) for row in table for v in row)
-        _emit("\n".join(" ".join(f"{v:>{width}}" for v in row) for row in table), args)
-    return 0
+        lines = [" ".join(f"{v:>{width}}" for v in row) for row in table]
+    return _emit(args, {"dim": 28, "index_order": _INDEX_ORDER_NOTE, "table": table}, lines)
 
 
 def _parse_sector(text: str) -> tuple[int, int]:
@@ -83,10 +78,10 @@ def _parse_sector(text: str) -> tuple[int, int]:
 
 def cmd_census(args) -> int:
     sectors = [args.sector] if args.sector else sorted(MODE_CENSUS_REFERENCE)
-    rows = []
+    rows, lines = [], []
     for sector in sectors:
         pos, neg, zero = proca.mode_census(sector)
-        ref = MODE_CENSUS_REFERENCE.get(tuple(sector))
+        ref = MODE_CENSUS_REFERENCE.get(sector)
         rows.append(
             {
                 "sector": list(sector),
@@ -96,21 +91,11 @@ def cmd_census(args) -> int:
                 "reference": list(ref) if ref else None,
             }
         )
+        lines.append(f"sector {tuple(sector)}: positive={pos} negative={neg} zero={zero}"
+                     + (f"  reference={ref}" if ref else ""))
     flags = proca.flagged_inconsistencies() if (2, 3) in sectors else []  # its one flag is on (2,3)
-    if args.format == "json":
-        _emit(dump_json({"censuses": rows, "flags": flags}), args)
-    else:
-        lines = []
-        for r in rows:
-            ref = f"  reference={tuple(r['reference'])}" if r["reference"] else ""
-            lines.append(
-                f"sector {tuple(r['sector'])}: positive={r['positive']} "
-                f"negative={r['negative']} zero={r['zero']}{ref}"
-            )
-        for f in flags:
-            lines.append(f"flagged: {f}")
-        _emit("\n".join(lines), args)
-    return 0
+    lines += [f"flagged: {f}" for f in flags]
+    return _emit(args, {"censuses": rows, "flags": flags}, lines)
 
 
 def cmd_isotropic(args) -> int:
@@ -138,41 +123,22 @@ def cmd_isotropic(args) -> int:
         payload["hypercharge_finite_rotation_residual_theta_0.7"] = (
             proca.u1y_finite_rotation_residual(basis, 0.7)
         )
-    if args.format == "json":
-        _emit(dump_json(payload, args.full_precision), args)
-    else:
-        lines = [
-            f"sector {tuple(payload['sector'])}: {payload['size']} vectors, "
-            f"gram zero: {gram_zero}"
-        ]
-        for v in payload["vectors"]:
-            lines.append("  " + "  ".join(f"X[{k}]*({c})" for k, c in v.items()))
-        _emit("\n".join(lines), args)
-    return 0 if gram_zero else 1
+    lines = [f"sector {tuple(basis.sector)}: {len(basis)} vectors, gram zero: {gram_zero}"]
+    lines += ["  " + "  ".join(f"X[{k}]*({c})" for k, c in v.items()) for v in payload["vectors"]]
+    return _emit(args, payload, lines, 0 if gram_zero else 1)
 
 
 def cmd_electroweak(args) -> int:
     payload = electroweak.breaking_report()
-    if args.format == "text":
-        lines = [f"{k}: {v}" for k, v in payload.items()]
-        _emit("\n".join(lines), args)
-    else:
-        _emit(dump_json(payload, args.full_precision), args)
-    return 0
-
-
-def _emit_report(rep, args) -> int:
-    text = rep.to_text(args.full_precision) if args.format == "text" else dump_json(
-        rep.to_dict(), args.full_precision
-    )
-    _emit(text, args)
-    return rep.exit_code
+    return _emit(args, payload, [f"{k}: {v}" for k, v in payload.items()])
 
 
 def cmd_octonion(args) -> int:
     rep = VerificationReport()
     verify.suite_octonions(rep.suite("octonion algebra and su(3) reduction"), args.seed)
-    return _emit_report(rep, args)
+    if args.format == "json":  # a report is rendered only in the format printed
+        return _emit(args, rep.to_dict(), (), rep.exit_code)
+    return _emit(args, None, [rep.to_text(args.full_precision)], rep.exit_code)
 
 
 _FIX_CHARS = 100  # per --fix literal, whose exponent has at most two digits
@@ -213,38 +179,27 @@ def cmd_su3(args) -> int:
             {names[i]: str(c) for i, c in enumerate(e.coeffs) if c} for e in stab
         ],
     }
-    if args.format == "text":
-        lines = [f"stabilizer dimension: {len(stab)}"]
-        for row in payload["basis"]:
-            lines.append("  " + "  ".join(f"{k}*({c})" for k, c in row.items()))
-        _emit("\n".join(lines), args)
-    else:
-        _emit(dump_json(payload), args)
-    return 0
+    lines = [f"stabilizer dimension: {len(stab)}"]
+    lines += ["  " + "  ".join(f"{k}*({c})" for k, c in row.items()) for row in payload["basis"]]
+    return _emit(args, payload, lines)
 
 
 def cmd_pheno(args) -> int:
-    k = _constants(args)
-    rep = pheno.evaluate(args.what, k)
-    if args.format == "json":
-        _emit(dump_json(pheno.as_dict(rep), args.full_precision), args)
-    else:
-        lines = [rep.name]
-        for c in rep.checks:
-            if c.actual is None:
-                continue
-            val = fmt_float(c.actual, args.full_precision)
-            parts = [f"  {c.name:<34s} {val:<14g} {c.unit}"]
-            if c.expected is not None:
-                parts.append(
-                    f" reference={fmt_float(c.expected, args.full_precision):g}"
-                    f" dev({c.kind})={c.deviation:.2e} [{c.status}]"
-                )
-            lines.append("".join(parts))
-        for f in pheno.flags(rep):
-            lines.append(f"  flagged: {f}")
-        _emit("\n".join(lines), args)
-    return 1 if rep.counts["fail"] else 0
+    rep = pheno.evaluate(args.what, _constants(args))
+    lines = [rep.name]
+    for c in rep.checks:
+        if c.actual is None:
+            continue
+        val = fmt_float(c.actual, args.full_precision)
+        parts = [f"  {c.name:<34s} {val:<14g} {c.unit}"]
+        if c.expected is not None:
+            parts.append(
+                f" reference={fmt_float(c.expected, args.full_precision):g}"
+                f" dev({c.kind})={c.deviation:.2e} [{c.status}]"
+            )
+        lines.append("".join(parts))
+    lines += [f"  flagged: {f}" for f in pheno.flags(rep)]
+    return _emit(args, pheno.as_dict(rep), lines, 1 if rep.counts["fail"] else 0)
 
 
 def _require(cfg: dict, path: str, where: str = ""):
@@ -404,7 +359,10 @@ def _simulate(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    return _emit_report(verify.build_report(args.seed, _constants(args)), args)
+    rep = verify.build_report(args.seed, _constants(args))
+    if args.format == "json":  # as in cmd_octonion
+        return _emit(args, rep.to_dict(), (), rep.exit_code)
+    return _emit(args, None, [rep.to_text(args.full_precision)], rep.exit_code)
 
 
 def build_parser() -> argparse.ArgumentParser:

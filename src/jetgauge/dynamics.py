@@ -172,7 +172,9 @@ class GridMetricField:
         indices; a query coordinate is converted once, by the evaluator."""
         nodes = self.shape[1:]
         if any(i < 2 or i >= s - 2 for i, s in zip(idx, nodes)):
-            raise GridBoundaryError(f"stencil at node {idx} leaves grid of shape {nodes}")
+            # 6 digits: a runaway query lands some 1e300 nodes out, an index of 300 digits
+            shown = ", ".join(f"{i:.6g}" for i in idx)
+            raise GridBoundaryError(f"stencil at node ({shown}) leaves grid of shape {nodes}")
         vals, (comp, *steps) = self.values, self.strides
         at = sum(map(operator.mul, idx, steps))
         return [[_stencil(lambda off: vals[at + nu * comp + off * step], self.spacing)

@@ -367,12 +367,12 @@ def is_negative_definite(sym: Sequence[Sequence[Fraction]]) -> bool:
     return not swaps and len(pivots) == len(neg) and all(p > 0 for p in values)
 
 
-def generic_centralizer_dimension(elements: Sequence[G2Element], probe=None) -> int:
+def generic_centralizer_dimension(elements: Sequence[G2Element]) -> int:
     """dim of the centralizer of a (generically regular) element; equals the
     rank of the subalgebra for a regular probe."""
-    if probe is None:  # (k^2 + 1)/(k + 1) times lcm(1..n): a positive scale, in ints
-        den = math.lcm(*range(1, len(elements) + 1))
-        probe = [(k * k + 1) * (den // (k + 1)) for k in range(len(elements))]
+    # the probe: (k^2 + 1)/(k + 1) times lcm(1..n), a positive scale, in ints
+    den = math.lcm(*range(1, len(elements) + 1))
+    probe = [(k * k + 1) * (den // (k + 1)) for k in range(len(elements))]
     mats = [e.matrix() for e in elements]
     x = _combination(probe, mats)
     images = [_upper_tri(bracket(x, m)) for m in mats]

@@ -757,6 +757,19 @@ def grid_config(tmp_path, law):
     return str(tmp_path / "cfg.json")
 
 
+def test_simulate_runaway_grid_run_names_its_node_in_one_short_line(tmp_path, capsys):
+    """q = 1e300 throws the particle some 1e300 grid units out, to a node
+    index of about 300 digits: it leaves the grid, exit 2, one short line."""
+    cfg = grid_config(tmp_path, "lorentz")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["particle"]["q"] = 1e300
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert line.startswith("error: stencil at node (") and len(line) <= 200, line
+    assert line.endswith(") leaves grid of shape (8, 8, 8, 8)")
+
+
 def grid_json(tmp_path, law, *flags):
     """The JSON bytes of 200 steps on small_grid_npz."""
     assert main(["simulate", "--config", grid_config(tmp_path, law), *flags]) == 0
