@@ -272,7 +272,7 @@ def _charge_value(cfg: dict) -> float:
     return float(value)
 
 
-MAX_STEPS = 5_000_000  # the sample table holds (steps + 1) x 9 doubles: 360 MB at the cap
+MAX_STEPS = 5_000_000  # the writer holds the text until the run ends: 0.85 GB of CSV at the cap
 
 
 def cmd_simulate(args) -> int:
@@ -296,7 +296,7 @@ def _simulate(args) -> int:
         m, q = (_number(_require(cfg, f"particle.{k}"), f"particle.{k}") for k in "mq")
         if m <= 0:
             raise ValueError(f"particle.m must be > 0, got {m!r}")
-        value = _charge_value(cfg) if cfg["particle"].get("I") else None
+        value = _charge_value(cfg) if "I" in cfg["particle"] else None
         state = dynamics.ParticleState(x0, u0, m, q)
         if not math.isfinite(norm0 := dynamics.eta_norm(state.u)):
             raise ValueError(f"particle.u0 must have a finite eta(u0, u0), got {norm0!r}")

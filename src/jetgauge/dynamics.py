@@ -73,12 +73,14 @@ gives it.
 
 Samples go to one flat array('d') of rows [lambda, x0..x3, u0..u3].  Given
 an emit callback, the loop hands it each finished block of BLOCK_STEPS
-steps as a memoryview of the rows not handed over before (the first block
-also holds the initial row), and the last partial block when the run ends;
-a run of 0 steps hands over its one row.  emit must be done with the view
-when it returns, since the array grows again after it.  A run that stops
-early has handed over only its finished blocks.  jetgauge.writer formats
-the output file from these blocks while the loop runs.
+steps as a memoryview of the array (the first block also holds the initial
+row), and the last partial block when the run ends; a run of 0 steps hands
+over its one row.  After each block the array is emptied, so a streamed
+run holds at most one block, 1,025 rows, and returns a Trajectory with no
+table.  emit must be done with the view when it returns: emptying an array
+with a live view raises BufferError.  A run that stops early has handed
+over only its finished blocks.  jetgauge.writer formats the output file
+from these blocks while the loop runs.
 """
 
 from __future__ import annotations
@@ -271,13 +273,16 @@ def eta_norm(u) -> float:
 
 class Trajectory:
     """Samples as one (n + 1, 9) table of rows [lambda, x0..x3, u0..u3]: a
-    2-D memoryview of doubles, which np.asarray reads without a copy."""
+    2-D memoryview of doubles, which np.asarray reads without a copy.  A run
+    streamed through emit keeps no table: table is None, and samples counts
+    the n + 1 rows that emit received."""
 
-    def __init__(self, table: memoryview, meta: dict):
+    def __init__(self, table: memoryview | None, meta: dict, samples: int | None = None):
         self.table, self.meta = table, meta
+        self.samples = len(table) if samples is None else samples
 
     def __len__(self):
-        return len(self.table)
+        return self.samples
 
 
 def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: int,
@@ -308,7 +313,6 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     x0, x1, x2, x3, u0, u1, u2, u3 = y
     norm0 = eta_norm(state.u)
     drift = abs(norm0 - norm0)
-    sent = 0  # doubles of out already handed to emit
     for start in range(0, max(nsteps, 1), BLOCK_STEPS):  # 0 steps: one block, the first row
         for k in range(start, min(start + BLOCK_STEPS, nsteps)):
             p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
@@ -340,11 +344,10 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
             elif d != d:  # NaN, which np.max would return
                 drift = d
         if emit is not None:
-            with memoryview(out) as view:
-                emit(view[sent:])
-            sent = len(out)
-    table = memoryview(out).cast("B").cast("d", [nsteps + 1, 9])
-    return Trajectory(table, {"law": law, "dlam": dlam, "eta_drift": drift})
+            emit(memoryview(out))
+            del out[:]  # BufferError if emit kept its view
+    table = None if emit is not None else memoryview(out).cast("B").cast("d", [nsteps + 1, 9])
+    return Trajectory(table, {"law": law, "dlam": dlam, "eta_drift": drift}, nsteps + 1)
 
 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int,

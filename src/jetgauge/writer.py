@@ -4,12 +4,15 @@ the file is written only once the run has finished.
 
 Where os.fork exists, integrate_and_write forks one writer process before
 the run.  The run writes each block's doubles into a pipe, as a
-memoryview of the sample array with no copy, then the meta dict as JSON.
-The writer formats each block as it arrives, on the other core while the
-RK4 loop goes on, keeps the text in memory, and opens the output path
-only when the meta arrives; end of file before it means the run stopped,
-and no file is written.  A write error's text comes back on a second
-pipe.  Without os.fork the same formatter takes the blocks in process.
+memoryview of the sample array with no copy, then the meta dict as JSON;
+the integrator empties its array after each block, so the running process
+holds one block of samples and the returned trajectory no table.  The
+writer formats each block as it arrives, on the other core while the RK4
+loop goes on, keeps the text in memory, and opens the output path only
+when the meta arrives; end of file before it means the run stopped, and
+no file is written.  A write error's text comes back on a second pipe.
+Without os.fork the same formatter takes the blocks in process, and the
+one process holds the text.
 """
 
 from __future__ import annotations

@@ -438,6 +438,21 @@ def test_simulate_charge_without_dim_names_key(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("charge", [{}, 0, [], "", False, None],
+                         ids=["empty-object", "zero", "empty-list", "empty-string", "false", "null"])
+def test_simulate_falsy_charge_is_validated_not_ignored(tmp_path, capsys, charge):
+    """A present particle.I asks for Wong's law, whatever its value; a falsy
+    one is a config error, not a silent Lorentz run."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0, "I": charge}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert one_line(captured.err) == "bad simulate config: missing key particle.I.dim"
+    assert captured.out == ""
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_simulate_divergence_exits_1_with_step(tmp_path, capsys):
     particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 1e5, 0, 0], "m": 1.0, "q": 1.0}
     cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1e308]}},
@@ -1255,6 +1270,35 @@ def test_simulate_leaves_no_child_process(tmp_path, capsys, outcome):
                  _simulate_config(tmp_path, field, particle, dlambda, 5000)]) == code
     assert (tmp_path / "traj.csv").exists() == (code == 0)
     assert_no_child_process()
+
+
+# prints the growth of the process's peak RSS (VmHWM, kB) over one simulate
+# run; the modules simulate imports are imported first, outside the growth
+HWM_GROWTH = """
+import sys
+from jetgauge import cli, dynamics, writer
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = hwm()
+code = cli.main(["simulate", "--config", sys.argv[1]])
+print(code, hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not (os.path.exists("/proc/self/status") and hasattr(os, "fork")),
+                    reason="reads VmHWM in /proc; the text is held in a forked writer")
+def test_simulate_keeps_no_sample_table_in_the_integrating_process(tmp_path):
+    """A 200,000-step run hands 14 MB of samples to the writer block by
+    block; the integrating process holds one block of them at a time."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0, 0, 1.0]}},
+                           particle, 0.001, 200_000)
+    code, growth_kb = _child(["-c", HWM_GROWTH, cfg]).stdout.split()[-2:]
+    assert code == b"0" and int(growth_kb) < 2048
+    assert (tmp_path / "traj.csv").read_bytes().count(b"\r\n") == 200_002
 
 
 def test_simulate_rejects_an_integer_beyond_float_range(tmp_path, capsys):
