@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import dynamics, electroweak, jetspace, octonion, pheno, proca, verify
 from .octonion import ImOctonion
 from .refdata import MODE_CENSUS_REFERENCE
-from .report import VerificationReport, dump_json, fmt_float
+from .report import VerificationReport, dump_json, fmt_float, shown
 
 
 def _emit(args, payload, lines, code: int = 0) -> int:
@@ -230,13 +230,13 @@ def _field_from_config(cfg: dict):
         path = _require(cfg, "params.npz", "field.")
         try:
             if not isinstance(path, str):
-                raise ValueError(f"expected a path, got {path!r}")
+                raise ValueError(f"expected a path, got {shown(path)}")
             grid = dynamics.GridMetricField.from_npz(path)
         except (OSError, ValueError) as exc:
             raise ValueError(f"field.params.npz: {exc}") from exc
         _run_grids.get([]).append(grid)  # outside cmd_simulate the caller owns the grid
-        return dynamics.grid_field_strength_evaluator(grid)
-    raise ValueError(f"unknown field kind {kind!r}")
+        return dynamics.GridFieldStrength(grid)
+    raise ValueError(f"unknown field kind {shown(kind)}")
 
 
 def _number(value, path: str):
@@ -246,13 +246,13 @@ def _number(value, path: str):
         raise ValueError(f"{path} must be a finite number, "
                          "got an integer beyond float range") from None
     if not ok:
-        raise ValueError(f"{path} must be a finite number, got {value!r}")
+        raise ValueError(f"{path} must be a finite number, got {shown(value)}")
     return value
 
 
 def _vector(value, path: str, n: int) -> list:
     if not isinstance(value, list) or len(value) != n:
-        raise ValueError(f"{path} must be a list of {n} finite numbers, got {value!r}")
+        raise ValueError(f"{path} must be a list of {n} finite numbers, got {shown(value)}")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -317,7 +317,7 @@ def _simulate(args) -> int:
             raise ValueError("output.path must be a string")
         fmt = out_cfg.get("format", "csv")
         if fmt not in ("csv", "json"):
-            raise ValueError(f"output.format must be \"csv\" or \"json\", got {fmt!r}")
+            raise ValueError(f"output.format must be \"csv\" or \"json\", got {shown(fmt)}")
         created = not os.path.lexists(path)
         try:  # a path that cannot be written fails here, not after the run
             open(path, "ab").close()

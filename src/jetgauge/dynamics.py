@@ -18,13 +18,14 @@ difference: it adds w sample(off) over _STENCIL4 in offset order -2, -1, 1,
 the nodes by it and between them by multilinear interpolation over the 16
 corners of the enclosing cell.  A query is put in grid units once; from there
 a node is its index tuple, which GridMetricField.jacobian range-checks and
-steps.  grid_field_strength_evaluator fills two lazy caches: per node, the
-six independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3, computed
+steps.  A GridFieldStrength fills two lazy caches: per node, the six
+independent components F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3, computed
 through the module-level field_strength_em when a node is first needed, and
 per cell those six as columns, six tuples of the 16 corner values, so a query
-inside a known cell is one dict lookup and six sums.  Only cells and nodes a
-trajectory visits are computed; a whole-grid precompute would cost more
-memory than the grid itself.
+inside a known cell is one dict lookup and six sums, from which both F and
+the force kernel below are built.  Only cells and nodes a trajectory visits
+are computed; a whole-grid precompute would cost more memory than the grid
+itself.
 
 The interpolation order is pinned.  With f_k the fractional part of the
 query's k-th grid coordinate and g_k = 1 - f_k, the weights are the product
@@ -57,11 +58,14 @@ GridMetricField reads it a 4 KiB page at a time as stencils touch it
 (npz.PagedArray), so the file must not change during a run.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
-floats, which keeps runs deterministic and golden files meaningful.  The
-field is called at each stage position as a tuple of four floats, and the
-one rows memo both force laws share forms kappa F once per distinct F
-object returned; kappa is 1 for Lorentz and the charge value for Wong (see
-integrate_wong).  The RK4 order is pinned too: du/dlam = qm M u, with
+floats, which keeps runs deterministic and golden files meaningful.  Each
+stage calls one force function; kappa is 1 for Lorentz and the charge
+value for Wong (see integrate_wong).  A GridFieldStrength's fused kernel
+takes the six sums straight into the products below, keeping F's zero
+entries and the products kappa v when kappa is not 1.0, so it gives the
+bits of its own F.  Any other field is called at each stage position as a
+tuple of four floats, and a rows memo forms kappa F once per distinct F
+object returned.  The RK4 order is pinned too: du/dlam = qm M u, with
 M = kappa F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)),
 the order that numpy's F @ u showed on the OpenBLAS build the golden files
 came from; stages are y + (h/2) k and y + h k, and a step is
@@ -76,7 +80,7 @@ an emit callback, the loop hands it each finished block of BLOCK_STEPS
 steps as a memoryview of the array (the first block also holds the initial
 row), and the last partial block when the run ends; a run of 0 steps hands
 over its one row.  After each block the array is emptied, so a streamed
-run holds at most one block, 1,025 rows, and returns a Trajectory with no
+run holds at most one block, 257 rows, and returns a Trajectory with no
 table.  emit must be done with the view when it returns: emptying an array
 with a live view raises BufferError.  A run that stops early has handed
 over only its finished blocks.  jetgauge.writer formats the output file
@@ -91,7 +95,7 @@ import operator
 from array import array
 
 ETA_DIAG = (-1.0, 1.0, 1.0, 1.0)
-BLOCK_STEPS = 1024  # RK4 steps per block handed to emit
+BLOCK_STEPS = 256  # RK4 steps per block handed to emit
 
 _STENCIL4 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))  # /(12 h)
 
@@ -195,61 +199,85 @@ _UPPER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))  # the six components 
 _ZERO = (0.0,) * 6  # the components of a corner of zero weight
 
 
-def grid_field_strength_evaluator(grid: GridMetricField):
-    """Continuous F evaluator from a grid metric: node values by stencil,
-    multilinear interpolation between nodes (trajectories move off-node).
-    Each query is straight-line code on floats: grid units, the 16 weights
-    as a product tree, and one 16-term sum per column of the cell; caches
-    and summation order are described in the module docstring."""
-    nodes: dict[tuple[int, ...], tuple] = {}
-    cells: dict[tuple[int, ...], tuple] = {}
-    (o0, o1, o2, o3), spacing, isfinite, floor = grid.origin, grid.spacing, math.isfinite, math.floor
+class GridFieldStrength:
+    """Continuous F(x) from a grid metric: node values by stencil, multilinear
+    interpolation between nodes; kernel(qm, kappa) is the RK4 force of this F.
+    Each query is straight-line code on floats: grid units, the 16 weights as
+    a product tree, and one 16-term sum per column of the cell; caches and
+    summation order are described in the module docstring."""
 
-    def components(base, corner) -> tuple:
-        idx = tuple(map(operator.add, base, corner))
-        comps = nodes.get(idx)
-        if comps is None:
-            f = field_strength_em(grid, idx)
-            if not all(math.isfinite(v) for row in f for v in row):
-                raise ValueError(f"field strength at grid node {idx} is not finite")
-            comps = nodes[idx] = tuple(f[a][b] for a, b in _UPPER)
-        return comps
+    def __init__(self, grid: GridMetricField):
+        nodes: dict[tuple[int, ...], tuple] = {}
+        cells: dict[tuple[int, ...], tuple] = {}
+        (o0, o1, o2, o3), spacing = grid.origin, grid.spacing
+        isfinite, floor = math.isfinite, math.floor
 
-    def evaluate(x) -> tuple:
-        x0, x1, x2, x3 = x
-        r0, r1, r2, r3 = ((x0 - o0) / spacing, (x1 - o1) / spacing,
-                          (x2 - o2) / spacing, (x3 - o3) / spacing)
-        if not (isfinite(r0) and isfinite(r1) and isfinite(r2) and isfinite(r3)):
-            raise GridBoundaryError(f"query {[r0, r1, r2, r3]} is not a finite grid position")
-        base = b0, b1, b2, b3 = floor(r0), floor(r1), floor(r2), floor(r3)
-        f0, f1, f2, f3 = r0 - b0, r1 - b1, r2 - b2, r3 - b3
-        g0, g1, g2, g3 = 1.0 - f0, 1.0 - f1, 1.0 - f2, 1.0 - f3
-        gg, gf, fg, ff = g0 * g1, g0 * f1, f0 * g1, f0 * f1
-        ggg, ggf, gfg, gff, fgg, fgf, ffg, fff = (gg * g2, gg * f2, gf * g2, gf * f2,
-                                                  fg * g2, fg * f2, ff * g2, ff * f2)
-        wt = (ggg * g3, ggg * f3, ggf * g3, ggf * f3, gfg * g3, gfg * f3, gff * g3, gff * f3,
-              fgg * g3, fgg * f3, fgf * g3, fgf * f3, ffg * g3, ffg * f3, fff * g3, fff * f3)
-        if 0.0 in wt:
-            # on a node layer: corners of zero weight may lie past the
-            # stencil-safe range, so they get +0.0 columns, not computed ones
-            cell = tuple(zip(*[components(base, c) if w else _ZERO for w, c in zip(wt, _CORNERS)]))
-        else:
-            cell = cells.get(base)
-            if cell is None:
-                cell = cells[base] = tuple(zip(*[components(base, c) for c in _CORNERS]))
-        w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15 = wt
-        sums = []  # a loop, not a comprehension, keeps the weights fast locals
-        for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 in cell:
-            sums.append(0.0 + w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3 + w4 * a4 + w5 * a5 + w6 * a6
-                        + w7 * a7 + w8 * a8 + w9 * a9 + w10 * a10 + w11 * a11 + w12 * a12
-                        + w13 * a13 + w14 * a14 + w15 * a15)
-        s01, s02, s03, s12, s13, s23 = sums
+        def components(base, corner) -> tuple:
+            idx = tuple(map(operator.add, base, corner))
+            comps = nodes.get(idx)
+            if comps is None:
+                f = field_strength_em(grid, idx)
+                if not all(math.isfinite(v) for row in f for v in row):
+                    raise ValueError(f"field strength at grid node {idx} is not finite")
+                comps = nodes[idx] = tuple(f[a][b] for a, b in _UPPER)
+            return comps
+
+        def sums(x0, x1, x2, x3) -> list:  # F^0_1, F^0_2, F^0_3, F^1_2, F^1_3, F^2_3 at x
+            r0, r1, r2, r3 = ((x0 - o0) / spacing, (x1 - o1) / spacing,
+                              (x2 - o2) / spacing, (x3 - o3) / spacing)
+            if not (isfinite(r0) and isfinite(r1) and isfinite(r2) and isfinite(r3)):
+                raise GridBoundaryError(f"query {[r0, r1, r2, r3]} is not a finite grid position")
+            base = b0, b1, b2, b3 = floor(r0), floor(r1), floor(r2), floor(r3)
+            f0, f1, f2, f3 = r0 - b0, r1 - b1, r2 - b2, r3 - b3
+            g0, g1, g2, g3 = 1.0 - f0, 1.0 - f1, 1.0 - f2, 1.0 - f3
+            gg, gf, fg, ff = g0 * g1, g0 * f1, f0 * g1, f0 * f1
+            ggg, ggf, gfg, gff, fgg, fgf, ffg, fff = (gg * g2, gg * f2, gf * g2, gf * f2,
+                                                      fg * g2, fg * f2, ff * g2, ff * f2)
+            wt = (ggg * g3, ggg * f3, ggf * g3, ggf * f3, gfg * g3, gfg * f3, gff * g3, gff * f3,
+                  fgg * g3, fgg * f3, fgf * g3, fgf * f3, ffg * g3, ffg * f3, fff * g3, fff * f3)
+            if 0.0 in wt:
+                # on a node layer: corners of zero weight may lie past the
+                # stencil-safe range, so they get +0.0 columns, not computed ones
+                cell = tuple(zip(*[components(base, c) if w else _ZERO
+                                   for w, c in zip(wt, _CORNERS)]))
+            else:
+                cell = cells.get(base)
+                if cell is None:
+                    cell = cells[base] = tuple(zip(*[components(base, c) for c in _CORNERS]))
+            w0, w1, w2, w3, w4, w5, w6, w7, w8, w9, w10, w11, w12, w13, w14, w15 = wt
+            out = []  # a loop, not a comprehension, keeps the weights fast locals
+            for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15 in cell:
+                out.append(0.0 + w0 * a0 + w1 * a1 + w2 * a2 + w3 * a3 + w4 * a4 + w5 * a5 + w6 * a6
+                           + w7 * a7 + w8 * a8 + w9 * a9 + w10 * a10 + w11 * a11 + w12 * a12
+                           + w13 * a13 + w14 * a14 + w15 * a15)
+            return out
+
+        self._sums = sums
+
+    def __call__(self, x) -> tuple:
+        s01, s02, s03, s12, s13, s23 = self._sums(*x)
         return ((0.0, s01, s02, s03),
                 (s01, 0.0, s12, s13),
                 (s02, -s12 if s12 else 0.0, 0.0, s23),
                 (s03, -s13 if s13 else 0.0, -s23 if s23 else 0.0, 0.0))
 
-    return evaluate
+    def kernel(self, qm: float, kappa: float):
+        """accel(x0..x3, u0..u3) = qm (kappa F(x)) u, bit for bit as _integrate
+        contracts the rows of F, but straight from the six sums."""
+        sums, scaled = self._sums, kappa != 1.0
+
+        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
+            s01, s02, s03, s12, s13, s23 = sums(x0, x1, x2, x3)
+            z, n12, n13, n23 = 0.0, -s12 if s12 else 0.0, -s13 if s13 else 0.0, -s23 if s23 else 0.0
+            if scaled:  # kappa F entry by entry, its zeros included
+                z, s01, s02, s03, s12, s13, s23, n12, n13, n23 = [
+                    kappa * v for v in (z, s01, s02, s03, s12, s13, s23, n12, n13, n23)]
+            return (qm * ((z * u0 + s02 * u2) + (s01 * u1 + s03 * u3)),
+                    qm * ((s01 * u0 + s12 * u2) + (z * u1 + s13 * u3)),
+                    qm * ((s02 * u0 + z * u2) + (n12 * u1 + s23 * u3)),
+                    qm * ((s03 * u0 + n23 * u2) + (n13 * u1 + z * u3)))
+
+        return accel
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -295,17 +323,20 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
         raise ValueError("step must be positive and finite")
     qm = state.q / state.m
     h2, h6 = 0.5 * dlam, dlam / 6.0
-    last = [None, None]  # the last F returned, and the rows of kappa F
+    if isinstance(f_eval, GridFieldStrength):
+        accel = f_eval.kernel(qm, kappa)
+    else:
+        last = [None, None]  # the last F returned, and the rows of kappa F
 
-    def accel(x, u0, u1, u2, u3):
-        f = f_eval(x)
-        if f is not last[0]:
-            last[:] = f, (f if kappa == 1.0 else [[kappa * v for v in row] for row in f])
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = last[1]
-        return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
-                qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
-                qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
-                qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3)))
+        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
+            f = f_eval((x0, x1, x2, x3))
+            if f is not last[0]:
+                last[:] = f, (f if kappa == 1.0 else [[kappa * v for v in row] for row in f])
+            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = last[1]
+            return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
+                    qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
+                    qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
+                    qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3)))
 
     y = state.x + state.u
     out = array("d", [0.0])
@@ -315,15 +346,15 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     drift = abs(norm0 - norm0)
     for start in range(0, max(nsteps, 1), BLOCK_STEPS):  # 0 steps: one block, the first row
         for k in range(start, min(start + BLOCK_STEPS, nsteps)):
-            p0, p1, p2, p3 = accel((x0, x1, x2, x3), u0, u1, u2, u3)
+            p0, p1, p2, p3 = accel(x0, x1, x2, x3, u0, u1, u2, u3)
             v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
-            q0, q1, q2, q3 = accel((x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3),
+            q0, q1, q2, q3 = accel(x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3,
                                    v0, v1, v2, v3)
             w0, w1, w2, w3 = u0 + h2 * q0, u1 + h2 * q1, u2 + h2 * q2, u3 + h2 * q3
-            r0, r1, r2, r3 = accel((x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3),
+            r0, r1, r2, r3 = accel(x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
                                    w0, w1, w2, w3)
             z0, z1, z2, z3 = u0 + dlam * r0, u1 + dlam * r1, u2 + dlam * r2, u3 + dlam * r3
-            s0, s1, s2, s3 = accel((x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3),
+            s0, s1, s2, s3 = accel(x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3,
                                    z0, z1, z2, z3)
             y = (x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
                  x1 + h6 * (((u1 + 2.0 * v1) + 2.0 * w1) + z1),
@@ -353,10 +384,11 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int,
                       emit=None) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> F as four rows of
-    four floats, x a tuple of four floats.  kappa F is formed once per
-    distinct object returned, so f_eval must not mutate an F it has already
-    returned.  emit, if given, receives the samples block by block (see the
-    module docstring)."""
+    four floats, x a tuple of four floats; of a GridFieldStrength the run
+    takes its fused kernel instead, which gives the same bits.  kappa F is
+    formed once per distinct object returned, so f_eval must not mutate an F
+    it has already returned.  emit, if given, receives the samples block by
+    block (see the module docstring)."""
     return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz", emit)
 
 

@@ -37,7 +37,7 @@ import json
 import math
 from typing import Any
 
-from .report import FLAGGED, Suite
+from .report import FLAGGED, Suite, shown
 
 
 class Constants:
@@ -60,18 +60,18 @@ class Constants:
 
     def __init__(self, **values):
         if unknown := sorted(values.keys() - self.DEFAULTS.keys()):
-            raise ValueError(f"unknown constant overrides: {unknown}")
+            raise ValueError(f"unknown constant overrides: {shown(unknown)}")
         for name, default in self.DEFAULTS.items():
             v = values.get(name, default)
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"constant {name} must be a number, got {v!r}")
+                raise ValueError(f"constant {name} must be a number, got {shown(v)}")
             try:
                 ok = math.isfinite(v) and v > 0
             except OverflowError:  # an int beyond float range, whose digits are not echoed
                 raise ValueError(f"constant {name} must be finite and positive, "
                                  "got an integer beyond float range") from None
             if not ok:
-                raise ValueError(f"constant {name} must be finite and positive, got {v!r}")
+                raise ValueError(f"constant {name} must be finite and positive, got {shown(v)}")
             setattr(self, name, v)
 
     @property

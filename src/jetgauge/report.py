@@ -14,6 +14,12 @@ import math
 PASS, FAIL, FLAGGED = "pass", "fail", "flagged"
 
 
+def shown(value) -> str:
+    """repr(value) cut after 60 characters with "...": an error line stays short."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def fmt_float(x: float, full_precision: bool = False) -> float:
     """Round to 6 significant digits unless full precision is requested."""
     if full_precision:

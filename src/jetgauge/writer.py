@@ -8,8 +8,9 @@ memoryview of the sample array with no copy, then the meta dict as JSON;
 the integrator empties its array after each block, so the running process
 holds one block of samples and the returned trajectory no table.  The
 writer formats each block as it arrives, on the other core while the RK4
-loop goes on, keeps the text in memory, and opens the output path only
-when the meta arrives; end of file before it means the run stopped, and
+loop goes on, so at most BLOCK_STEPS rows are left to format when the
+loop ends; it keeps the text in memory and opens the output path only
+when the meta arrives.  End of file before it means the run stopped, and
 no file is written.  A write error's text comes back on a second pipe.
 Without os.fork the same formatter takes the blocks in process, and the
 one process holds the text.

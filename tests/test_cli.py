@@ -1158,8 +1158,8 @@ def test_simulate_treats_a_drift_that_is_not_finite_as_divergence(tmp_path, caps
     assert_no_child_process()
 
 
-# sha256 of a 5,000-step uniform_B run: the samples cross four block seams
-# and end on a partial block; the 200-step pins above fit in one block
+# sha256 of a 5,000-step uniform_B run: the samples cross at least four block
+# seams and end on a partial block; the 200-step pins above fit in one block
 SEAM_SHA256 = {
     "csv": "99a53d81294e22ea2846a55b1a542730de48a41c1dcb515df8d5d4acf03d098c",
     "json --full-precision": "707389f84c1e3ef20d9bcca786e9940ae01d507618e57ffba826978307adfc8e",
@@ -1188,7 +1188,8 @@ def test_simulate_block_seams_bytes_pinned(tmp_path, capsys, output):
 
 
 @pytest.mark.parametrize("output", sorted(SEAM_SHA256))
-@pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1])
+@pytest.mark.parametrize("steps", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                                   4 * BLOCK_STEPS - 1, 4 * BLOCK_STEPS, 4 * BLOCK_STEPS + 1])
 def test_simulate_forked_and_in_process_writers_agree(tmp_path, capsys, monkeypatch,
                                                       output, steps):
     fmt, *flags = output.split()
@@ -1299,6 +1300,65 @@ def test_simulate_keeps_no_sample_table_in_the_integrating_process(tmp_path):
     code, growth_kb = _child(["-c", HWM_GROWTH, cfg]).stdout.split()[-2:]
     assert code == b"0" and int(growth_kb) < 2048
     assert (tmp_path / "traj.csv").read_bytes().count(b"\r\n") == 200_002
+
+
+def test_simulate_echoes_at_most_60_characters_of_a_long_vector(tmp_path, capsys):
+    """field.params.B of 50,000 zeros: one short line, not the whole list."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "uniform_B", "params": {"B": [0] * 50_000}},
+                           particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert len(line) < 200 and line == ("bad simulate config: field.params.B must be a list of 3 "
+                                        f"finite numbers, got {repr([0] * 50_000)[:60]}...")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_echoes_at_most_60_characters_of_a_long_field_kind(tmp_path, capsys):
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    cfg = _simulate_config(tmp_path, {"kind": "w" * 100_000}, particle, 0.01, 5)
+    assert main(["simulate", "--config", cfg]) == 2
+    line = one_line(capsys.readouterr().err)
+    assert len(line) < 200 and line == "bad simulate config: unknown field kind '" + "w" * 59 + "..."
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("field.kind", "warp", "unknown field kind 'warp'"),
+    ("field.params.B", [0, 1.0], "field.params.B must be a list of 3 finite numbers, got [0, 1.0]"),
+    ("particle.q", "x" * 58, "particle.q must be a finite number, got '" + "x" * 58 + "'"),
+    ("particle.q", "x" * 59, "particle.q must be a finite number, got '" + "x" * 59 + "..."),
+    ("output.format", "jsn", 'output.format must be "csv" or "json", got \'jsn\''),
+    ("field.params.npz", 7, "field.params.npz: expected a path, got 7"),
+], ids=["kind", "vector", "60-chars", "61-chars", "format", "npz"])
+def test_simulate_config_errors_echo_short_values_whole(tmp_path, capsys, key, value, shown):
+    """A value whose repr has at most 60 characters is echoed as it is."""
+    particle = {"x0": [0, 0, 0, 0], "u0": [1.0, 0.1, 0, 0], "m": 1.0, "q": 1.0}
+    field = {"kind": "grid" if "npz" in key else "uniform_B", "params": {"B": [0, 0, 1.0]}}
+    cfg = _simulate_config(tmp_path, field, particle, 0.01, 5)
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    *parents, name = key.split(".")
+    node = data
+    for part in parents:
+        node = node[part]
+    node[name] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == f"bad simulate config: {shown}"
+
+
+def test_pheno_constant_errors_echo_at_most_60_characters(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    for constants, shown in (({"M_W": "h" * 100_000}, "constant M_W must be a number, got '"),
+                             ({"x" * 100_000: 1.0}, "unknown constant overrides: ['")):
+        path.write_text(json.dumps(constants), encoding="utf-8")
+        assert main(["pheno", "table1", "--constants", str(path)]) == 2
+        line = one_line(capsys.readouterr().err)
+        assert len(line) < 200 and line.startswith("error: " + shown) and line.endswith("...")
+    path.write_text(json.dumps({"M_W": -1.5}), encoding="utf-8")
+    assert main(["pheno", "table1", "--constants", str(path)]) == 2
+    assert one_line(capsys.readouterr().err) == (
+        "error: constant M_W must be finite and positive, got -1.5")
 
 
 def test_simulate_rejects_an_integer_beyond_float_range(tmp_path, capsys):

@@ -19,10 +19,10 @@ from jetgauge.curvature import (
 )
 from jetgauge.dynamics import (
     GridBoundaryError,
+    GridFieldStrength,
     GridMetricField,
     ParticleState,
     field_strength_em,
-    grid_field_strength_evaluator,
     integrate_lorentz,
     integrate_wong,
     uniform_electric_f,
@@ -141,7 +141,7 @@ def test_grid_field_strength_evaluator_interpolates():
         x = np.array([axes[k] for k in idx])
         vals[(slice(None),) + idx] = [e_vec @ x[1:], 0.0, 0.0, 0.0]
     grid = grid_field(vals, [-2.5] * 4, spacing)
-    f_eval = grid_field_strength_evaluator(grid)
+    f_eval = GridFieldStrength(grid)
     want = uniform_electric_f(e_vec)
     for x in (np.zeros(4), np.array([0.13, -0.4, 0.77, 0.21])):
         assert np.allclose(f_eval(x), want, atol=1e-10)
@@ -150,7 +150,7 @@ def test_grid_field_strength_evaluator_interpolates():
 
 
 def loop_field_strength_evaluator(grid):
-    """Slow oracle for grid_field_strength_evaluator: one Python pass over
+    """Slow oracle for GridFieldStrength: one Python pass over
     the 16 corners per query, computing only corners of nonzero weight."""
     cache = {}
     shape = grid.shape[1:]
@@ -249,7 +249,7 @@ def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
     """One evaluator answers every point, so its caches carry across cells.
     It takes the point as an ndarray and as the tuple the integrator passes."""
     grid = random_grid(seed, dyadic)
-    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    fast, slow = GridFieldStrength(grid), loop_field_strength_evaluator(grid)
     reduce = numpy_field_strength_evaluator(grid)
     for coords in points + points[::-1]:
         x = grid.origin + grid.spacing * np.array(coords)
@@ -265,6 +265,42 @@ def test_grid_evaluator_matches_corner_loop_bitwise(seed, dyadic, points):
         assert all(same_bits(fast(query), want) for query in queries)
 
 
+_signed = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([(0, 1, 2, 3), (0,), (1, 3), ()]),
+       st.lists(_point, min_size=1, max_size=6), st.lists(_signed, min_size=4, max_size=4),
+       st.sampled_from([1.0, 0.0, -0.0, 0.7, -3.0]), st.floats(-2.0, 2.0, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+@example(0, True, (0, 1, 2, 3), [[4.0, 3.25, 2.5, 3.75], [3.0, 3.0, 3.0, 3.0]],
+         [-0.0, 0.0, -0.0, -0.0], -0.0, 1.5)
+@example(0, False, (1, 3), [[2.5, 2.5, 2.5, 2.5]], [1.2, -0.0, 0.3, 0.0], 0.7, -1.1)
+@example(0, False, (), [[2.5, 2.5, 2.5, 2.5]], [-0.0, 0.0, -0.0, 0.0], -3.0, 1.5)
+def test_grid_kernel_matches_the_evaluator_rows_bitwise(seed, dyadic, varying, points, u,
+                                                         kappa, qm):
+    """The fused RK4 force is qm (kappa F) u with F's rows contracted in the
+    pinned order, kappa F formed entry by entry unless kappa is 1.0: in
+    cells, on node layers (zero weights), and with the signs of zeros kept,
+    also where only the g_mu in varying are nonzero."""
+    vals, origin, spacing = random_grid_arrays(seed, dyadic)
+    vals[[mu for mu in range(4) if mu not in varying]] = 0.0
+    grid = grid_field(vals, origin, spacing)
+    field = GridFieldStrength(grid)
+    accel = field.kernel(qm, kappa)
+    u0, u1, u2, u3 = u
+    for coords in points:
+        x = tuple((grid.origin + grid.spacing * np.array(coords)).tolist())
+        try:
+            f = field(x)
+        except GridBoundaryError:
+            with pytest.raises(GridBoundaryError):
+                accel(*x, *u)
+            continue
+        rows = f if kappa == 1.0 else [[kappa * v for v in row] for row in f]
+        want = [qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)) for a0, a1, a2, a3 in rows]
+        assert same_bits(accel(*x, *u), want)
+
+
 @pytest.mark.parametrize("components", [(), (0,), (1, 3)], ids=["zero", "g0", "g1-g3"])
 def test_grid_evaluator_keeps_the_signs_of_zeros(components):
     """Where only some g_mu vary, whole blocks of F are zero at every node;
@@ -272,7 +308,7 @@ def test_grid_evaluator_keeps_the_signs_of_zeros(components):
     vals, origin, spacing = random_grid_arrays(7, True)
     vals[[mu for mu in range(4) if mu not in components]] = 0.0
     grid = grid_field(vals, origin, spacing)
-    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    fast, slow = GridFieldStrength(grid), loop_field_strength_evaluator(grid)
     for coords in ([2.5, 3.25, 2.75, 3.5], [3.0, 2.5, 3.5, 2.25], [4.0, 4.0, 2.0, 3.0]):
         x = grid.origin + grid.spacing * np.array(coords)
         assert same_bits(fast(x), slow(x))
@@ -281,7 +317,7 @@ def test_grid_evaluator_keeps_the_signs_of_zeros(components):
 def test_grid_evaluator_on_last_safe_layer():
     n = 7
     grid = random_grid(11, True, n)
-    fast, slow = grid_field_strength_evaluator(grid), loop_field_strength_evaluator(grid)
+    fast, slow = GridFieldStrength(grid), loop_field_strength_evaluator(grid)
     # x0 exactly on node n - 3: the corners on node n - 2 have zero weight
     # and lie outside the stencil-safe range, so they must not be computed
     for rel in ([n - 3, 2.5, 3.25, 2.75], [n - 3, n - 3, n - 3, n - 3], [2, 2, 2, 2]):
@@ -309,7 +345,7 @@ def test_grid_evaluator_computes_each_node_once(monkeypatch):
     # is what run tracing wraps to count node computations
     monkeypatch.setattr(dynamics, "field_strength_em", counted)
     grid = random_grid(5, False)
-    f_eval = grid_field_strength_evaluator(grid)
+    f_eval = GridFieldStrength(grid)
     rng = np.random.default_rng(1)
     for _ in range(50):  # all inside the cell based at node (2, 3, 2, 3)
         f_eval(grid.origin + grid.spacing * (np.array([2, 3, 2, 3]) + rng.uniform(0.1, 0.9, 4)))
@@ -320,7 +356,7 @@ def test_grid_evaluator_computes_each_node_once(monkeypatch):
     # weight are computed, and interior queries later add the other 8
     calls.clear()
     grid = random_grid(5, True)  # dyadic, so the query lands on the layer exactly
-    f_eval = grid_field_strength_evaluator(grid)
+    f_eval = GridFieldStrength(grid)
     f_eval(tuple(grid.origin + grid.spacing * np.array([3.0, 2.5, 3.25, 2.75])))
     assert len(calls) == 8 and {c[0] for c in calls} == {3}
     for _ in range(20):
@@ -330,7 +366,7 @@ def test_grid_evaluator_computes_each_node_once(monkeypatch):
 
 
 def test_grid_evaluator_names_a_non_finite_query():
-    f_eval = grid_field_strength_evaluator(grid_field(np.zeros((4, 7, 7, 7, 7)), [0.0] * 4, 1.0))
+    f_eval = GridFieldStrength(grid_field(np.zeros((4, 7, 7, 7, 7)), [0.0] * 4, 1.0))
     for query, rel in (((math.nan, 0.0, 3.0, 3.0), r"\[nan, 0\.0, 3\.0, 3\.0\]"),
                        ((3.0, 3.0, -math.inf, 3.0), r"\[3\.0, 3\.0, -inf, 3\.0\]")):
         with pytest.raises(GridBoundaryError, match=rf"^query {rel} is not a finite grid position$"):
@@ -451,7 +487,7 @@ def test_a_node_whose_field_is_not_finite_is_an_error():
     is infinite; the evaluator stops there instead of interpolating it."""
     vals = np.zeros((4, 7, 7, 7, 7))
     vals[1, 4, 6, 4, 4] = np.inf  # d_1 g_1 at node (4, 4, 4, 4) is infinite
-    f_eval = grid_field_strength_evaluator(grid_field(vals, [0.0] * 4, 1.0))
+    f_eval = GridFieldStrength(grid_field(vals, [0.0] * 4, 1.0))
     assert same_bits(f_eval((2.5, 2.5, 2.5, 2.5)), np.zeros((4, 4)))  # a cell away from it
     with pytest.raises(ValueError, match=r"node \(4, 4, 4, 4\) is not finite"):
         f_eval((4.0, 4.0, 4.0, 4.0))
@@ -713,7 +749,11 @@ def test_non_finite_detection():
     assert "step" in str(err.value)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025, 2 * 1024, 3000])
+BLOCK = dynamics.BLOCK_STEPS  # RK4 steps per emitted block
+
+
+@pytest.mark.parametrize("steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK,
+                                   4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 8 * BLOCK, 3000])
 def test_emit_receives_every_row_once_in_blocks(steps):
     """emit gets block after block of BLOCK_STEPS steps (the first one also
     holds the initial row), then the partial rest: together, the table of
@@ -723,8 +763,8 @@ def test_emit_receives_every_row_once_in_blocks(steps):
     blocks = []
     traj = integrate_lorentz(state, lambda x: f, 0.01, steps, lambda b: blocks.append(list(b)))
     kept = integrate_lorentz(state, lambda x: f, 0.01, steps)
-    assert dynamics.BLOCK_STEPS == 1024
-    sizes = [min(1024, steps - k) for k in range(0, steps, 1024)] or [0]
+    assert 3000 % BLOCK and 3000 > 2 * BLOCK  # the last case ends on a partial block
+    sizes = [min(BLOCK, steps - k) for k in range(0, steps, BLOCK)] or [0]
     sizes[0] += 1  # the initial row
     assert [len(b) // 9 for b in blocks] == sizes
     assert [v for b in blocks for v in b] == [v for row in kept.table.tolist() for v in row]
@@ -733,7 +773,8 @@ def test_emit_receives_every_row_once_in_blocks(steps):
 
 def test_emit_run_keeps_one_block_and_no_table():
     """A streamed run empties its sample array after each block: a
-    40,000-step run (2.9 MB of samples) peaks at about one block, 74 KB."""
+    40,000-step run (2.9 MB of samples) peaks at about one block, BLOCK_STEPS
+    + 1 rows of 9 doubles (18.5 KB at 256 steps)."""
     f = uniform_magnetic_f([0.3, -0.7, 1.1])
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
     rows = []
@@ -752,13 +793,13 @@ def test_emit_gets_only_finished_blocks_of_a_run_that_stops():
     """The state turns non-finite in the third block; emit saw two."""
     state = ParticleState([0.0] * 4, [1.0, 0.0, 0.0, 0.0], 1.0, 1.0)
 
-    def f_eval(x):  # a field switched on at lambda = 25
-        return [[1e200] * 4] * 4 if x[0] > 25.0 else [[0.0] * 4] * 4
+    def f_eval(x):  # a field switched on at lambda = 0.01 * 2.5 BLOCK, mid third block
+        return [[1e200] * 4] * 4 if x[0] > 0.025 * BLOCK else [[0.0] * 4] * 4
 
     seen = []
     with pytest.raises(FloatingPointError):
         integrate_lorentz(state, f_eval, 0.01, 5000, lambda b: seen.append(len(b) // 9))
-    assert seen == [1025, 1024]
+    assert 5000 > 3 * BLOCK and seen == [BLOCK + 1, BLOCK]
 
 
 def test_emit_must_release_its_view():
@@ -945,7 +986,7 @@ def test_grid_trajectories_bit_equal_to_the_corner_loop():
     state = ParticleState(x0, u0, 0.9, 1.1)
     for run in (lambda f: integrate_lorentz(state, f, 2.0**-6, 48),
                 lambda f: integrate_wong(state, f, 0.75, 2.0**-6, 48)):
-        fast = run(grid_field_strength_evaluator(grid))
+        fast = run(GridFieldStrength(grid))
         assert same_bits(fast.table, run(loop_field_strength_evaluator(grid)).table)
         cells = np.floor((table(fast)[:, 1:5] - grid.origin) / grid.spacing)
         assert all(len(set(axis)) >= 2 for axis in cells.T)
@@ -973,7 +1014,7 @@ def oracle_grid(seed):
 def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
     """Rows of a grid F have three nonzero entries, so the matvec order shows."""
     grid, x0, u0 = oracle_grid(seed)
-    f_eval = grid_field_strength_evaluator(grid)
+    f_eval = GridFieldStrength(grid)
     dlam, n = 0.01 * grid.spacing, 100  # about one node along x0
     state = ParticleState(x0, u0, 0.8, 1.2)
     want = numpy_integrate(state, f_eval, dlam, n)
@@ -986,3 +1027,16 @@ def test_scalar_rk4_matches_numpy_oracle_on_a_grid(seed):
 
     assert np.array_equal(integrate_wong(state, f_eval, i0, dlam, n).table,
                           numpy_integrate(state, feff, dlam, n))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.7, -3.0, -0.0]))
+@settings(max_examples=10, deadline=None)
+def test_grid_wong_run_with_kappa_not_one_bit_equal_to_numpy_oracle(seed, value):
+    """The fused kernel's kappa F, against numpy RK4 on kappa times the
+    evaluator's F, byte for byte (so zeros keep their signs)."""
+    grid, x0, u0 = oracle_grid(seed)
+    f_eval = GridFieldStrength(grid)
+    dlam, n = 0.01 * grid.spacing, 100
+    state = ParticleState(x0, u0, 0.8, 1.2)
+    want = numpy_integrate(state, lambda x: value * np.asarray(f_eval(x)), dlam, n)
+    assert integrate_wong(state, f_eval, value, dlam, n).table.tobytes() == want.tobytes()
