@@ -42,7 +42,7 @@ def cmd_signature(args) -> int:
     payload, lines = {"axes": args.axes, "order": args.order, "p": p, "q": q}, [f"({p}, {q})"]
     if args.list:  # the listing is rendered only in the format printed
         entries = ((m.label(args.axes), jetspace.is_timelike(m))
-                   for m in jetspace.enumerate_basis(args.axes, args.order).entries)
+                   for m in jetspace.enumerate_basis(args.axes, args.order))
         if args.format == "json":
             payload["entries"] = [{"monomial": label, "timelike": t} for label, t in entries]
         else:
@@ -202,6 +202,13 @@ def cmd_pheno(args) -> int:
     return _emit(args, pheno.as_dict(rep), lines, 1 if rep.counts["fail"] else 0)
 
 
+def _reason(exc: Exception) -> str:
+    """str(exc), with an OSError's file name cut by shown: the line stays short."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+    return str(exc)
+
+
 def _require(cfg: dict, path: str, where: str = ""):
     """The value at dotted `path` in cfg; a ValueError names the key if absent."""
     node = cfg
@@ -227,13 +234,15 @@ def _field_from_config(cfg: dict):
         f = dynamics.uniform_magnetic_f(b)
         return lambda x: f
     if kind == "grid":
+        from . import npz  # here, so that only a request that reads a grid compiles it
+
         path = _require(cfg, "params.npz", "field.")
         try:
             if not isinstance(path, str):
                 raise ValueError(f"expected a path, got {shown(path)}")
-            grid = dynamics.GridMetricField.from_npz(path)
+            grid = npz.load_grid(path)
         except (OSError, ValueError) as exc:
-            raise ValueError(f"field.params.npz: {exc}") from exc
+            raise ValueError(f"field.params.npz: {_reason(exc)}") from exc
         _run_grids.get([]).append(grid)  # outside cmd_simulate the caller owns the grid
         return dynamics.GridFieldStrength(grid)
     raise ValueError(f"unknown field kind {shown(kind)}")
@@ -322,11 +331,11 @@ def _simulate(args) -> int:
         try:  # a path that cannot be written fails here, not after the run
             open(path, "ab").close()
         except OSError as exc:
-            raise ValueError(f"output.path: {exc}") from exc
+            raise ValueError(f"output.path: {_reason(exc)}") from exc
         if created:
             os.remove(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"bad simulate config: {exc}", file=sys.stderr)
+        print(f"bad simulate config: {_reason(exc)}", file=sys.stderr)
         return 2
 
     from . import writer  # here, so that no other request compiles it
@@ -444,7 +453,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 2
 
 

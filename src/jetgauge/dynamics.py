@@ -49,9 +49,10 @@ is the sum s of the F^0_j, F^j_i is -s, or +0.0 when s is 0, and the
 diagonal is +0.0.  An infinite d_mu g_mu would make a diagonal NaN
 instead, so a node whose F is not finite is an error.
 
-A grid .npz is read by jetgauge.npz, which only a request that reads one
-imports: one parser reads each .npy header, native float64 data is viewed
-in place through memoryview.cast('d'), and float32 and integer arrays are
+This module imports no other jetgauge module.  A grid .npz is read by
+jetgauge.npz (npz.load_grid), which only a request that reads one imports:
+one parser reads each .npy header, native float64 data is viewed in place
+through memoryview.cast('d'), and float32 and integer arrays are
 converted.  From a path, a stored native float64 g of more than 4 KiB is
 not held in memory: its CRC is checked in one streamed pass, then
 GridMetricField reads it a 4 KiB page at a time as stencils touch it
@@ -123,8 +124,6 @@ class GridFileError(ValueError):
 
 # -- grid input --------------------------------------------------------------------
 
-MAX_NPZ_MEMBER_BYTES = 2**27  # 128 MiB: a float64 grid of up to 45^4 nodes
-
 
 class GridMetricField:
     """g_mu sampled on a regular 4d grid with nodes at origin + spacing * idx.
@@ -148,25 +147,6 @@ class GridMetricField:
         self.values, self.shape, self.origin, self.spacing = values, shape, origin, spacing
         self.strides = [math.prod(shape[:k]) if fortran_order else math.prod(shape[k + 1:])
                         for k in range(5)]
-
-    @classmethod
-    def from_npz(cls, path: str) -> GridMetricField:
-        """The grid of an .npz holding g of shape (4, n0, n1, n2, n3), origin
-        of shape (4,) and a single-number spacing, each float64, float32 or
-        integer, in either byte order and C or Fortran order.  From a path, a
-        stored native float64 g of more than one page is paged (see
-        npz.read_npz); close the grid when done with it."""
-        from . import npz  # here, so that only a request that reads a grid compiles it
-
-        arrays = npz.read_npz(path, ("g", "origin", "spacing"))
-        g, shape, fortran = arrays["g"]
-        origin, origin_shape, _ = arrays["origin"]
-        spacing, spacing_shape, _ = arrays["spacing"]
-        if origin_shape != (4,):
-            raise ValueError(f"origin must be 4 finite numbers, got an array of shape {origin_shape}")
-        if len(spacing) != 1:
-            raise ValueError(f"spacing must be one number, got an array of shape {spacing_shape}")
-        return cls(g, shape, origin, spacing[0], fortran)
 
     def close(self) -> None:
         """Close the file that paged values read from; values in memory have none."""

@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .exactnum import ExactMatrix, QuadScalar, qs, sqrt_rational
+from .exactnum import ExactMatrix, QuadScalar, sqrt_rational
 
 
 def mass_matrix(g_prime, g) -> ExactMatrix:
     """(1/2) [[g'^2, g g', 0, 0], [g g', g^2, 0, 0], [0,0,g^2,0], [0,0,0,g^2]]."""
     gp = QuadScalar.coerce(g_prime)
     gg = QuadScalar.coerce(g)
-    half = qs(1) / qs(2)
+    half = QuadScalar(1) / QuadScalar(2)
     m = ExactMatrix([[gp * gp, gg * gp, 0, 0], [gg * gp, gg * gg, 0, 0],
                      [0, 0, gg * gg, 0], [0, 0, 0, gg * gg]])
     return m.scale(half)
@@ -52,7 +52,7 @@ def weinberg_angle(g_prime, g) -> WeinbergAngle:
 def mixing_rotation(cos: QuadScalar, sin: QuadScalar) -> ExactMatrix:
     """The 4x4 rotation acting on (B0, A0) with the orientation that
     diagonalizes the mass matrix at tan(theta) = g'/g."""
-    if cos * cos + sin * sin != qs(1):
+    if cos * cos + sin * sin != QuadScalar(1):
         raise ValueError("cos^2 + sin^2 must equal 1 exactly")
     return ExactMatrix([[cos, -sin, 0, 0], [sin, cos, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
@@ -75,7 +75,7 @@ def mixed_block_closed_form(g_prime, g, cos, sin) -> ExactMatrix:
     e11 = (gp * c - gg * s) * (gp * c - gg * s)
     e12 = gg * gp * cos2t + (gp * gp - gg * gg) * c * s
     e22 = (gg * c + gp * s) * (gg * c + gp * s)
-    half = qs(1) / qs(2)
+    half = QuadScalar(1) / QuadScalar(2)
     return ExactMatrix([[e11, e12], [e12, e22]]).scale(half)
 
 
@@ -127,7 +127,7 @@ def jacobi_eigenvalues(rows, sweeps: int = 60) -> list[float]:
 
 def breaking_report() -> dict:
     """Full exact breaking computation for (g', g) = (1, 2), JSON-friendly."""
-    gp, gg = qs(1), qs(2)
+    gp, gg = QuadScalar(1), QuadScalar(2)
     m = mass_matrix(gp, gg)
     ang = weinberg_angle(gp, gg)
     assert ang.sin is not None and ang.cos is not None

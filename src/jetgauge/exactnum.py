@@ -175,11 +175,6 @@ QS_ZERO = QuadScalar()
 QS_INV_SQRT2 = QuadScalar(0, Fraction(1, 2))  # sqrt2/2
 
 
-def qs(a=0, b=0, c=0, d=0) -> QuadScalar:
-    """Shorthand constructor accepting ints or Fractions."""
-    return QuadScalar(a, b, c, d)
-
-
 def sqrt_rational(x: Fraction) -> QuadScalar | None:
     """Exact nonnegative square root of a rational, if it is r*sqrt(m).
 

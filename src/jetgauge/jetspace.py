@@ -56,17 +56,6 @@ def is_timelike(m: MultiIndex) -> bool:
     return m.t_count % 2 == 1
 
 
-class JetBasis:
-    def __init__(self, n_axes: int, max_order: int, entries: tuple[MultiIndex, ...]):
-        self.n_axes, self.max_order, self.entries = n_axes, max_order, entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def order_block(self, k: int) -> list[MultiIndex]:
-        return [m for m in self.entries if m.degree == k]
-
-
 MAX_LISTED = 100_000  # largest basis enumerate_basis builds
 MAX_ORDER = 100  # largest order signature counts; its work grows as order**2
 
@@ -76,7 +65,7 @@ def basis_size(n_axes: int, max_order: int) -> int:
     return math.comb(n_axes + max_order, max_order) - 1
 
 
-def enumerate_basis(n_axes: int, max_order: int) -> JetBasis:
+def enumerate_basis(n_axes: int, max_order: int) -> tuple[MultiIndex, ...]:
     """All monomials of degree 1..max_order in graded-lex order."""
     if n_axes < 1 or max_order < 1:
         raise ValueError("n_axes and max_order must be positive")
@@ -90,7 +79,7 @@ def enumerate_basis(n_axes: int, max_order: int) -> JetBasis:
     for k in range(1, max_order + 1):
         for combo in itertools.combinations_with_replacement(range(n_axes), k):
             entries.append(MultiIndex(combo))
-    return JetBasis(n_axes, max_order, tuple(entries))
+    return tuple(entries)
 
 
 def signature(n_axes: int, max_order: int) -> tuple[int, int]:

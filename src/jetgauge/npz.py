@@ -1,6 +1,7 @@
-"""The arrays of an .npz archive read without numpy, whole or paged (see
-read_npz).  Only a request that reads a grid file imports this module,
-through dynamics.GridMetricField.from_npz."""
+"""The .npz grid-file contract: the arrays of an archive read without numpy,
+whole or paged (read_npz), the cap on a member's declared size, and
+load_grid, which builds a dynamics.GridMetricField from a grid file.  Only a
+request that reads a grid file imports this module."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from . import dynamics
 _NPY_TYPECODES = {"f8": "d", "f4": "f", "i1": "b", "u1": "B", "i2": "h", "u2": "H",
                   "i4": "i", "u4": "I", "i8": "q", "u8": "Q"}
 _FOREIGN_ORDER = ">" if sys.byteorder == "little" else "<"
+MAX_NPZ_MEMBER_BYTES = 2**27  # 128 MiB: a float64 grid of up to 45^4 nodes
 
 
 def _npy_header(read, name: str):
@@ -137,8 +139,8 @@ def read_npz(path, names) -> dict:
     that is stored uncompressed as native float64 in an archive opened from
     a path is a PagedArray instead (where os.pread exists), after one
     streamed pass that checks its CRC and keeps nothing; the caller closes
-    it.  A member that declares more than dynamics.MAX_NPZ_MEMBER_BYTES
-    raises before it is read."""
+    it.  A member that declares more than MAX_NPZ_MEMBER_BYTES raises
+    before it is read."""
     pageable = isinstance(path, (str, os.PathLike)) and hasattr(os, "pread")
     try:
         with zipfile.ZipFile(path) as zf:
@@ -148,9 +150,9 @@ def read_npz(path, names) -> dict:
                 info = members.get(f"{name}.npy")
                 if info is None:
                     raise ValueError(f"missing array {name!r}")
-                if info.file_size > dynamics.MAX_NPZ_MEMBER_BYTES:
+                if info.file_size > MAX_NPZ_MEMBER_BYTES:
                     raise ValueError(f"array {name!r} declares {info.file_size} bytes; "
-                                     f"the cap is {dynamics.MAX_NPZ_MEMBER_BYTES}")
+                                     f"the cap is {MAX_NPZ_MEMBER_BYTES}")
                 npy = None
                 if pageable and info.compress_type == zipfile.ZIP_STORED and info.file_size > _PAGE:
                     npy = _paged_npy(zf, info, name)
@@ -160,3 +162,20 @@ def read_npz(path, names) -> dict:
     except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, NotImplementedError) as exc:
         raise ValueError(f"not a readable .npz archive ({exc})") from exc
     return arrays
+
+
+def load_grid(path) -> dynamics.GridMetricField:
+    """The grid of an .npz holding g of shape (4, n0, n1, n2, n3), origin of
+    shape (4,) and a single-number spacing, each float64, float32 or
+    integer, in either byte order and C or Fortran order.  From a path, a
+    stored native float64 g of more than one page is paged (see read_npz);
+    close the grid when done with it."""
+    arrays = read_npz(path, ("g", "origin", "spacing"))
+    g, shape, fortran = arrays["g"]
+    origin, origin_shape, _ = arrays["origin"]
+    spacing, spacing_shape, _ = arrays["spacing"]
+    if origin_shape != (4,):
+        raise ValueError(f"origin must be 4 finite numbers, got an array of shape {origin_shape}")
+    if len(spacing) != 1:
+        raise ValueError(f"spacing must be one number, got an array of shape {spacing_shape}")
+    return dynamics.GridMetricField(g, shape, origin, spacing[0], fortran)

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from jetgauge.exactnum import ExactMatrix, Solver, qs
+from jetgauge.exactnum import ExactMatrix, QuadScalar as qs, Solver
 from jetgauge.liealg import bracket
 
 

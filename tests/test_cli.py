@@ -1,4 +1,7 @@
+import ast
 import csv
+import errno
+import graphlib
 import hashlib
 import json
 import os
@@ -6,6 +9,7 @@ import subprocess
 import sys
 import time
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetgauge
-from jetgauge import cli, dynamics, npz, writer
+from jetgauge import cli, npz, writer
 from jetgauge.cli import main
 from jetgauge.dynamics import BLOCK_STEPS, Trajectory
-from jetgauge.report import FLAGGED, VerificationReport, dump_json
+from jetgauge.report import FLAGGED, VerificationReport, dump_json, shown
 
 
 def run_cli(*argv, capsys=None):
@@ -282,6 +286,19 @@ def test_float_layer_imports_no_exact_module():
         "print(sorted(m for m in ('proca', 'liealg', 'exactnum') if 'jetgauge.' + m in sys.modules))\n"
     )
     assert _child(["-c", code]).stdout == b"[]\n"
+
+
+def test_package_import_graph_has_no_cycle():
+    """Read from the relative imports of src/jetgauge/*.py; dynamics, which
+    every request compiles, imports no jetgauge module."""
+    graph = {}
+    for path in Path(jetgauge.__file__).parent.glob("*.py"):
+        graph[path.stem] = {
+            name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for name in ([node.module] if node.module else [a.name for a in node.names])}
+    assert graph["dynamics"] == set()
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
 # sha256 of `pheno <what> --format <format>` stdout with the default constants
@@ -930,7 +947,7 @@ def test_simulate_rejects_an_oversize_npz_member_unread(tmp_path, capsys, monkey
     """A member declaring more bytes than the cap stops the run with exit 2
     before any member of the archive is opened ('g' is read first)."""
     cfg = grid_config(tmp_path, "lorentz")
-    monkeypatch.setattr(dynamics, "MAX_NPZ_MEMBER_BYTES", 4096)  # g holds 131,200
+    monkeypatch.setattr(npz, "MAX_NPZ_MEMBER_BYTES", 4096)  # g holds 131,200
     opened, original = [], zipfile.ZipFile.open
 
     def spy(self, name, *args, **kwargs):
@@ -967,14 +984,14 @@ def test_simulate_rejects_a_stored_grid_with_a_flipped_data_byte(tmp_path, capsy
 
 @pytest.fixture
 def loaded_grids(monkeypatch):
-    """The grids GridMetricField.from_npz returns during the test, in order."""
-    grids, load = [], dynamics.GridMetricField.from_npz
+    """The grids npz.load_grid returns during the test, in order."""
+    grids, load = [], npz.load_grid
 
     def record(path):
         grids.append(load(path))
         return grids[-1]
 
-    monkeypatch.setattr(dynamics.GridMetricField, "from_npz", record)
+    monkeypatch.setattr(npz, "load_grid", record)
     return grids
 
 
@@ -982,14 +999,14 @@ def test_simulate_stops_when_the_grid_file_shrinks_during_the_run(tmp_path, caps
                                                                   loaded_grids):
     """A page read that comes back short ends the run with exit 2 and one line."""
     cfg = grid_config(tmp_path, "lorentz")
-    load = dynamics.GridMetricField.from_npz
+    load = npz.load_grid
 
     def load_then_truncate(path):
         grid = load(path)
         os.truncate(path, os.path.getsize(path) // 2)
         return grid
 
-    monkeypatch.setattr(dynamics.GridMetricField, "from_npz", load_then_truncate)
+    monkeypatch.setattr(npz, "load_grid", load_then_truncate)
     assert main(["simulate", "--config", cfg]) == 2
     line = one_line(capsys.readouterr().err)
     assert line.startswith("error: field.params.npz: the file ends inside its data, at byte ")
@@ -1373,12 +1390,50 @@ def test_simulate_rejects_an_integer_beyond_float_range(tmp_path, capsys):
     assert not (tmp_path / "traj.csv").exists()
 
 
+# the five inputs that name a file -> the start of the error line an OSError
+# opening that file gives
+FILE_NAME_PREFIX = {
+    "--config": "bad simulate config: ",
+    "output.path": "bad simulate config: output.path: ",
+    "field.params.npz": "bad simulate config: field.params.npz: ",
+    "pheno --constants": "error: ",
+    "--out": "error: ",
+}
+
+
+@pytest.mark.parametrize("length", [9, 100_000])
+@pytest.mark.parametrize("entry", sorted(FILE_NAME_PREFIX))
+def test_an_os_error_line_cuts_the_file_name(tmp_path, capsys, monkeypatch, entry, length):
+    """The file name goes through shown: 100,000 characters give a line of
+    under 200, and a name shown keeps whole gives str(OSError), as before."""
+    monkeypatch.chdir(tmp_path)
+    name = "missing/" + "a" * (length - 8)
+    argv = {"--config": ["simulate", "--config", name],
+            "pheno --constants": ["pheno", "table1", "--constants", name],
+            "--out": ["signature", "--axes", "4", "--order", "1", "--out", name]}.get(entry)
+    if argv is None:  # a grid config that names `name` at entry
+        cfg = json.loads(Path(grid_config(tmp_path, "lorentz")).read_text(encoding="utf-8"))
+        if entry == "output.path":
+            cfg["output"]["path"] = name
+        else:
+            cfg["field"]["params"]["npz"] = name
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        argv = ["simulate", "--config", "cfg.json"]
+    assert main(argv) == 2
+    line = one_line(capsys.readouterr().err)
+    code = errno.ENOENT if length < 60 else errno.ENAMETOOLONG
+    reason = f"[Errno {code}] {os.strerror(code)}: {shown(name)}"
+    assert line == FILE_NAME_PREFIX[entry] + reason and len(line) < 200
+    if length < 60:
+        assert reason == str(OSError(code, os.strerror(code), name))
+
+
 @pytest.fixture(scope="module")
 def request_imports(tmp_path_factory):
     """One child imports jetgauge.cli, then runs verify-all and six simulate
     requests: the report path, and [exit code, loaded] after the import and
     after each request, where loaded lists which of numpy, dataclasses,
-    inspect and csv are in sys.modules."""
+    inspect, csv, jetgauge.npz and jetgauge.writer are in sys.modules."""
     tmp_path = tmp_path_factory.mktemp("requests")
     argvs = [["verify-all", "--format", "json", "--out", str(tmp_path / "report.json")]]
     for kind, law in sorted(CONSTANT_CSV_SHA256):
@@ -1392,7 +1447,8 @@ def request_imports(tmp_path_factory):
         "import json, sys\n"
         "import jetgauge.cli\n"
         "def loaded():\n"
-        "    return [m for m in ('numpy', 'dataclasses', 'inspect', 'csv') if m in sys.modules]\n"
+        "    return [m for m in ('numpy', 'dataclasses', 'inspect', 'csv', 'jetgauge.npz',\n"
+        "                        'jetgauge.writer') if m in sys.modules]\n"
         "seen = [[None, loaded()]]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    seen.append([jetgauge.cli.main(argv), loaded()])\n"
@@ -1416,6 +1472,15 @@ def test_cli_requests_import_no_dataclasses_inspect_or_csv(request_imports):
     requests skip dataclasses with inspect, ast, dis and tokenize."""
     _, seen = request_imports
     assert not any({"dataclasses", "inspect", "csv"} & set(loaded) for _, loaded in seen)
+
+
+def test_cli_requests_import_npz_and_writer_only_when_they_use_them(request_imports):
+    """verify-all loads neither, a uniform simulate only the writer, and a
+    grid simulate both."""
+    _, seen = request_imports
+    lazy = [[m for m in loaded if m.startswith("jetgauge.")] for _, loaded in seen]
+    assert lazy[:3] == [[], [], ["jetgauge.writer"]]  # the import, verify-all, a uniform run
+    assert lazy[-2:] == [["jetgauge.npz", "jetgauge.writer"]] * 2  # the grid runs
 
 
 def reference_trajectory_json(traj, full_precision):

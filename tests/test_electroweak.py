@@ -14,7 +14,7 @@ from jetgauge.electroweak import (
     mixed_block_closed_form,
     weinberg_angle,
 )
-from jetgauge.exactnum import ExactMatrix, qs
+from jetgauge.exactnum import ExactMatrix, QuadScalar as qs
 
 from exact_oracles import is_antisymmetric, trace, zeros
 

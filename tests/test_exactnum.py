@@ -11,11 +11,11 @@ from jetgauge.exactnum import (
     QS_INV_SQRT2,
     ExactMatrix,
     QuadScalar,
+    QuadScalar as qs,
     Solver,
     _eliminate,
     _integer_rows,
     nullspace_exact,
-    qs,
     rank_exact,
     solve_exact,
     sqrt_rational,

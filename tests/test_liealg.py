@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jetgauge import liealg
 from jetgauge.exactnum import (
     ExactMatrix,
-    qs,
+    QuadScalar as qs,
     solve_exact,
     trace_metric,
 )

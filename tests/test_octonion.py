@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from jetgauge.exactnum import (
     ExactMatrix,
     nullspace_exact,
-    qs,
+    QuadScalar as qs,
     rank_exact,
     solve_exact,
 )

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jetgauge import proca, verify
-from jetgauge.exactnum import QS_INV_SQRT2, QuadScalar, qs, trace_metric
+from jetgauge.exactnum import QS_INV_SQRT2, QuadScalar, QuadScalar as qs, trace_metric
 from jetgauge.liealg import LieElement, killing_adjoint, so_generator, so_pairs
 from jetgauge.proca import (
     H_INTS,
