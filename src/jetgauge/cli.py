@@ -227,12 +227,10 @@ def _field_from_config(cfg: dict):
     kind = _require(cfg, "kind", "field.")
     if kind == "uniform_E":
         e = _vector(_require(cfg, "params.E", "field."), "field.params.E", 3)
-        f = dynamics.uniform_electric_f(e)
-        return lambda x: f
+        return dynamics.ConstantField(dynamics.uniform_electric_f(e))
     if kind == "uniform_B":
         b = _vector(_require(cfg, "params.B", "field."), "field.params.B", 3)
-        f = dynamics.uniform_magnetic_f(b)
-        return lambda x: f
+        return dynamics.ConstantField(dynamics.uniform_magnetic_f(b))
     if kind == "grid":
         from . import npz  # here, so that only a request that reads a grid compiles it
 

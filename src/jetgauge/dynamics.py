@@ -59,22 +59,29 @@ GridMetricField reads it a 4 KiB page at a time as stencils touch it
 (npz.PagedArray), so the file must not change during a run.
 
 Trajectories integrate with fixed-step classical RK4 on eight Python
-floats, which keeps runs deterministic and golden files meaningful.  Each
-stage calls one force function; kappa is 1 for Lorentz and the charge
-value for Wong (see integrate_wong).  A GridFieldStrength's fused kernel
-takes the six sums straight into the products below, keeping F's zero
-entries and the products kappa v when kappa is not 1.0, so it gives the
-bits of its own F.  Any other field is called at each stage position as a
-tuple of four floats, and a rows memo forms kappa F once per distinct F
-object returned.  The RK4 order is pinned too: du/dlam = qm M u, with
-M = kappa F, takes row a of M as qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)),
-the order that numpy's F @ u showed on the OpenBLAS build the golden files
-came from; stages are y + (h/2) k and y + h k, and a step is
-y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).  tests/test_dynamics.py keeps a numpy
-RK4 with that column order as the oracle.  The loop also tracks the eta
-drift max_k |eta(u_k, u_k) - eta(u_0, u_0)|, with eta(u, u) =
-((u1 u1 + u2 u2) + u3 u3) - u0 u0, NaN once any term is NaN, as np.max
-gives it.
+floats, which keeps runs deterministic and golden files meaningful.  The
+stage force is qm (kappa F) u; kappa is 1 for Lorentz and the charge
+value for Wong (see integrate_wong).  The RK4 loop holds the 16 entries
+of kappa F, row by row, as local variables and contracts them inline.
+A ConstantField's entries are bound once before the loop, and no call is
+made per stage.  Any other field gives them through its rows interface:
+one rows(x0, x1, x2, x3) call per stage returns the 16 entries as a
+tuple.  A GridFieldStrength's kernel(kappa) builds them straight from
+the six sums, keeping F's zero entries and the products kappa v when
+kappa is not 1.0, so they are the bits of its own F.  Any other callable
+is called at each stage position as a tuple of four floats, and a memo
+scales the entries once per distinct F object returned.  The RK4 order
+is pinned too: du/dlam = qm M u, with M = kappa F, takes row a of M as
+qm ((a0 u0 + a2 u2) + (a1 u1 + a3 u3)), the order that numpy's F @ u
+showed on the OpenBLAS build the golden files came from; stages are
+y + (h/2) k and y + h k, and a step is y + (h/6)(((k1 + 2 k2) + 2 k3) + k4).
+tests/test_dynamics.py keeps a numpy RK4 with that column order as the
+oracle.  The loop also tracks the eta drift
+max_k |eta(u_k, u_k) - eta(u_0, u_0)|, with
+eta(u, u) = ((u1 u1 + u2 u2) + u3 u3) - u0 u0, NaN once any term is NaN,
+as np.max gives it.  A step's state is checked for a non-finite entry
+only when t - t is not 0.0 for the sum t of its eight entries, which is
+so whenever an entry is not finite.
 
 Samples go to one flat array('d') of rows [lambda, x0..x3, u0..u3].  Given
 an emit callback, the loop hands it each finished block of BLOCK_STEPS
@@ -181,7 +188,7 @@ _ZERO = (0.0,) * 6  # the components of a corner of zero weight
 
 class GridFieldStrength:
     """Continuous F(x) from a grid metric: node values by stencil, multilinear
-    interpolation between nodes; kernel(qm, kappa) is the RK4 force of this F.
+    interpolation between nodes; kernel(kappa) gives the entries of kappa F.
     Each query is straight-line code on floats: grid units, the 16 weights as
     a product tree, and one 16-term sum per column of the cell; caches and
     summation order are described in the module docstring."""
@@ -233,31 +240,28 @@ class GridFieldStrength:
             return out
 
         self._sums = sums
+        self._f_rows = self.kernel(1.0)
 
     def __call__(self, x) -> tuple:
-        s01, s02, s03, s12, s13, s23 = self._sums(*x)
-        return ((0.0, s01, s02, s03),
-                (s01, 0.0, s12, s13),
-                (s02, -s12 if s12 else 0.0, 0.0, s23),
-                (s03, -s13 if s13 else 0.0, -s23 if s23 else 0.0, 0.0))
+        e = self._f_rows(*x)
+        return e[0:4], e[4:8], e[8:12], e[12:16]
 
-    def kernel(self, qm: float, kappa: float):
-        """accel(x0..x3, u0..u3) = qm (kappa F(x)) u, bit for bit as _integrate
-        contracts the rows of F, but straight from the six sums."""
+    def kernel(self, kappa: float):
+        """rows(x0, x1, x2, x3) -> the 16 entries of kappa F(x), row by row,
+        straight from the six sums: F's zero entries are kept, and each entry
+        is the product kappa v unless kappa is 1.0, so they are the bits of
+        this F scaled as _integrate scales any other F."""
         sums, scaled = self._sums, kappa != 1.0
 
-        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
+        def rows(x0, x1, x2, x3):
             s01, s02, s03, s12, s13, s23 = sums(x0, x1, x2, x3)
             z, n12, n13, n23 = 0.0, -s12 if s12 else 0.0, -s13 if s13 else 0.0, -s23 if s23 else 0.0
             if scaled:  # kappa F entry by entry, its zeros included
                 z, s01, s02, s03, s12, s13, s23, n12, n13, n23 = [
                     kappa * v for v in (z, s01, s02, s03, s12, s13, s23, n12, n13, n23)]
-            return (qm * ((z * u0 + s02 * u2) + (s01 * u1 + s03 * u3)),
-                    qm * ((s01 * u0 + s12 * u2) + (z * u1 + s13 * u3)),
-                    qm * ((s02 * u0 + z * u2) + (n12 * u1 + s23 * u3)),
-                    qm * ((s03 * u0 + n23 * u2) + (n13 * u1 + z * u3)))
+            return (z, s01, s02, s03, s01, z, s12, s13, s02, n12, z, s23, s03, n13, n23, z)
 
-        return accel
+        return rows
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -293,31 +297,44 @@ class Trajectory:
         return self.samples
 
 
+def _entries(f, kappa: float) -> tuple:
+    """The 16 entries of kappa F, row by row: F's own unless kappa is 1.0."""
+    return tuple(v if kappa == 1.0 else kappa * v for row in f for v in row)
+
+
+def _memo_rows(f_eval, kappa: float):
+    """rows(x0, x1, x2, x3) of any field callable: f_eval at the tuple of the
+    four floats, its entries scaled once per distinct F object returned."""
+    last = [None, None]  # the last F returned, and the entries of kappa F
+
+    def rows(x0, x1, x2, x3):
+        f = f_eval((x0, x1, x2, x3))
+        if f is not last[0]:
+            last[:] = f, _entries(f, kappa)
+        return last[1]
+
+    return rows
+
+
 def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: int,
                law: str, emit=None) -> Trajectory:
     """RK4 on dx/dlam = u, du/dlam = (q/m) kappa F(x) u, f_eval and emit as in
     integrate_lorentz.  The state is eight Python floats; stage k has dx/dlam
-    = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  Arithmetic order: see
-    the module docstring."""
+    = (u, v, w, z)[k] and du/dlam = (p, q, r, s)[k].  The rows of kappa F
+    are the locals a, b, c, d: bound once for a ConstantField, else
+    refreshed by one rows() call per stage.  Arithmetic order: see the
+    module docstring."""
     if not (dlam > 0 and math.isfinite(dlam)):
         raise ValueError("step must be positive and finite")
     qm = state.q / state.m
     h2, h6 = 0.5 * dlam, dlam / 6.0
-    if isinstance(f_eval, GridFieldStrength):
-        accel = f_eval.kernel(qm, kappa)
+    rows = None
+    if isinstance(f_eval, ConstantField):
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = _entries(f_eval.f, kappa)
+    elif isinstance(f_eval, GridFieldStrength):
+        rows = f_eval.kernel(kappa)
     else:
-        last = [None, None]  # the last F returned, and the rows of kappa F
-
-        def accel(x0, x1, x2, x3, u0, u1, u2, u3):
-            f = f_eval((x0, x1, x2, x3))
-            if f is not last[0]:
-                last[:] = f, (f if kappa == 1.0 else [[kappa * v for v in row] for row in f])
-            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = last[1]
-            return (qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)),
-                    qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3)),
-                    qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3)),
-                    qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3)))
-
+        rows = _memo_rows(f_eval, kappa)
     y = state.x + state.u
     out = array("d", [0.0])
     out.extend(y)
@@ -326,17 +343,39 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
     drift = abs(norm0 - norm0)
     for start in range(0, max(nsteps, 1), BLOCK_STEPS):  # 0 steps: one block, the first row
         for k in range(start, min(start + BLOCK_STEPS, nsteps)):
-            p0, p1, p2, p3 = accel(x0, x1, x2, x3, u0, u1, u2, u3)
+            if rows is not None:
+                a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = rows(
+                    x0, x1, x2, x3)
+            p0 = qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3))
+            p1 = qm * ((b0 * u0 + b2 * u2) + (b1 * u1 + b3 * u3))
+            p2 = qm * ((c0 * u0 + c2 * u2) + (c1 * u1 + c3 * u3))
+            p3 = qm * ((d0 * u0 + d2 * u2) + (d1 * u1 + d3 * u3))
             v0, v1, v2, v3 = u0 + h2 * p0, u1 + h2 * p1, u2 + h2 * p2, u3 + h2 * p3
-            q0, q1, q2, q3 = accel(x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3,
-                                   v0, v1, v2, v3)
+            if rows is not None:
+                a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = rows(
+                    x0 + h2 * u0, x1 + h2 * u1, x2 + h2 * u2, x3 + h2 * u3)
+            q0 = qm * ((a0 * v0 + a2 * v2) + (a1 * v1 + a3 * v3))
+            q1 = qm * ((b0 * v0 + b2 * v2) + (b1 * v1 + b3 * v3))
+            q2 = qm * ((c0 * v0 + c2 * v2) + (c1 * v1 + c3 * v3))
+            q3 = qm * ((d0 * v0 + d2 * v2) + (d1 * v1 + d3 * v3))
             w0, w1, w2, w3 = u0 + h2 * q0, u1 + h2 * q1, u2 + h2 * q2, u3 + h2 * q3
-            r0, r1, r2, r3 = accel(x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3,
-                                   w0, w1, w2, w3)
+            if rows is not None:
+                a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = rows(
+                    x0 + h2 * v0, x1 + h2 * v1, x2 + h2 * v2, x3 + h2 * v3)
+            r0 = qm * ((a0 * w0 + a2 * w2) + (a1 * w1 + a3 * w3))
+            r1 = qm * ((b0 * w0 + b2 * w2) + (b1 * w1 + b3 * w3))
+            r2 = qm * ((c0 * w0 + c2 * w2) + (c1 * w1 + c3 * w3))
+            r3 = qm * ((d0 * w0 + d2 * w2) + (d1 * w1 + d3 * w3))
             z0, z1, z2, z3 = u0 + dlam * r0, u1 + dlam * r1, u2 + dlam * r2, u3 + dlam * r3
-            s0, s1, s2, s3 = accel(x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3,
-                                   z0, z1, z2, z3)
-            y = (x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
+            if rows is not None:
+                a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = rows(
+                    x0 + dlam * w0, x1 + dlam * w1, x2 + dlam * w2, x3 + dlam * w3)
+            s0 = qm * ((a0 * z0 + a2 * z2) + (a1 * z1 + a3 * z3))
+            s1 = qm * ((b0 * z0 + b2 * z2) + (b1 * z1 + b3 * z3))
+            s2 = qm * ((c0 * z0 + c2 * z2) + (c1 * z1 + c3 * z3))
+            s3 = qm * ((d0 * z0 + d2 * z2) + (d1 * z1 + d3 * z3))
+            y = ((k + 1) * dlam,
+                 x0 + h6 * (((u0 + 2.0 * v0) + 2.0 * w0) + z0),
                  x1 + h6 * (((u1 + 2.0 * v1) + 2.0 * w1) + z1),
                  x2 + h6 * (((u2 + 2.0 * v2) + 2.0 * w2) + z2),
                  x3 + h6 * (((u3 + 2.0 * v3) + 2.0 * w3) + z3),
@@ -344,10 +383,11 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
                  u1 + h6 * (((p1 + 2.0 * q1) + 2.0 * r1) + s1),
                  u2 + h6 * (((p2 + 2.0 * q2) + 2.0 * r2) + s2),
                  u3 + h6 * (((p3 + 2.0 * q3) + 2.0 * r3) + s3))
-            if not all(map(math.isfinite, y)):
+            _, x0, x1, x2, x3, u0, u1, u2, u3 = y
+            t = x0 + x1 + x2 + x3 + u0 + u1 + u2 + u3
+            # t - t is 0.0 for a finite sum, NaN (true) once any entry is not finite
+            if t - t and not all(map(math.isfinite, y[1:])):
                 raise FloatingPointError(f"non-finite state at step {k + 1}")
-            x0, x1, x2, x3, u0, u1, u2, u3 = y
-            out.append((k + 1) * dlam)
             out.extend(y)
             d = abs(u1 * u1 + u2 * u2 + u3 * u3 - u0 * u0 - norm0)
             if d > drift:
@@ -364,11 +404,12 @@ def _integrate(state: ParticleState, f_eval, kappa: float, dlam: float, nsteps: 
 def integrate_lorentz(state: ParticleState, f_eval, dlam: float, nsteps: int,
                       emit=None) -> Trajectory:
     """RK4 on du^mu/dlam = (q/m) F^mu_nu u^nu; f_eval(x) -> F as four rows of
-    four floats, x a tuple of four floats; of a GridFieldStrength the run
-    takes its fused kernel instead, which gives the same bits.  kappa F is
-    formed once per distinct object returned, so f_eval must not mutate an F
-    it has already returned.  emit, if given, receives the samples block by
-    block (see the module docstring)."""
+    four floats, x a tuple of four floats.  Of a ConstantField the run reads
+    F once, and of a GridFieldStrength it takes the entries from its kernel;
+    both give the bits of calling f_eval.  The entries of kappa F are read
+    once per distinct object returned, so f_eval must not mutate an F it has
+    already returned.  emit, if given, receives the samples block by block
+    (see the module docstring)."""
     return _integrate(state, f_eval, 1.0, dlam, nsteps, "lorentz", emit)
 
 
@@ -391,6 +432,17 @@ def integrate_wong(state: ParticleState, f_eval, value: float, dlam: float,
 
 
 # -- ready-made uniform fields ---------------------------------------------------
+
+
+class ConstantField:
+    """A field callable that returns the one F it holds at every x; a run
+    reads its entries once instead of calling it at each stage."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __call__(self, x):
+        return self.f
 
 
 def uniform_electric_f(e_vec) -> tuple:

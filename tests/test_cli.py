@@ -3,6 +3,7 @@ import csv
 import errno
 import graphlib
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -1028,7 +1029,10 @@ GRID_RUN_ENDS = {
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
 @pytest.mark.parametrize("outcome", sorted(GRID_RUN_ENDS))
 def test_simulate_closes_the_paged_grid_file_however_the_run_ends(tmp_path, capsys, monkeypatch,
-                                                                   loaded_grids, outcome):
+                                                                   loaded_grids, made_pipes,
+                                                                   outcome):
+    """The paged grid file, and the writer's data, report and ack pipes of a
+    run that forked, are closed whether it succeeds, diverges or stops."""
     changes, code = GRID_RUN_ENDS[outcome]
     if outcome == "divergence":  # a grid run leaves the grid before its state turns non-finite
         build = cli._field_from_config
@@ -1048,9 +1052,11 @@ def test_simulate_closes_the_paged_grid_file_however_the_run_ends(tmp_path, caps
     data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
     data["particle"].update(changes)
     (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
-    open_fds = sorted(os.listdir("/proc/self/fd"))
+    before = open_fds()
     assert main(["simulate", "--config", cfg]) == code
-    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    assert open_fds() == before
+    assert len(made_pipes) == (0 if outcome == "config error" else 3)
+    assert all_closed(made_pipes)
     (grid,) = loaded_grids
     assert isinstance(grid.values, npz.PagedArray) and not grid.values.close.alive
 
@@ -1234,17 +1240,133 @@ def test_simulate_in_process_writer_grid_json_bytes_pinned(tmp_path, capsys, mon
     assert hashlib.sha256(data).hexdigest() == GRID_ROUNDED_JSON_SHA256[law]
 
 
+# who formats each block in a forked run: True is the integrating process,
+# False the writer; the turns repeat from the first block of each run
+SPLITS = {
+    "all in the writer": (False,),
+    "all in the integrator": (True,),
+    "alternating, integrator first": (True, False),
+    "alternating, writer first": (False, True),
+}
+
+
+def force_split(monkeypatch, turns):
+    """Replace the writer's lag rule by turns; the list of decisions made."""
+    cycle, decided = itertools.cycle(turns), []
+
+    def policy(waiting):
+        decided.append(next(cycle))
+        return decided[-1]
+
+    monkeypatch.setattr(writer, "_integrator_formats", policy)
+    return decided
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_simulate_forced_splits_write_the_pinned_bytes(tmp_path, capsys, monkeypatch, split):
+    """Whoever formats each block, a forked run writes the pinned bytes: the
+    one-block constant-field CSV and grid JSON runs, the 20-block seam runs,
+    and 0-step runs as the in-process writer writes them.  Where the
+    integrating process formats a JSON run's first block, the samples start
+    without the ",\n" separator."""
+    turns = SPLITS[split]
+    for kind, law in sorted(CONSTANT_CSV_SHA256):
+        decided = force_split(monkeypatch, turns)
+        assert main(["simulate", "--config", constant_field_config(tmp_path, kind, law)]) == 0
+        assert written_csv_sha256(tmp_path) == CONSTANT_CSV_SHA256[kind, law]
+        assert decided == [turns[0]]
+    for law in ("lorentz", "wong"):
+        for flags, pins in ((("--full-precision",), GRID_JSON_SHA256),
+                            ((), GRID_ROUNDED_JSON_SHA256)):
+            decided = force_split(monkeypatch, turns)
+            assert sha256(grid_json(tmp_path, law, *flags)) == pins[law]
+            assert decided == [turns[0]]
+    zero = {}
+    for output in sorted(SEAM_SHA256):
+        fmt, *flags = output.split()
+        decided = force_split(monkeypatch, turns)
+        assert sha256(simulate_written(tmp_path, fmt, 5000, *flags)) == SEAM_SHA256[output]
+        assert decided == list(itertools.islice(itertools.cycle(turns), -(-5000 // BLOCK_STEPS)))
+        decided = force_split(monkeypatch, turns)
+        zero[output] = simulate_written(tmp_path, fmt, 0, *flags)
+        assert decided == [turns[0]]
+    monkeypatch.delattr(os, "fork")
+    for output in sorted(SEAM_SHA256):
+        fmt, *flags = output.split()
+        assert simulate_written(tmp_path, fmt, 0, *flags) == zero[output]
+
+
+@pytest.mark.parametrize("steps", [200, 5000])
+def test_simulate_reports_a_writer_that_dies_by_its_exit_status(tmp_path, capsys, monkeypatch,
+                                                                steps):
+    """A writer that raises while formatting exits with status 1.  The run
+    stops with exit 2 and that one line, not with the broken pipe that the
+    integrating process meets when it sends the next block; no file and no
+    child process are left."""
+    parent, add = os.getpid(), writer.SampleText.add
+
+    def add_in_the_writer_only(self, block):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        add(self, block)
+
+    monkeypatch.setattr(writer.SampleText, "add", add_in_the_writer_only)
+    cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
+    data = json.loads((tmp_path / "cfg.json").read_text(encoding="utf-8"))
+    data["integrator"]["steps"] = steps
+    (tmp_path / "cfg.json").write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", cfg]) == 2
+    assert one_line(capsys.readouterr().err) == "error: the output writer exited with status 1"
+    assert not (tmp_path / "traj.csv").exists()
+    assert_no_child_process()
+
+
+@pytest.fixture
+def made_pipes(monkeypatch):
+    """The (read, write) descriptor pairs os.pipe makes during the test."""
+    pipes, pipe = [], os.pipe
+
+    def record():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(os, "pipe", record)
+    return pipes
+
+
+def open_fds():
+    return {int(fd) for fd in os.listdir("/proc/self/fd")}
+
+
+def all_closed(pipes):
+    """Whether no descriptor of these pipes is open."""
+    for fd in (fd for pair in pipes for fd in pair):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        return False
+    return True
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
-def test_simulate_fork_failure_exits_2_and_closes_its_pipes(tmp_path, capsys, monkeypatch):
+def test_simulate_fork_failure_exits_2_and_closes_its_pipes(tmp_path, capsys, monkeypatch,
+                                                            made_pipes):
+    """The data, report and ack pipes are made before the fork, and closed."""
     def fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     cfg = constant_field_config(tmp_path, "uniform_B", "lorentz")
     monkeypatch.setattr(os, "fork", fork)
-    open_fds = len(os.listdir("/proc/self/fd"))
+    before = open_fds()
     assert main(["simulate", "--config", cfg]) == 2
     assert one_line(capsys.readouterr().err) == "error: [Errno 11] Resource temporarily unavailable"
-    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert open_fds() == before
+    assert len(made_pipes) == 3 and all_closed(made_pipes)
     assert not (tmp_path / "traj.csv").exists()
 
 
@@ -1516,3 +1638,20 @@ def test_trajectory_json_matches_dump_json(rows, drift, full_precision, block_ro
         samples.add(memoryview(np.array(rows[k:k + block_rows], dtype=float).ravel()))
     meta = json.loads(json.dumps(traj.meta))  # as the forked writer receives it
     assert "".join(samples.parts(meta)) == reference_trajectory_json(traj, full_precision)
+
+
+@given(st.lists(st.lists(FINITE, min_size=9, max_size=9), min_size=1, max_size=5),
+       st.booleans(), st.booleans())
+@example([EDGES], True, True)
+@example([EDGES, [0.0] * 9], False, False)
+@settings(max_examples=200, deadline=None)
+def test_sample_text_in_bytes_is_its_str_encoded(rows, first, full_precision):
+    """The integrating process formats a block to bytes with b"%r", the
+    writer to str with "%r": the same characters for every finite float.
+    A CSV block is each row's repr texts joined by commas, ended by CRLF."""
+    block = memoryview(np.array(rows, dtype=float).ravel())
+    for fmt in ("csv", "json"):
+        samples = writer.SampleText(fmt, full_precision)
+        assert samples.text(block, first, bytes) == samples.text(block, first).encode()
+    assert writer.SampleText("csv", full_precision).text(block, first) == "".join(
+        ",".join(map(repr, row)) + "\r\n" for row in rows)

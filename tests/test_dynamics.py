@@ -278,27 +278,35 @@ _signed = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0,
 @example(0, False, (), [[2.5, 2.5, 2.5, 2.5]], [-0.0, 0.0, -0.0, 0.0], -3.0, 1.5)
 def test_grid_kernel_matches_the_evaluator_rows_bitwise(seed, dyadic, varying, points, u,
                                                          kappa, qm):
-    """The fused RK4 force is qm (kappa F) u with F's rows contracted in the
-    pinned order, kappa F formed entry by entry unless kappa is 1.0: in
-    cells, on node layers (zero weights), and with the signs of zeros kept,
-    also where only the g_mu in varying are nonzero."""
+    """The kernel's rows are the 16 entries of kappa F, formed entry by entry
+    unless kappa is 1.0, bit for bit, and so is the force qm (kappa F) u
+    contracted from them in the pinned order: in cells, on node layers (zero
+    weights), and with the signs of zeros kept, also where only the g_mu in
+    varying are nonzero."""
     vals, origin, spacing = random_grid_arrays(seed, dyadic)
     vals[[mu for mu in range(4) if mu not in varying]] = 0.0
     grid = grid_field(vals, origin, spacing)
     field = GridFieldStrength(grid)
-    accel = field.kernel(qm, kappa)
+    rows = field.kernel(kappa)
     u0, u1, u2, u3 = u
+
+    def force(entries):
+        it = iter(entries)
+        return [qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3))
+                for a0, a1, a2, a3 in zip(it, it, it, it)]
+
     for coords in points:
         x = tuple((grid.origin + grid.spacing * np.array(coords)).tolist())
         try:
             f = field(x)
         except GridBoundaryError:
             with pytest.raises(GridBoundaryError):
-                accel(*x, *u)
+                rows(*x)
             continue
-        rows = f if kappa == 1.0 else [[kappa * v for v in row] for row in f]
-        want = [qm * ((a0 * u0 + a2 * u2) + (a1 * u1 + a3 * u3)) for a0, a1, a2, a3 in rows]
-        assert same_bits(accel(*x, *u), want)
+        want = [v if kappa == 1.0 else kappa * v for row in f for v in row]
+        got = rows(*x)
+        assert type(got) is tuple and same_bits(got, want)
+        assert same_bits(force(got), force(want))
 
 
 @pytest.mark.parametrize("components", [(), (0,), (1, 3)], ids=["zero", "g0", "g1-g3"])
@@ -891,17 +899,36 @@ class CountingRows:
         return iter(self.f)
 
 
+class CountingField(dynamics.ConstantField):
+    """A constant field that counts its calls."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f
+
+
 def test_a_uniform_field_is_converted_once_per_run():
-    """Wong forms kappa F once per F object; Lorentz (kappa = 1) reads F's
-    rows as they are, at every stage."""
+    """Both laws read the rows of kappa F once per F object: a callable
+    returning one F is read once, and a ConstantField is read once and never
+    called."""
     f = uniform_magnetic_f([0.3, -0.7, 1.1])
     counting = CountingRows(f)
     state = ParticleState([0.1, -0.2, 0.3, 0.05], [1.2, 0.3, -0.4, 0.5], 0.9, 1.3)
-    for integrate, args, reads in ((integrate_lorentz, (), 4 * 50), (integrate_wong, (0.7,), 1)):
+    for integrate, args in ((integrate_lorentz, ()), (integrate_wong, (0.7,))):
+        want = integrate(state, lambda x: f, *args, 0.01, 50).table.tobytes()
         counting.reads = 0
         traj = integrate(state, lambda x: counting, *args, 0.01, 50)
-        assert counting.reads == reads
-        assert traj.table.tobytes() == integrate(state, lambda x: f, *args, 0.01, 50).table.tobytes()
+        assert counting.reads == 1
+        assert traj.table.tobytes() == want
+        constant = CountingField(counting)
+        counting.reads = 0
+        traj = integrate(state, constant, *args, 0.01, 50)
+        assert counting.reads == 1 and constant.calls == 0
+        assert traj.table.tobytes() == want
 
 
 # -- the scalar RK4 kernel against a numpy oracle -----------------------------------
@@ -943,6 +970,25 @@ def test_scalar_rk4_matches_numpy_oracle_on_uniform_fields(f):
     # every call give the same bytes
     fresh = integrate_lorentz(state, lambda x: [list(row) for row in f], 0.01, 500)
     assert fresh.table.tobytes() == traj.table.tobytes()
+
+
+@given(st.sampled_from([uniform_electric_f, uniform_magnetic_f]),
+       st.lists(_signed, min_size=3, max_size=3), st.sampled_from([1.0, 0.0, -0.0, 0.7, -3.0]),
+       st.lists(_signed, min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+@example(uniform_magnetic_f, [0.0, -0.0, 0.0], -0.0, [-0.0, -0.0, 0.3, -0.0])
+@example(uniform_electric_f, [0.4, 0.0, -0.9], 0.0, [1.2, 0.3, -0.4, 0.5])
+@example(uniform_electric_f, [-0.0, 0.2, 0.0], -3.0, [-0.0, 0.0, -0.0, 0.0])
+def test_a_constant_field_run_is_bit_equal_to_the_called_field_and_numpy(uniform, vec, kappa, u0):
+    """A ConstantField's entries, bound once, give the bytes of calling the
+    same F at every stage and of numpy RK4 on kappa F, zeros' signs included."""
+    f = uniform(vec)
+    state = ParticleState([0.1, -0.2, 0.3, 0.05], u0, 0.9, 1.3)
+    got = dynamics._integrate(state, dynamics.ConstantField(f), kappa, 0.01, 20, "wong")
+    called = dynamics._integrate(state, lambda x: f, kappa, 0.01, 20, "wong")
+    assert got.table.tobytes() == called.table.tobytes()
+    want = numpy_integrate(state, lambda x: kappa * np.asarray(f), 0.01, 20)
+    assert got.table.tobytes() == want.tobytes()
 
 
 def test_field_is_called_with_a_tuple_of_four_floats():
